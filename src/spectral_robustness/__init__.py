@@ -2,7 +2,8 @@
 
 Submodules:
 
-- ``spectral``: 2D DFT, amplitude/phase decomposition, radial masks, PSDs
+- ``spectral``: 2D DFT, amplitude/phase decomposition, radial masks, the
+  image-stack validator, PSDs
 - ``paths``: Fourier amplitude/phase and pixel interpolation paths
 - ``corruptions``: synthetic corruption families
 - ``shift_psd``: distribution-shift PSDs, radial profiles, band fractions
@@ -27,10 +28,10 @@ from .spectral import (
     decompose,
     dft2,
     idft2_real,
+    image_stack,
     normalized_radius,
     psd,
     radial_mask,
-    recompose,
 )
 from .paths import (
     InterpolationPath,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .spectral import FourierDecomposition, decompose, dft2, radial_mask, recompose
+from .spectral import decompose, image_stack, radial_mask
 
 PATH_MODES = ("amplitude", "phase", "pixel")
 CLASS_RELATIONS = ("within", "between", "unconstrained")
@@ -62,12 +62,9 @@ class InterpolationPath:
 
 
 def _check_pair(x0, x1, t: int) -> tuple[np.ndarray, np.ndarray]:
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise InvalidInputError(f"image shape mismatch: {x0.shape} vs {x1.shape}")
     if t < 2:
         raise InvalidInputError(f"T must be >= 2, got {t}")
+    x0, x1 = image_stack([x0, x1], "path endpoints")
     return x0, x1
 
 
@@ -89,53 +86,52 @@ def _self_conjugate_bins(h: int, w: int) -> np.ndarray:
     return mask
 
 
+def _half_spectra(x0, x1, rho: float):
+    """Real-input half spectra (C, H, W//2+1) of both endpoints and the radial mask."""
+    h, w = x0.shape[1:]
+    mask = radial_mask(h, w, rho).included[:, : w // 2 + 1]
+    return np.fft.rfft2(x0), np.fft.rfft2(x1), mask
+
+
 def amplitude_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
     """Blend low-frequency amplitude from x0 toward x1, keeping x0's phase.
 
     On bins inside the radial mask the amplitude is (1-lambda)*a0 + lambda*a1;
-    outside it stays a0. The phase is p0 everywhere, and each spectrum is
-    inverted back to a real image.
+    outside it stays a0. The phase is p0 everywhere. The inverse DFT is linear
+    in lambda, so this is the pixel path from x0 to the amplitude-swap hybrid:
+    a1 on the mask, a0 off it, with p0 everywhere.
     """
     x0, x1 = _check_pair(x0, x1, t)
-    d0 = decompose(dft2(x0))
-    d1 = decompose(dft2(x1))
-    mask = radial_mask(x0.shape[1], x0.shape[2], rho).included
-    lambdas = _lambda_grid(t)
-
-    lam = lambdas[:, None, None, None]
-    blended = (1.0 - lam) * d0.amplitude[None] + lam * d1.amplitude[None]
-    amp = np.where(mask[None, None, :, :], blended, d0.amplitude[None])
-    phase = np.broadcast_to(d0.phase[None], amp.shape)
-    spectra = recompose(FourierDecomposition(amplitude=amp, phase=np.array(phase)))
-    images = np.fft.ifft2(spectra, axes=(-2, -1)).real
-    return InterpolationPath(images=images, lambdas=lambdas)
+    s0, s1, mask = _half_spectra(x0, x1, rho)
+    hybrid = np.where(mask, decompose(s1).amplitude * np.exp(1j * decompose(s0).phase), s0)
+    return pixel_path(x0, np.fft.irfft2(hybrid, s=x0.shape[1:]), t)
 
 
 def phase_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
     """Rotate low-frequency phase from p0 toward p1, keeping x0's amplitude.
 
-    The per-bin increment is the shortest angular arc wrap(p1 - p0); the
-    interpolated angle is re-wrapped into (-pi, pi]. Self-conjugate bins (DC
+    The per-bin increment is the shortest angular arc wrap(p1 - p0), and the
+    phase at lambda is p0 + lambda * wrap(p1 - p0). Self-conjugate bins (DC
     and the Nyquist intersections) keep p0 outright: their phases are confined
     to {0, pi} for real images, so a continuous rotation there would corrupt
     the amplitude through the real-part projection instead of moving the
-    phase.
+    phase. The increment is antisymmetric between each bin and its conjugate
+    mirror, also at exact antipodal ties, so every path image keeps |X0|.
     """
     x0, x1 = _check_pair(x0, x1, t)
-    d0 = decompose(dft2(x0))
-    d1 = decompose(dft2(x1))
-    mask = radial_mask(x0.shape[1], x0.shape[2], rho).included
+    h, w = x0.shape[1:]
+    s0, s1, mask = _half_spectra(x0, x1, rho)
+    mask &= ~_self_conjugate_bins(h, w)[:, : w // 2 + 1]
+    p0 = decompose(s0).phase
+    delta = np.where(mask, wrap_angle(decompose(s1).phase - p0), 0.0)
+    # Columns 0 and W/2 of the half grid hold both bin u and its mirror -u;
+    # wrap_angle sends a tie to +pi at both, so mirror the increment by hand.
+    cols = [0] + ([w // 2] if w % 2 == 0 else [])
+    rows = np.arange(1, (h + 1) // 2)[:, None]
+    delta[:, h - rows, cols] = -delta[:, rows, cols]
     lambdas = _lambda_grid(t)
-
-    delta = wrap_angle(d1.phase - d0.phase)
-    delta[:, _self_conjugate_bins(x0.shape[1], x0.shape[2])] = 0.0
-    lam = lambdas[:, None, None, None]
-    rotated = wrap_angle(d0.phase[None] + lam * delta[None])
-    phase = np.where(mask[None, None, :, :], rotated, d0.phase[None])
-    amp = np.broadcast_to(d0.amplitude[None], phase.shape)
-    spectra = recompose(FourierDecomposition(amplitude=np.array(amp), phase=phase))
-    images = np.fft.ifft2(spectra, axes=(-2, -1)).real
-    return InterpolationPath(images=images, lambdas=lambdas)
+    spectra = s0 * np.exp(1j * lambdas[:, None, None, None] * delta)
+    return InterpolationPath(images=np.fft.irfft2(spectra, s=(h, w)), lambdas=lambdas)
 
 
 def pixel_path(x0, x1, t: int = DEFAULT_STEPS) -> InterpolationPath:

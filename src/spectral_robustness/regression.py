@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import DegenerateFitError, InvalidInputError
 
@@ -84,11 +84,16 @@ def clopper_pearson(correct: int, total: int, alpha: float = 0.05) -> tuple[floa
         raise InvalidInputError(f"invalid counts: {correct}/{total}")
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
-    low = 0.0 if correct == 0 else float(stats.beta.ppf(alpha / 2, correct, total - correct + 1))
+    # betaincinv(a, b, q) is the Beta(a, b) quantile at q.
+    low = (
+        0.0
+        if correct == 0
+        else float(special.betaincinv(correct, total - correct + 1, alpha / 2))
+    )
     high = (
         1.0
         if correct == total
-        else float(stats.beta.ppf(1 - alpha / 2, correct + 1, total - correct))
+        else float(special.betaincinv(correct + 1, total - correct, 1 - alpha / 2))
     )
     return low, high
 

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, UndefinedMetricError
-from .spectral import PsdMap, normalized_radius, psd
+from .spectral import PsdMap, image_stack, normalized_radius, psd
 
 # Band edges on normalized radius. The low edge keeps the lowest third of
 # radii; the high edge sits below 2/3 because on a square frequency grid the
@@ -38,8 +38,8 @@ class BandFractions:
 
 def paired_shift_psd(originals: Sequence, corrupted: Sequence) -> PsdMap:
     """PSD of per-pair difference images (corrupted_i - original_i)."""
-    orig = _stack(originals, "originals")
-    corr = _stack(corrupted, "corrupted")
+    orig = image_stack(originals, "originals")
+    corr = image_stack(corrupted, "corrupted")
     if orig.shape != corr.shape:
         raise InvalidInputError(
             f"originals/corrupted shape mismatch: {orig.shape} vs {corr.shape}"
@@ -59,8 +59,8 @@ def class_averaged_shift_psd(a: Mapping, b: Mapping) -> PsdMap:
         raise InvalidInputError("no classes given")
     deltas = []
     for key in sorted(keys_a, key=str):
-        psd_a = psd(_stack(a[key], f"a[{key!r}]"))
-        psd_b = psd(_stack(b[key], f"b[{key!r}]"))
+        psd_a = psd(image_stack(a[key], f"a[{key!r}]"))
+        psd_b = psd(image_stack(b[key], f"b[{key!r}]"))
         if psd_a.power.shape != psd_b.power.shape:
             raise InvalidInputError(f"image sizes differ between groups for class {key!r}")
         deltas.append(psd_b.power - psd_a.power)
@@ -103,19 +103,3 @@ def band_fractions(psd_map: PsdMap, edges: tuple[float, float] = DEFAULT_BAND_ED
     mid = power[(r > r1) & (r <= r2)].sum() / total
     high = power[r > r2].sum() / total
     return BandFractions(low=float(low), mid=float(mid), high=float(high))
-
-
-def _stack(images, name: str) -> np.ndarray:
-    if isinstance(images, np.ndarray) and images.ndim == 4:
-        stack = np.asarray(images, dtype=np.float64)
-    else:
-        items = [np.asarray(im, dtype=np.float64) for im in images]
-        if not items:
-            raise InvalidInputError(f"{name} must be nonempty")
-        shapes = {im.shape for im in items}
-        if len(shapes) != 1:
-            raise InvalidInputError(f"{name} images must share a shape, got {sorted(shapes)}")
-        stack = np.stack(items)
-    if stack.shape[0] < 1:
-        raise InvalidInputError(f"{name} must be nonempty")
-    return stack

@@ -98,21 +98,6 @@ def decompose(spectrum) -> FourierDecomposition:
     return FourierDecomposition(amplitude=amplitude, phase=phase)
 
 
-def recompose(decomp: FourierDecomposition) -> np.ndarray:
-    """Rebuild a complex spectrum from amplitude and phase."""
-    amplitude = np.asarray(decomp.amplitude, dtype=np.float64)
-    phase = np.asarray(decomp.phase, dtype=np.float64)
-    if amplitude.shape != phase.shape:
-        raise InvalidInputError(
-            f"amplitude/phase shape mismatch: {amplitude.shape} vs {phase.shape}"
-        )
-    if np.any(amplitude < 0):
-        raise InvalidInputError("amplitude must be nonnegative")
-    if not (np.all(np.isfinite(amplitude)) and np.all(np.isfinite(phase))):
-        raise InvalidInputError("non-finite amplitude or phase")
-    return amplitude * np.exp(1j * phase)
-
-
 def normalized_radius(h: int, w: int) -> np.ndarray:
     """Normalized frequency radius r(u, v) in [0, 1] on the unshifted DFT grid.
 
@@ -136,26 +121,36 @@ def radial_mask(h: int, w: int, rho: float) -> RadialMask:
     return RadialMask(included=normalized_radius(h, w) <= rho, rho=float(rho))
 
 
+def image_stack(images, name: str) -> np.ndarray:
+    """Validate images and stack them into a float64 (N, C, H, W) array.
+
+    ``images`` is an (N, C, H, W) array or a sequence of (C, H, W) images of
+    one shape. Empty input, mixed shapes, an empty axis and non-finite values
+    raise InvalidInputError naming ``name``.
+    """
+    if isinstance(images, np.ndarray) and images.ndim == 4:
+        stack = np.asarray(images, dtype=np.float64)
+    else:
+        items = [np.asarray(im, dtype=np.float64) for im in images]
+        if not items:
+            raise InvalidInputError(f"{name} must be nonempty")
+        shapes = {im.shape for im in items}
+        if len(shapes) != 1:
+            raise InvalidInputError(f"{name} images must share a shape, got {sorted(shapes)}")
+        stack = np.stack(items)
+    if stack.ndim != 4 or 0 in stack.shape:
+        raise InvalidInputError(f"{name} must be a nonempty (N, C, H, W) stack, got {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise InvalidInputError(f"{name} contains non-finite values")
+    return stack
+
+
 def psd(images: Sequence) -> PsdMap:
     """Mean power spectral density |X|^2 / (H*W) over images and channels.
 
     The normalization makes unit-variance white noise flat at expected power 1.
     """
-    if isinstance(images, np.ndarray) and images.ndim == 4:
-        stack = images
-    else:
-        items = list(images)
-        if not items:
-            raise InvalidInputError("psd requires at least one image")
-        shapes = {np.asarray(im).shape for im in items}
-        if len(shapes) != 1:
-            raise InvalidInputError(f"psd requires identical image shapes, got {sorted(shapes)}")
-        stack = np.stack([np.asarray(im) for im in items])
-    if stack.ndim != 4 or stack.shape[0] < 1:
-        raise InvalidInputError(f"psd requires a nonempty (N, C, H, W) stack, got {stack.shape}")
-    stack = np.asarray(stack, dtype=np.float64)
-    if not np.all(np.isfinite(stack)):
-        raise InvalidInputError("psd input contains non-finite values")
+    stack = image_stack(images, "psd input")
     n, _, h, w = stack.shape
     spectra = np.fft.fft2(stack, axes=(-2, -1))
     # Channel mean first, then image mean, so repeated identical images

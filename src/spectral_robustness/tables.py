@@ -7,7 +7,6 @@ deterministic order, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 import numpy as np
 
@@ -234,7 +233,3 @@ def read_path_metrics(path) -> tuple[list[PathMetrics], dict[str, tuple[str, str
                 except ValueError as exc:
                     raise TraceParseError(f"{path} line {line_no}: {exc}") from None
     return per_path, footer
-
-
-def ensure_parent(path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)

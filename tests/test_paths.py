@@ -14,9 +14,29 @@ from spectral_robustness import (
 )
 
 
-def cifar_pair(seed):
+def random_pair(shape, seed):
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(3, 32, 32)), rng.normal(size=(3, 32, 32))
+    return rng.normal(size=shape), rng.normal(size=shape)
+
+
+def cifar_pair(seed):
+    return random_pair((3, 32, 32), seed)
+
+
+def antipodal_pair(shape, seed):
+    # x1 = -x0 puts every phase difference exactly on the +-pi tie.
+    x0 = np.random.default_rng(seed).normal(size=shape)
+    return x0, -x0
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+# Per-lambda oracles: T = 101 puts lambda = 0.37 exactly at step 37.
+ORACLE_SHAPES = [(3, 32, 32), (1, 7, 9), (3, 8, 5), (1, 2, 2)]
+ORACLE_RHOS = [0.0, 0.2, 0.4, 1.0]
+ORACLE_T, ORACLE_STEP, ORACLE_LAMBDA = 101, 37, 0.37
 
 
 def oracle_mask(h, w, rho):
@@ -71,21 +91,23 @@ class TestAmplitudePath:
         assert np.abs(d_result.amplitude - d1.amplitude)[sel].max() < 1e-3
         assert phase_diff(d_result.phase, d0.phase)[sel].max() < 1e-3
 
-    def test_matches_step_by_step_oracle(self):
-        x0, x1 = cifar_pair(2)
-        rho, lam = 0.4, 0.37
-        t = 101  # lambda grid hits 0.37 exactly at index 37
-        path = amplitude_path(x0, x1, rho=rho, t=t)
-        assert abs(path.lambdas[37] - lam) < 1e-12
+    @pytest.mark.parametrize("rho", ORACLE_RHOS)
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=shape_id)
+    def test_matches_step_by_step_oracle(self, shape, rho):
+        x0, x1 = random_pair(shape, 2)
+        path = amplitude_path(x0, x1, rho=rho, t=ORACLE_T)
+        assert abs(path.lambdas[ORACLE_STEP] - ORACLE_LAMBDA) < 1e-12
 
-        mask = oracle_mask(32, 32, rho)
+        lam = ORACLE_LAMBDA
+        mask = oracle_mask(shape[1], shape[2], rho)
         expected = np.empty_like(x0)
-        for ch in range(3):
+        for ch in range(shape[0]):
             s0 = np.fft.fft2(x0[ch])
             s1 = np.fft.fft2(x1[ch])
             amp = np.where(mask, (1 - lam) * np.abs(s0) + lam * np.abs(s1), np.abs(s0))
             expected[ch] = np.fft.ifft2(amp * np.exp(1j * np.angle(s0))).real
-        assert np.abs(path.images[37] - expected).max() < 1e-6
+        scale = max(np.abs(x0).max(), np.abs(x1).max())
+        assert np.abs(path.images[ORACLE_STEP] - expected).max() <= 1e-12 * scale
 
     def test_off_mask_bins_untouched(self):
         x0, x1 = cifar_pair(3)
@@ -110,8 +132,12 @@ class TestPhasePath:
         path = phase_path(x0, x1, rho=0.4, t=5)
         assert np.abs(path.images[0] - x0).max() < 1e-4
 
-    def test_amplitude_preserved_along_path(self):
-        x0, x1 = cifar_pair(5)
+    @pytest.mark.parametrize(
+        "x0, x1",
+        [cifar_pair(5), antipodal_pair((3, 32, 32), 5), antipodal_pair((1, 7, 9), 5)],
+        ids=["random", "antipodal-3x32x32", "antipodal-1x7x9"],
+    )
+    def test_amplitude_preserved_along_path(self, x0, x1):
         d0 = decompose(dft2(x0))
         sel = d0.amplitude > 1e-6
         path = phase_path(x0, x1, rho=0.4, t=7)
@@ -131,6 +157,30 @@ class TestPhasePath:
         for img in path.images:
             d = decompose(dft2(img))
             assert np.abs(d.amplitude - d0.amplitude)[sel].max() < 1e-3
+
+    @pytest.mark.parametrize("rho", ORACLE_RHOS)
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=shape_id)
+    def test_matches_step_by_step_oracle(self, shape, rho):
+        # Random endpoints have no exact antipodal ties, so the full-spectrum
+        # rotation below is Hermitian and needs no tie handling.
+        x0, x1 = random_pair(shape, 13)
+        path = phase_path(x0, x1, rho=rho, t=ORACLE_T)
+
+        lam = ORACLE_LAMBDA
+        h, w = shape[1:]
+        mask = oracle_mask(h, w, rho)
+        for i in [0] + ([h // 2] if h % 2 == 0 else []):
+            for j in [0] + ([w // 2] if w % 2 == 0 else []):
+                mask[i, j] = False  # self-conjugate
+        expected = np.empty_like(x0)
+        for ch in range(shape[0]):
+            s0 = np.fft.fft2(x0[ch])
+            p0 = np.angle(s0)
+            delta = wrap_angle(np.angle(np.fft.fft2(x1[ch])) - p0)
+            phase = np.where(mask, wrap_angle(p0 + lam * delta), p0)
+            expected[ch] = np.fft.ifft2(np.abs(s0) * np.exp(1j * phase)).real
+        scale = max(np.abs(x0).max(), np.abs(x1).max())
+        assert np.abs(path.images[ORACLE_STEP] - expected).max() <= 1e-12 * scale
 
     def test_masked_phase_moves_toward_target(self):
         x0, x1 = cifar_pair(7)
@@ -218,3 +268,20 @@ class TestSamplePathSpecs:
             PathSpec("amplitude", 0, 1, "within", 0.4, 1, 0)
         with pytest.raises(InvalidInputError):
             PathSpec("warp", 0, 1, "within", 0.4, 100, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a, b: amplitude_path(a, b, 0.4, 3),
+        lambda a, b: phase_path(a, b, 0.4, 3),
+        lambda a, b: pixel_path(a, b, 3),
+    ],
+    ids=["amplitude", "phase", "pixel"],
+)
+def test_bad_endpoints_rejected(build):
+    x0 = np.zeros((1, 8, 8))
+    with pytest.raises(InvalidInputError):
+        build(x0, np.full((1, 8, 8), np.nan))
+    with pytest.raises(InvalidInputError):
+        build(x0[0], x0[0])

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from spectral_robustness import (
-    FourierDecomposition,
     InvalidInputError,
     decompose,
     dft2,
     idft2_real,
     psd,
     radial_mask,
-    recompose,
 )
 
 
@@ -147,21 +145,9 @@ class TestDecomposeRecompose:
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         spec = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
-        back = recompose(decompose(spec))
+        d = decompose(spec)
+        back = d.amplitude * np.exp(1j * d.phase)
         assert np.abs(back - spec).max() < 1e-6
-
-    def test_recompose_values(self):
-        d = FourierDecomposition(
-            amplitude=np.array([[[2.0, 0.0]]]), phase=np.array([[[np.pi / 2, 1.3]]])
-        )
-        spec = recompose(d)
-        assert abs(spec[0, 0, 0] - 2j) < 1e-9
-        assert spec[0, 0, 1] == 0
-
-    def test_recompose_rejects_negative_amplitude(self):
-        d = FourierDecomposition(amplitude=np.array([[[-1.0]]]), phase=np.array([[[0.0]]]))
-        with pytest.raises(InvalidInputError):
-            recompose(d)
 
 
 class TestRadialMask:
