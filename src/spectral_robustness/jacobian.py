@@ -6,9 +6,11 @@ per-projection estimates over a batch and taking a square root gives the
 reported norm, with a Gaussian 95% CI built on the squared-norm estimates
 (treated as i.i.d.) and mapped through sqrt.
 
-Predictors without an analytic vector-Jacobian product fall back to central
-finite differences along random input-space unit directions u, using the dual
-identity E_u[D * ||J u||^2] = ||J||_F^2.
+Predictors with an analytic vector-Jacobian product return all B x n_proj
+squared norms from one ``sq_vjp_norms(batch, vs)`` call. Predictors without
+one fall back to central finite differences along random input-space unit
+directions u, using the dual identity E_u[D * ||J u||^2] = ||J||_F^2, with one
+``predict`` call per sample holding all of its 2 * n_proj perturbations.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ class Predictor:
     """Maps an (N, C, H, W) image batch to an (N, K) output matrix.
 
     ``target`` says whether outputs are logits or softmax probabilities.
-    Subclasses with an analytic VJP override ``vjp``/``vjp_many`` and report
-    ``has_vjp = True``; others are handled by finite differences.
+    Subclasses with an analytic VJP override ``vjp`` and report
+    ``has_vjp = True``; they may also override ``sq_vjp_norms`` with a batched
+    closed form. Others are handled by finite differences.
     """
 
     target = "probs"
@@ -73,14 +76,41 @@ class Predictor:
     def vjp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError("this predictor has no analytic VJP")
 
-    def vjp_many(self, x: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return np.stack([self.vjp(x, v) for v in vs])
+    def sq_vjp_norms(self, batch: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """(B, P) squared norms ||J(x_s)^T v_{s,j}||^2 for a (B, ...) batch and (B, P, K) ``vs``.
+
+        This default loops over ``vjp``.
+        """
+        out = np.empty(np.shape(vs)[:2])
+        for s, x in enumerate(batch):
+            for j, v in enumerate(vs[s]):
+                grad = self.vjp(x, v)
+                out[s, j] = np.sum(grad * grad)
+        return out
 
 
 def _check_target(target: str) -> str:
     if target not in ("logits", "probs"):
         raise InvalidInputError(f"target must be 'logits' or 'probs', got {target!r}")
     return target
+
+
+def _probs_cotangents(p: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """(diag(p) - p p^T) v for (B, K) softmax outputs p and (B, P, K) cotangents v."""
+    p = p[:, None, :]
+    return p * vs - p * np.sum(vs * p, axis=-1, keepdims=True)
+
+
+def _sq_row_norms(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """||a_i @ w||^2 for every row a_i along the last axis of ``a``, without forming ``a @ w``.
+
+    R from the QR factorisation of w^T satisfies R^T R = w w^T, so
+    ||a_i @ w||^2 = a_i (w w^T) a_i^T = ||R a_i||^2: a quadratic form in the
+    small Gram matrix, kept a sum of squares so it never rounds below zero.
+    """
+    r = np.linalg.qr(w.T, mode="r")
+    y = a @ r.T
+    return np.sum(y * y, axis=-1)
 
 
 def vjp_linear_softmax(weights, bias, x, v, target: str = "probs") -> np.ndarray:
@@ -128,13 +158,11 @@ class LinearPredictor(Predictor):
         out = vjp_linear_softmax(self.weights, self.bias, np.ravel(x), v, self.target)
         return out.reshape(self.image_shape)
 
-    def vjp_many(self, x, vs):
+    def sq_vjp_norms(self, batch, vs):
         vs = np.asarray(vs, dtype=np.float64)
         if self.target == "probs":
-            p = softmax(self.weights @ np.ravel(x) + self.bias)
-            vs = p[None, :] * vs - p[None, :] * (vs @ p)[:, None]
-        flat = vs @ self.weights
-        return flat.reshape((len(vs),) + tuple(self.image_shape))
+            vs = _probs_cotangents(self.predict(batch), vs)
+        return _sq_row_norms(vs, self.weights)
 
 
 class MlpPredictor(Predictor):
@@ -169,20 +197,21 @@ class MlpPredictor(Predictor):
         _, z = self._forward(flat)
         return softmax(z) if self.target == "probs" else z
 
-    def vjp(self, x, v):
-        return self.vjp_many(x, np.asarray(v, dtype=np.float64)[None])[0]
-
-    def vjp_many(self, x, vs):
-        vs = np.asarray(vs, dtype=np.float64)
-        flat = np.ravel(np.asarray(x, dtype=np.float64))[None]
+    def _hidden_cotangents(self, batch, vs) -> np.ndarray:
+        """(B, P, hidden) cotangents at the pre-activations W1 x + b1 for (B, P, K) ``vs``."""
+        flat = np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
         h, z = self._forward(flat)
+        vs = np.asarray(vs, dtype=np.float64)
         if self.target == "probs":
-            p = softmax(z)[0]
-            vs = p[None, :] * vs - p[None, :] * (vs @ p)[:, None]
-        gh = vs @ self.w2
-        gu = gh * (1.0 - h[0] ** 2)[None, :]
-        gx = gu @ self.w1
-        return gx.reshape((len(vs),) + tuple(self.image_shape))
+            vs = _probs_cotangents(softmax(z), vs)
+        return (vs @ self.w2) * (1.0 - h**2)[:, None, :]
+
+    def vjp(self, x, v):
+        gu = self._hidden_cotangents(np.asarray(x)[None], np.asarray(v)[None, None])
+        return (gu[0, 0] @ self.w1).reshape(self.image_shape)
+
+    def sq_vjp_norms(self, batch, vs):
+        return _sq_row_norms(self._hidden_cotangents(batch, vs), self.w1)
 
 
 class CallablePredictor(Predictor):
@@ -209,25 +238,32 @@ def fd_directional_derivative(predictor: Predictor, x, u, eps: float = DEFAULT_F
     norm = np.sqrt(np.sum(u * u))
     if abs(norm - 1.0) > 1e-9:
         raise InvalidInputError(f"direction must be a unit vector, got norm {norm}")
-    batch = np.stack([x + eps * u, x - eps * u])
-    out = predictor.predict(batch)
-    return (out[0] - out[1]) / (2.0 * eps)
+    return _central_differences(predictor, x, u[None], eps)[0]
 
 
-def _unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
-    while True:
-        g = rng.standard_normal(dim)
-        norm = np.sqrt(np.sum(g * g))
-        if norm > 0:
-            return g / norm
+def _central_differences(predictor: Predictor, x, us, eps: float) -> np.ndarray:
+    """(P, K) directional derivatives along P directions ``us``, from one ``predict`` call."""
+    out = predictor.predict(np.concatenate([x + eps * us, x - eps * us]))
+    return (out[: len(us)] - out[len(us) :]) / (2.0 * eps)
+
+
+def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n uniform unit vectors in R^dim: normalised Gaussian rows, a zero row redrawn."""
+    g = rng.standard_normal((n, dim))
+    norms = np.sqrt(np.sum(g * g, axis=1))
+    while not norms.all():
+        i = int(np.argmin(norms))
+        g[i] = rng.standard_normal(dim)
+        norms[i] = np.sqrt(np.sum(g[i] * g[i]))
+    return g / norms[:, None]
 
 
 def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) -> JacobianEstimate:
     """Estimate the (root-mean-square over the batch) Jacobian Frobenius norm.
 
-    For each of the B samples, n_proj independent squared-norm estimates are
-    drawn from RNG streams keyed by (seed, sample, projection); the reduction
-    runs in (sample, projection) order so results are bit-stable per seed.
+    Each of the B samples draws its n_proj unit projections from one RNG
+    stream keyed by (seed, sample); the reduction runs in (sample, projection)
+    order so results are bit-stable per seed.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 4:
@@ -242,25 +278,17 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
     d = int(np.prod(batch.shape[1:]))
     method = "vjp" if predictor.has_vjp else "fd"
 
-    estimates = np.empty(config.batch_size * config.n_proj)
-    pos = 0
-    for s in range(config.batch_size):
-        x = batch[s]
-        if method == "vjp":
-            vs = np.stack(
-                [
-                    _unit_sphere(np.random.default_rng([config.seed, s, j]), k)
-                    for j in range(config.n_proj)
-                ]
-            )
-            grads = predictor.vjp_many(x, vs).reshape(config.n_proj, -1)
-            estimates[pos : pos + config.n_proj] = k * np.sum(grads * grads, axis=1)
-        else:
-            for j in range(config.n_proj):
-                u = _unit_sphere(np.random.default_rng([config.seed, s, j]), d).reshape(x.shape)
-                ju = fd_directional_derivative(predictor, x, u, config.fd_eps)
-                estimates[pos + j] = d * np.sum(ju * ju)
-        pos += config.n_proj
+    rngs = [np.random.default_rng([config.seed, s]) for s in range(config.batch_size)]
+    if method == "vjp":
+        vs = np.stack([_unit_rows(rng, config.n_proj, k) for rng in rngs])
+        estimates = k * predictor.sq_vjp_norms(batch, vs)
+    else:
+        estimates = np.empty((config.batch_size, config.n_proj))
+        for s, (x, rng) in enumerate(zip(batch, rngs)):
+            us = _unit_rows(rng, config.n_proj, d).reshape((config.n_proj,) + x.shape)
+            ju = _central_differences(predictor, x, us, config.fd_eps)
+            estimates[s] = d * np.sum(ju * ju, axis=1)
+    estimates = estimates.ravel()
 
     n = estimates.size
     mean = float(estimates.mean())

@@ -124,8 +124,19 @@ def write_labels(path, labels) -> None:
             writer.writerow([i, int(label)])
 
 
+def _reject_duplicate(seen: dict, key: tuple, path, line_no: int, names: str) -> None:
+    """Record ``key``'s line, or raise if an earlier line already had it."""
+    first = seen.setdefault(key, line_no)
+    if first != line_no:
+        raise TraceParseError(
+            f"{path} line {line_no}: duplicate ({names}) {key!r}, first on line {first}"
+        )
+
+
 def read_accuracies(path) -> list[AccuracyRecord]:
+    """Read an accuracy CSV; a repeated (model_id, dataset_id) raises TraceParseError."""
     records = []
+    seen: dict[tuple[str, str], int] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["model_id", "group", "dataset_id", "correct", "total"]:
@@ -134,17 +145,18 @@ def read_accuracies(path) -> list[AccuracyRecord]:
             )
         for line_no, row in enumerate(reader, start=2):
             try:
-                records.append(
-                    AccuracyRecord(
-                        model_id=row["model_id"],
-                        group=row["group"],
-                        dataset_id=row["dataset_id"],
-                        correct=int(row["correct"]),
-                        total=int(row["total"]),
-                    )
+                rec = AccuracyRecord(
+                    model_id=row["model_id"],
+                    group=row["group"],
+                    dataset_id=row["dataset_id"],
+                    correct=int(row["correct"]),
+                    total=int(row["total"]),
                 )
             except (TypeError, ValueError) as exc:
                 raise TraceParseError(f"{path} line {line_no}: {exc}") from None
+            key = (rec.model_id, rec.dataset_id)
+            _reject_duplicate(seen, key, path, line_no, "model_id, dataset_id")
+            records.append(rec)
     return records
 
 
@@ -157,7 +169,9 @@ def write_accuracies(path, records) -> None:
 
 
 def read_metrics(path) -> list[MetricRecord]:
+    """Read a model-metrics CSV; a repeated (model_id, metric_name) raises TraceParseError."""
     records = []
+    seen: dict[tuple[str, str], int] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["model_id", "metric_name", "value", "value_kind"]:
@@ -166,16 +180,17 @@ def read_metrics(path) -> list[MetricRecord]:
             )
         for line_no, row in enumerate(reader, start=2):
             try:
-                records.append(
-                    MetricRecord(
-                        model_id=row["model_id"],
-                        metric_name=row["metric_name"],
-                        value=float(row["value"]),
-                        value_kind=row["value_kind"],
-                    )
+                rec = MetricRecord(
+                    model_id=row["model_id"],
+                    metric_name=row["metric_name"],
+                    value=float(row["value"]),
+                    value_kind=row["value_kind"],
                 )
             except (TypeError, ValueError) as exc:
                 raise TraceParseError(f"{path} line {line_no}: {exc}") from None
+            key = (rec.model_id, rec.metric_name)
+            _reject_duplicate(seen, key, path, line_no, "model_id, metric_name")
+            records.append(rec)
     return records
 
 

@@ -9,7 +9,7 @@ binary32 values in row-major order. Write/read round trips are bit-exact.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 
 import numpy as np
 
@@ -41,29 +41,33 @@ def write_tensor(path, data, shape=None) -> None:
 
 
 def read_tensor(path) -> tuple[np.ndarray, list[int]]:
-    """Read a container file back as (float32 array, shape)."""
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise TensorFormatError(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TensorFormatError(f"{path}: malformed header: {exc}") from exc
-    if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
-        raise TensorFormatError(f"{path}: header must have keys {_HEADER_KEYS}")
-    if header["dtype"] != "f32":
-        raise TensorFormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-    if header["order"] != "row-major" or header["byte_order"] != "little":
-        raise TensorFormatError(f"{path}: unsupported layout {header!r}")
-    shape = header["shape"]
-    if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
-        raise TensorFormatError(f"{path}: bad shape {shape!r}")
-    count = int(np.prod(shape)) if shape else 1
-    payload = raw[newline + 1 :]
-    if len(payload) != 4 * count:
-        raise TensorFormatError(
-            f"{path}: payload has {len(payload)} bytes, expected {4 * count}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float32).reshape(shape)
-    return data, list(shape)
+    """Read a container file back as (float32 array, shape).
+
+    The payload goes straight from the file into one writable array; its
+    length is checked against the header before it is read.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise TensorFormatError(f"{path}: missing header line")
+        try:
+            header = json.loads(line[:-1].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise TensorFormatError(f"{path}: malformed header: {exc}") from exc
+        if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
+            raise TensorFormatError(f"{path}: header must have keys {_HEADER_KEYS}")
+        if header["dtype"] != "f32":
+            raise TensorFormatError(f"{path}: unsupported dtype {header['dtype']!r}")
+        if header["order"] != "row-major" or header["byte_order"] != "little":
+            raise TensorFormatError(f"{path}: unsupported layout {header!r}")
+        shape = header["shape"]
+        if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
+            raise TensorFormatError(f"{path}: bad shape {shape!r}")
+        count = int(np.prod(shape)) if shape else 1
+        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload_bytes != 4 * count:
+            raise TensorFormatError(
+                f"{path}: payload has {payload_bytes} bytes, expected {4 * count}"
+            )
+        data = np.fromfile(fh, dtype="<f4", count=count)
+    return data.astype(np.float32, copy=False).reshape(shape), list(shape)

@@ -312,6 +312,25 @@ class TestRegressCommand:
         )
         assert rc == 2
 
+    def test_duplicate_metric_row_fails_before_output(self, tmp_path, capsys):
+        acc_path, met_path = self.make_tables(tmp_path)
+        with open(met_path, "a") as fh:
+            fh.write("conv0,amp_hff,0.5,raw\n")
+        out = tmp_path / "fit.csv"
+        rc = main(
+            [
+                "regress",
+                "--accuracies", str(acc_path),
+                "--metrics", str(met_path),
+                "--x", "amp_hff",
+                "--ood", "ood-set",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "line 12: duplicate" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReportCommand:
     def test_markdown_summary(self, tmp_path):

@@ -7,12 +7,13 @@ from spectral_robustness import (
     JacobianConfig,
     LinearPredictor,
     MlpPredictor,
+    Predictor,
     estimate_jacobian_norm,
     fd_directional_derivative,
     train_blob_mlp,
     vjp_linear_softmax,
 )
-from spectral_robustness.jacobian import pack_mlp_weights, softmax, unpack_mlp_weights
+from spectral_robustness.jacobian import _unit_rows, pack_mlp_weights, softmax, unpack_mlp_weights
 
 
 def random_linear(seed, k=10, d=50, target="logits"):
@@ -65,6 +66,60 @@ class TestVjpLinearSoftmax:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             vjp_linear_softmax(np.zeros((2, 3)), np.zeros(2), np.zeros(4), np.zeros(2))
+
+
+def random_mlp(seed, hidden=7, d=12, k=4, target="probs"):
+    rng = np.random.default_rng(seed)
+    return MlpPredictor(
+        rng.normal(size=(hidden, d)),
+        rng.normal(size=hidden),
+        rng.normal(size=(k, hidden)),
+        rng.normal(size=k),
+        image_shape=(1, 3, d // 3),
+        target=target,
+    )
+
+
+class VjpOnlyMlp(Predictor):
+    """A third-party predictor that implements ``vjp`` but not ``sq_vjp_norms``."""
+
+    has_vjp = True
+
+    def __init__(self, mlp):
+        self.mlp = mlp
+        self.n_outputs = mlp.n_outputs
+        self.target = mlp.target
+
+    def predict(self, batch):
+        return self.mlp.predict(batch)
+
+    def vjp(self, x, v):
+        return self.mlp.vjp(x, v)
+
+
+class TestSqVjpNorms:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_linear(30, k=5, d=12, target="logits"),
+            lambda: random_linear(31, k=5, d=12, target="probs"),
+            lambda: random_mlp(32, target="logits"),
+            lambda: random_mlp(33, target="probs"),
+            lambda: VjpOnlyMlp(random_mlp(34, target="probs")),
+        ],
+        ids=["linear-logits", "linear-probs", "mlp-logits", "mlp-probs", "vjp-only-subclass"],
+    )
+    def test_matches_direct_vjp(self, make):
+        predictor = make()
+        rng = np.random.default_rng(35)
+        batch = rng.normal(size=(6, 1, 3, 4))
+        vs = rng.normal(size=(6, 3, predictor.n_outputs))
+        got = predictor.sq_vjp_norms(batch, vs)
+        want = np.array(
+            [[np.sum(predictor.vjp(x, v) ** 2) for v in row] for x, row in zip(batch, vs)]
+        )
+        assert got.shape == (6, 3)
+        assert np.allclose(got, want, rtol=1e-10, atol=0)
 
 
 class TestFiniteDifference:
@@ -172,6 +227,44 @@ class TestEstimateJacobianNorm:
         true_norm = np.linalg.norm(w)
         assert abs(est.frobenius_norm - true_norm) / true_norm < 0.1
 
+    def test_fd_estimate_equals_per_direction_derivatives(self):
+        mlp = random_mlp(40, hidden=6, d=12, k=3)
+        predictor = CallablePredictor(mlp.predict, 3, (1, 3, 4))
+        batch = np.random.default_rng(41).normal(size=(7, 1, 3, 4))
+        est = estimate_jacobian_norm(predictor, batch, JacobianConfig(5, 7, seed=42, fd_eps=1e-3))
+        per_direction = []
+        for s, x in enumerate(batch):
+            rng = np.random.default_rng([42, s])
+            for u in _unit_rows(rng, 5, 12):
+                ju = fd_directional_derivative(predictor, x, u.reshape(x.shape), eps=1e-3)
+                per_direction.append(12 * np.sum(ju * ju))
+        assert est.method == "fd"
+        assert est.frobenius_norm == pytest.approx(np.sqrt(np.mean(per_direction)), rel=1e-9)
+
+    def test_fd_makes_one_predict_call_per_sample(self):
+        w = np.random.default_rng(43).normal(size=(3, 16))
+        calls = []
+
+        def fn(batch):
+            calls.append(len(batch))
+            return batch.reshape(len(batch), -1) @ w.T
+
+        predictor = CallablePredictor(fn, 3, (1, 4, 4), target="logits")
+        batch = np.random.default_rng(44).normal(size=(9, 1, 4, 4))
+        estimate_jacobian_norm(predictor, batch, JacobianConfig(6, 9, seed=0))
+        assert calls == [12] * 9
+
+    def test_zero_direction_is_redrawn_from_the_same_stream(self):
+        class Stream:
+            def __init__(self, draws):
+                self.draws = list(draws)
+
+            def standard_normal(self, shape):
+                return np.array(self.draws.pop(0), dtype=np.float64).reshape(shape)
+
+        rows = _unit_rows(Stream([[[3.0, 4.0], [0.0, 0.0]], [0.0, 0.0], [0.0, -2.0]]), 2, 2)
+        assert np.array_equal(rows, [[0.6, 0.8], [0.0, -1.0]])
+
     def test_ci_coverage_smoke(self):
         predictor = random_linear(13, k=6, d=20)
         true_norm = np.linalg.norm(predictor.weights)
@@ -183,6 +276,21 @@ class TestEstimateJacobianNorm:
             )
             hits += est.ci95_low <= true_norm <= est.ci95_high
         assert hits >= 20
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_ci_coverage_on_nonlinear_mlp(self, n_classes):
+        # The exact batch norm comes from VJPs on the K basis vectors; the
+        # pooled CI treats a sample's projections as i.i.d. although they
+        # share J(x), and must still cover this fixed-batch target.
+        predictor, images, _ = train_blob_mlp((1, 8, 8), n_classes=n_classes, seed=0)
+        batch = images[::n_classes]
+        basis = np.eye(n_classes)
+        exact = np.sqrt(np.mean([sum(np.sum(predictor.vjp(x, e) ** 2) for e in basis) for x in batch]))
+        hits = 0
+        for rep in range(100):
+            est = estimate_jacobian_norm(predictor, batch, JacobianConfig(10, 100, seed=2000 + rep))
+            hits += est.ci95_low <= exact <= est.ci95_high
+        assert hits >= 88
 
     def test_batch_size_mismatch_rejected(self):
         predictor = random_linear(15, k=2, d=4)

@@ -129,6 +129,22 @@ class TestAccuracyMetricTables:
         with pytest.raises(TraceParseError, match="line 2"):
             read_accuracies(write_text(tmp_path, content))
 
+    def test_duplicate_accuracy_rows_rejected_with_both_lines(self, tmp_path):
+        content = (
+            "model_id,group,dataset_id,correct,total\n"
+            "m0,g,id-set,80,100\nm0,g,ood-set,60,100\nm0,h,id-set,81,100\n"
+        )
+        with pytest.raises(TraceParseError, match="line 4: duplicate.*first on line 2"):
+            read_accuracies(write_text(tmp_path, content))
+
+    def test_duplicate_metric_rows_rejected_with_both_lines(self, tmp_path):
+        content = (
+            "model_id,metric_name,value,value_kind\n"
+            "m0,amp_hff,0.2,raw\nm1,amp_hff,0.3,raw\nm0,amp_hff,0.25,raw\n"
+        )
+        with pytest.raises(TraceParseError, match="line 4: duplicate.*first on line 2"):
+            read_metrics(write_text(tmp_path, content))
+
 
 class TestPathMetricsTable:
     def test_round_trip_with_footer(self, tmp_path):

@@ -66,6 +66,22 @@ class TestRead:
         with pytest.raises(TensorFormatError, match="payload"):
             read_tensor(p)
 
+    def test_overlong_payload_rejected(self, tmp_path):
+        p = tmp_path / "x.tnsr"
+        p.write_bytes(
+            b'{"dtype":"f32","shape":[2],"order":"row-major","byte_order":"little"}\n'
+            + b"\x00" * 12
+        )
+        with pytest.raises(TensorFormatError, match="payload has 12 bytes, expected 8"):
+            read_tensor(p)
+
+    def test_result_is_writable_float32(self, tmp_path):
+        out = tmp_path / "w.tnsr"
+        write_tensor(out, np.arange(6, dtype=np.float32), shape=[2, 3])
+        back, _ = read_tensor(out)
+        assert back.dtype == np.float32 and back.flags.writeable
+        back[0, 0] = 7.0
+
     def test_missing_keys_rejected(self, tmp_path):
         p = tmp_path / "x.tnsr"
         p.write_bytes(b'{"dtype":"f32","shape":[0]}\n')
