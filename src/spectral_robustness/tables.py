@@ -1,12 +1,21 @@
 """CSV schemas: prediction traces, dataset labels, accuracies, metrics.
 
-All writers format floats with shortest round-trip decimals and emit rows in a
-deterministic order, so identical inputs produce byte-identical files.
+All writers format floats with ``fmt_float``, the shortest decimal that
+round-trips to the same float64, written positionally (never in exponent
+form) from Python's ``repr``, so file bytes do not depend on the numpy
+version. Rows come in a deterministic order, so identical inputs produce
+byte-identical files.
+
+A trace CSV is parsed chunk by chunk into one probability array and
+validated in numpy; its rows may interleave paths, and the first offending
+line in file order is the one reported.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 
 import numpy as np
 
@@ -15,17 +24,45 @@ from .path_metrics import ROW_SUM_TOLERANCE, MetricSummary, PathMetrics, Predict
 from .regression import AccuracyRecord, MetricRecord
 
 
+# Trace rows parsed per chunk: only one chunk's field strings are alive at once.
+_CHUNK_ROWS = 8192
+
+
 def fmt_float(x) -> str:
-    """Shortest decimal string that round-trips to the same float64."""
-    return np.format_float_positional(np.float64(x), unique=True, trim="-")
+    """Shortest decimal string that round-trips to the same float64, never in exponent form.
+
+    Equals ``np.format_float_positional(np.float64(x), unique=True, trim="-")``
+    for every float64: ``repr`` yields the same shortest digits, so this only
+    drops its trailing ``.0`` and writes its exponent forms out positionally.
+    """
+    return _positional(repr(float(x)))
+
+
+def _positional(s: str) -> str:
+    """``fmt_float`` of the float whose ``repr`` is ``s``."""
+    if "e" not in s:
+        return s[:-2] if s.endswith(".0") else s
+    # repr uses exponent form below 1e-4 and from 1e16 up, always with one
+    # digit before the point, so the digits either gain leading zeros after
+    # "0." or trailing zeros before an implied point.
+    mantissa, _, exponent = s.partition("e")
+    sign = "-" if mantissa[0] == "-" else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    point = 1 + int(exponent)
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    return sign + digits + "0" * (point - len(digits))
 
 
 def read_traces(path) -> list[PredictionTrace]:
     """Parse a trace CSV (header ``path_id,step,p_0,...,p_{K-1}``).
 
-    Steps must be contiguous from 1 within each path; every probability row
-    must be nonnegative and sum to 1 within 1e-4. Violations raise
-    TraceParseError naming the file line.
+    Rows of one path may be interleaved with other paths' rows; traces come
+    back in order of each path's first row. Steps must be contiguous from 1
+    within each path; every probability must be finite and nonnegative and
+    every row must sum to 1 within 1e-4. The first offending line in file
+    order raises TraceParseError naming it; within a line the checks run in
+    the order field count, parse, step, sign, row sum, finiteness.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -40,58 +77,139 @@ def read_traces(path) -> list[PredictionTrace]:
                 f"{path} line 1: header must be path_id,step,p_0,...,p_{{K-1}} "
                 f"with K >= 2, got {','.join(header)}"
             )
+        ids: list[str] = []
+        steps: list[int] = []
+        tables = []
+        malformed = None
+        while malformed is None and (chunk := list(itertools.islice(reader, _CHUNK_ROWS))):
+            chunk_steps, chunk_table, malformed = _parse_trace_rows(chunk, k)
+            ids += [row[0] for row in chunk[: len(chunk_steps)]]
+            steps += chunk_steps
+            tables.append(chunk_table)
+    table = np.concatenate(tables or [np.empty((0, k))])
 
-        rows: dict[str, list[list[float]]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != k + 2:
-                raise TraceParseError(
-                    f"{path} line {line_no}: expected {k + 2} fields, got {len(row)}"
-                )
-            path_id = row[0]
-            try:
-                step = int(row[1])
-                probs = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise TraceParseError(f"{path} line {line_no}: {exc}") from None
-            seen = rows.setdefault(path_id, [])
-            if step != len(seen) + 1:
-                raise TraceParseError(
-                    f"{path} line {line_no}: path {path_id!r} expected step "
-                    f"{len(seen) + 1}, got {step} (steps must be contiguous from 1)"
-                )
-            if any(p < 0 for p in probs):
-                raise TraceParseError(
-                    f"{path} line {line_no}: path {path_id!r} has a negative probability"
-                )
-            total = sum(probs)
-            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-                raise TraceParseError(
-                    f"{path} line {line_no}: path {path_id!r} probabilities sum to "
-                    f"{total:.6f}, not 1"
-                )
-            seen.append(probs)
+    n = len(steps)
+    index: dict[str, int] = {}
+    codes = np.fromiter(
+        (index.setdefault(path_id, len(index)) for path_id in ids), dtype=np.intp, count=n
+    )
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes)
+    starts = np.cumsum(counts) - counts
+    expected_step = np.empty(n, dtype=np.intp)
+    expected_step[order] = np.arange(1, n + 1) - np.repeat(starts, counts)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = table.sum(axis=1)
+    # In check order; a step too large for int64 makes an object array,
+    # which still compares elementwise.
+    faults = [
+        np.asarray(steps) != expected_step,
+        (table < 0).any(axis=1),
+        np.abs(sums - 1.0) > ROW_SUM_TOLERANCE,
+        ~np.isfinite(table).all(axis=1),
+    ]
+    bad = np.flatnonzero(np.logical_or.reduce(faults))
+    if bad.size:
+        i = int(bad[0])
+        path_id = ids[i]
+        messages = [
+            f"path {path_id!r} expected step {expected_step[i]}, got {steps[i]} "
+            "(steps must be contiguous from 1)",
+            f"path {path_id!r} has a negative probability",
+            f"path {path_id!r} probabilities sum to {sums[i]:.6f}, not 1",
+            f"path {path_id!r} has a non-finite probability",
+        ]
+        kind = next(j for j, fault in enumerate(faults) if fault[i])
+        raise TraceParseError(f"{path} line {i + 2}: {messages[kind]}")
+    if malformed is not None:
+        raise TraceParseError(f"{path} line {n + 2}: {malformed}")
 
-    traces = []
-    for path_id, probs in rows.items():
-        if len(probs) < 2:
-            raise TraceParseError(f"{path}: path {path_id!r} has fewer than 2 steps")
-        traces.append(PredictionTrace(probs=np.asarray(probs), path_id=path_id))
-    return traces
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        path_id = list(index)[short[0]]
+        raise TraceParseError(f"{path}: path {path_id!r} has fewer than 2 steps")
+    if np.any(order != np.arange(n)):
+        table = table[order]
+    return [
+        PredictionTrace(probs=table[a : a + c], path_id=path_id)
+        for path_id, a, c in zip(index, starts, counts)
+    ]
+
+
+def _parse_trace_rows(rows: list[list[str]], k: int) -> tuple[list[int], np.ndarray, str | None]:
+    """Steps, (n, K) probabilities and a fault message for trace body rows.
+
+    Only the first n rows are parsed: those before the first malformed row,
+    one with the wrong field count or a field that does not parse. The fault
+    message describes that row, or is None when every row is well formed.
+    """
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    wrong = np.flatnonzero(widths != k + 2)
+    n = int(wrong[0]) if wrong.size else len(rows)
+    malformed = f"expected {k + 2} fields, got {widths[n]}" if wrong.size else None
+    try:
+        return (*_convert_trace_rows(rows[:n], k), malformed)
+    except ValueError:
+        pass
+    # Only a chunk with a field that does not parse pays for this rescan.
+    for i, row in enumerate(rows[:n]):
+        try:
+            _convert_trace_rows([row], k)
+        except ValueError as exc:
+            n, malformed = i, str(exc)
+            break
+    return (*_convert_trace_rows(rows[:n], k), malformed)
+
+
+def _convert_trace_rows(rows: list[list[str]], k: int) -> tuple[list[int], np.ndarray]:
+    """``int`` of every step and ``float`` of every probability, row by row."""
+    steps = [int(row[1]) for row in rows]
+    flat = np.fromiter(
+        map(float, itertools.chain.from_iterable(row[2:] for row in rows)),
+        dtype=np.float64,
+        count=len(rows) * k,
+    )
+    return steps, flat.reshape(len(rows), k)
 
 
 def write_traces(path, traces) -> None:
+    """Write ``path_id,step,p_0,...`` rows, step 1 up, one trace after another.
+
+    Every trace must have the first one's class count; this is checked before
+    the file is opened, so a failed call leaves no file behind.
+    """
     traces = list(traces)
     if not traces:
         raise TraceParseError("cannot write an empty trace table")
     k = traces[0].probs.shape[1]
+    if any(trace.probs.shape[1] != k for trace in traces):
+        raise TraceParseError("all traces must share the same class count")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "step"] + [f"p_{i}" for i in range(k)])
         for trace in traces:
-            if trace.probs.shape[1] != k:
-                raise TraceParseError("all traces must share the same class count")
-            for step, row in enumerate(trace.probs, start=1):
-                writer.writerow([trace.path_id, step] + [fmt_float(p) for p in row])
+            prefix = _csv_prefix(trace.path_id)
+            t = trace.probs.shape[0]
+            probs = trace.probs.ravel()
+            tokens = list(map(repr, probs.tolist()))
+            # repr already is fmt_float's answer except in exponent form
+            # (below 1e-4, and from 1e16 up, where every float is integral)
+            # or with a trailing ".0" (integral values).
+            for i in np.flatnonzero((np.abs(probs) < 1e-4) | (probs == np.floor(probs))).tolist():
+                tokens[i] = _positional(tokens[i])
+            fh.write(
+                "".join(
+                    f"{prefix}{step + 1},{','.join(tokens[step * k : (step + 1) * k])}\r\n"
+                    for step in range(t)
+                )
+            )
+
+
+def _csv_prefix(field) -> str:
+    """``field`` as csv.writer writes it, followed by the delimiter."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([field, ""])
+    return buf.getvalue()[:-2]
 
 
 def read_labels(path, n_items: int | None = None) -> np.ndarray:

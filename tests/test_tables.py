@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_robustness import (
     AccuracyRecord,
@@ -9,7 +13,9 @@ from spectral_robustness import (
     compute_path_metrics,
     summarize_gaussian,
 )
+from spectral_robustness import tables
 from spectral_robustness.tables import (
+    fmt_float,
     read_accuracies,
     read_labels,
     read_metrics,
@@ -35,6 +41,34 @@ def write_text(tmp_path, content, name="t.csv"):
     p = tmp_path / name
     p.write_text(content)
     return p
+
+
+def reference_fmt_float(x) -> str:
+    return np.format_float_positional(np.float64(x), unique=True, trim="-")
+
+
+class TestFmtFloat:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_matches_numpy_positional(self, x):
+        assert fmt_float(x) == reference_fmt_float(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.0, -0.0, 1e-5, -1e-5, 1.5e-5, 9.999e-5, 1e-4, 1e15, 1e16, 1.2345e16, 1e22,
+            5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, float("inf"), float("-inf"), float("nan"),
+            0.1, 1 / 3, 2.0**53, 2.0**53 + 2, 0, 1, -7, 123456789, 10**20, np.float32(0.1),
+        ],
+    )
+    def test_edge_values(self, x):
+        assert fmt_float(x) == reference_fmt_float(x)
+
+    def test_never_exponent_form(self):
+        assert fmt_float(1.5e-5) == "0.000015"
+        assert fmt_float(1e16) == "10000000000000000"
+        assert fmt_float(-2.0) == "-2"
 
 
 class TestReadTraces:
@@ -82,6 +116,135 @@ class TestReadTraces:
         write_traces(out, traces)
         back = read_traces(out)
         assert np.array_equal(back[0].probs, probs)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 8192])
+    def test_interleaved_paths_grouped_in_first_appearance_order(
+        self, tmp_path, monkeypatch, chunk_rows
+    ):
+        monkeypatch.setattr(tables, "_CHUNK_ROWS", chunk_rows)
+        content = (
+            "path_id,step,p_0,p_1\n"
+            "b,1,0.5,0.5\na,1,1.0,0.0\nb,2,0.25,0.75\nc,1,0.1,0.9\n"
+            "a,2,0.0,1.0\nc,2,0.2,0.8\nb,3,0.125,0.875\n"
+        )
+        traces = read_traces(write_text(tmp_path, content))
+        assert [t.path_id for t in traces] == ["b", "a", "c"]
+        assert traces[0].probs[:, 0].tolist() == [0.5, 0.25, 0.125]
+        assert traces[1].probs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert traces[2].probs[:, 1].tolist() == [0.9, 0.8]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a,1,0.5", "line 2: expected 4 fields, got 3"),
+            ("a,x,0.5,0.5", "line 2: invalid literal for int() with base 10: 'x'"),
+            ("a,1,0.5,half", "line 2: could not convert string to float: 'half'"),
+            (
+                "a,2,0.5,0.5",
+                "line 2: path 'a' expected step 1, got 2 (steps must be contiguous from 1)",
+            ),
+            (
+                "a,99999999999999999999999,0.5,0.5",
+                "line 2: path 'a' expected step 1, got 99999999999999999999999 "
+                "(steps must be contiguous from 1)",
+            ),
+            ("a,1,-0.5,1.5", "line 2: path 'a' has a negative probability"),
+            ("a,1,0.5,0.4", "line 2: path 'a' probabilities sum to 0.900000, not 1"),
+            ("a,1,inf,0.5", "line 2: path 'a' probabilities sum to inf, not 1"),
+            ("a,1,nan,0.5", "line 2: path 'a' has a non-finite probability"),
+        ],
+    )
+    def test_single_fault_messages(self, tmp_path, row, message):
+        path = write_text(tmp_path, f"path_id,step,p_0,p_1\n{row}\na,2,0.5,0.5\n")
+        with pytest.raises(TraceParseError) as info:
+            read_traces(path)
+        assert str(info.value) == f"{path} {message}"
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (["a,1,0.5,0.5", "a,x,0.5,0.5", "a,3,0.5,0.5", "a,4,0.5"], 3),
+            (["a,1,0.5,0.5", "a,2,0.5", "a,3,0.5,0.5", "a,x,0.5,0.5"], 3),
+            (["a,1,0.5,0.5", "a,2,0.5,0.4", "a,3,0.5,0.5", "a,4,0.5"], 3),
+            (["a,1,0.5,0.5", "a,2,0.5,0.5", "a,3,0.5,nan", "a,3,zero,0.5"], 4),
+            (["a,1,0.5,0.5", "a,2,0.5,0.5", "a,3,0.5,0.5", "a,5,-1,2", "a,x,0.5,0.5"], 5),
+            (["a,1,0.5,0.5", "a,2,0.5,0.5", "a,3,0.5", "b,1,0.5,0.5", "b,2,0.5,0.5"], 4),
+        ],
+    )
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 8192])
+    def test_first_fault_in_file_order_is_reported(
+        self, tmp_path, monkeypatch, rows, line, chunk_rows
+    ):
+        monkeypatch.setattr(tables, "_CHUNK_ROWS", chunk_rows)
+        content = "path_id,step,p_0,p_1\n" + "\n".join(rows) + "\n"
+        with pytest.raises(TraceParseError, match=f"line {line}:"):
+            read_traces(write_text(tmp_path, content))
+
+    def test_row_sum_checked_as_prediction_trace_checks_it(self, tmp_path):
+        # Summed left to right this row is 1.0001, within the tolerance; numpy's
+        # row sum, which PredictionTrace uses, can round it to just above.
+        row = [
+            0.11599786885353584, 0.019708942096822033, 0.2176073802093417,
+            0.1266264320195725, 0.001420266352009653, 0.17122604982590556,
+            0.21679252834962204, 0.13072053229319067,
+        ]
+        values = ",".join(map(repr, row))
+        header = "path_id,step," + ",".join(f"p_{i}" for i in range(8))
+        content = f"{header}\na,1,{values}\na,2,{values}\n"
+        try:
+            traces = read_traces(write_text(tmp_path, content))
+        except TraceParseError as exc:
+            assert "line 2:" in str(exc)
+        else:
+            assert traces[0].probs.tolist() == [row, row]
+
+
+def reference_write_traces(path, traces):
+    """The per-value trace writer that write_traces must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["path_id", "step"] + [f"p_{i}" for i in range(traces[0].probs.shape[1])])
+        for trace in traces:
+            for step, row in enumerate(trace.probs, start=1):
+                writer.writerow([trace.path_id, step] + [reference_fmt_float(p) for p in row])
+
+
+class TestWriteTraces:
+    def test_bytes_match_per_value_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        logits = 12 * rng.standard_normal((6, 5))
+        soft = np.exp(logits - logits.max(axis=1, keepdims=True))
+        one_hot = np.eye(5)[[0, 4, 4, 2]]
+        tiny = np.full((3, 5), 2.5e-5)
+        tiny[:, 0] = 1 - 4 * 2.5e-5
+        zeros = np.array([[0.0, 0.5, 0.0, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25, 0.0]])
+        traces = [
+            PredictionTrace(soft / soft.sum(axis=1, keepdims=True), path_id="plain"),
+            PredictionTrace(one_hot, path_id="comma,id"),
+            PredictionTrace(tiny, path_id='quote "id"'),
+            PredictionTrace(rng.dirichlet(np.full(5, 0.05), 4), path_id=""),
+            PredictionTrace(rng.dirichlet(np.ones(5), 4), path_id="line\nbreak"),
+            PredictionTrace(zeros, path_id="zeros"),
+            PredictionTrace(np.asfortranarray(rng.dirichlet(np.ones(5), 3)), path_id="F order"),
+        ]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_traces(got, traces)
+        reference_write_traces(want, traces)
+        assert got.read_bytes() == want.read_bytes()
+        assert b"e-" not in got.read_bytes()
+        back = read_traces(got)
+        assert [t.path_id for t in back] == [t.path_id for t in traces]
+        assert all(np.array_equal(b.probs, t.probs) for b, t in zip(back, traces))
+
+    def test_mixed_class_counts_write_no_file(self, tmp_path):
+        traces = [
+            PredictionTrace(np.full((3, 2), 0.5), path_id="two"),
+            PredictionTrace(np.full((3, 3), 1 / 3), path_id="three"),
+        ]
+        out = tmp_path / "out.csv"
+        with pytest.raises(TraceParseError, match="class count"):
+            write_traces(out, traces)
+        assert not out.exists()
 
 
 class TestLabels:
