@@ -321,19 +321,7 @@ def cmd_regress(args) -> int:
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "group",
-                "n_models",
-                "slope",
-                "intercept",
-                "r2",
-                "status",
-                "x_spec",
-                "x_transform",
-                "ood_dataset",
-            ]
-        )
+        writer.writerow(tables.FIT_COLUMNS)
         for fit in result.per_group:
             writer.writerow(
                 [
@@ -438,8 +426,7 @@ def cmd_report(args) -> int:
     lines.append("")
 
     if args.fit:
-        with open(args.fit, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = tables.read_fit(args.fit)
         lines.append("## Probit-domain regression")
         lines.append("")
         if rows:

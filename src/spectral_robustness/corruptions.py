@@ -4,17 +4,25 @@ These are simplified stand-ins for the common-corruptions benchmark families:
 two low-frequency kinds (brightness, contrast), two mid (gaussian_blur,
 pixelate), and two high (gaussian_noise, impulse_noise). Outputs are not
 clamped; images are assumed to be mean/std normalized real values.
+
+One kernel corrupts an image or a whole (N, C, H, W) stack. The
+deterministic kinds run as array operations over the stack; the stochastic
+kinds draw each image's noise from its own RNG stream, keyed by that image's
+seed. Corrupting a stack therefore gives, image by image, what corrupting
+each image alone with its seed gives.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidInputError
+from .spectral import image_stack
 
 CORRUPTION_KINDS = (
     "brightness",
@@ -60,57 +68,60 @@ def apply_corruption(image, spec: CorruptionSpec) -> np.ndarray:
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 3:
         raise InvalidInputError(f"image must have shape (C, H, W), got {x.shape}")
-    kind, param = spec.kind, spec.param
-
-    if kind == "brightness":
-        return x + param
-
-    if kind == "contrast":
-        mean_c = x.mean(axis=(1, 2), keepdims=True)
-        return mean_c + param * (x - mean_c)
-
-    if kind == "gaussian_noise":
-        rng = np.random.default_rng([spec.seed, 0])
-        return x + rng.normal(0.0, param, size=x.shape)
-
-    if kind == "impulse_noise":
-        rng = np.random.default_rng([spec.seed, 1])
-        lo, hi = x.min(), x.max()
-        flip = rng.random(x.shape) < param
-        salt = rng.random(x.shape) < 0.5
-        return np.where(flip, np.where(salt, hi, lo), x)
-
-    if kind == "gaussian_blur":
-        radius = math.ceil(3.0 * param)
-        out = np.empty_like(x)
-        for c in range(x.shape[0]):
-            # scipy 'reflect' is symmetric edge padding, which keeps the image
-            # mean exactly for a normalized kernel.
-            out[c] = ndimage.gaussian_filter(
-                x[c], sigma=param, mode="reflect", radius=radius
-            )
-        return out
-
-    # pixelate
-    factor = int(param)
-    _, h, w = x.shape
-    if h % factor or w % factor:
-        raise InvalidInputError(f"block factor {factor} must divide H={h} and W={w}")
-    blocks = x.reshape(x.shape[0], h // factor, factor, w // factor, factor)
-    means = blocks.mean(axis=(2, 4))
-    return means.repeat(factor, axis=1).repeat(factor, axis=2)
+    return _corrupt(x[None], spec, lambda i: spec.seed, "image")[0]
 
 
 def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
     """Apply a corruption to an (N, C, H, W) stack, seeding image i from (seed, i)."""
-    stack = np.asarray(images, dtype=np.float64)
-    if stack.ndim != 4:
-        raise InvalidInputError(f"expected an (N, C, H, W) stack, got {stack.shape}")
-    out = np.empty_like(stack)
-    for i in range(stack.shape[0]):
-        per_image = CorruptionSpec(kind=spec.kind, param=spec.param, seed=_derive_seed(spec.seed, i))
-        out[i] = apply_corruption(stack[i], per_image)
-    return out
+    return _corrupt(images, spec, lambda i: _derive_seed(spec.seed, i), "images")
+
+
+def _corrupt(images, spec: CorruptionSpec, seed_of: Callable[[int], int], name: str) -> np.ndarray:
+    """Corrupt every image of a stack; image i's random draws are seeded by ``seed_of(i)``."""
+    stack = image_stack(images, name)
+    n, c, h, w = stack.shape
+    kind, param = spec.kind, spec.param
+
+    if kind == "brightness":
+        return stack + param
+
+    if kind == "contrast":
+        mean_c = stack.mean(axis=(2, 3), keepdims=True)
+        return mean_c + param * (stack - mean_c)
+
+    if kind == "gaussian_noise":
+        noise = np.empty_like(stack)
+        for i in range(n):
+            noise[i] = np.random.default_rng([seed_of(i), 0]).normal(0.0, param, size=(c, h, w))
+        return np.add(stack, noise, out=noise)
+
+    if kind == "impulse_noise":
+        flip = np.empty(stack.shape, dtype=bool)
+        salt = np.empty(stack.shape, dtype=bool)
+        for i in range(n):
+            # One draw of both fields equals drawing flip's, then salt's.
+            u = np.random.default_rng([seed_of(i), 1]).random((2, c, h, w))
+            np.less(u[0], param, out=flip[i])
+            np.less(u[1], 0.5, out=salt[i])
+        lo = stack.min(axis=(1, 2, 3), keepdims=True)
+        hi = stack.max(axis=(1, 2, 3), keepdims=True)
+        return np.where(flip, np.where(salt, hi, lo), stack)
+
+    if kind == "gaussian_blur":
+        # scipy 'reflect' is symmetric edge padding, which keeps the image
+        # mean exactly for a normalized kernel; sigma 0 leaves N and C alone.
+        r = math.ceil(3.0 * param)
+        return ndimage.gaussian_filter(
+            stack, sigma=(0, 0, param, param), mode="reflect", radius=(0, 0, r, r)
+        )
+
+    # pixelate
+    factor = int(param)
+    if h % factor or w % factor:
+        raise InvalidInputError(f"block factor {factor} must divide H={h} and W={w}")
+    blocks = stack.reshape(n, c, h // factor, factor, w // factor, factor)
+    means = blocks.mean(axis=(3, 5))
+    return means.repeat(factor, axis=2).repeat(factor, axis=3)
 
 
 def _derive_seed(seed: int, index: int) -> int:

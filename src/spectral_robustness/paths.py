@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .spectral import decompose, image_stack, radial_mask
+from .spectral import decompose, half_grid_mirrors, image_stack, radial_mask
 
 PATH_MODES = ("amplitude", "phase", "pixel")
 CLASS_RELATIONS = ("within", "between", "unconstrained")
@@ -124,10 +124,9 @@ def phase_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
     mask &= ~_self_conjugate_bins(h, w)[:, : w // 2 + 1]
     p0 = decompose(s0).phase
     delta = np.where(mask, wrap_angle(decompose(s1).phase - p0), 0.0)
-    # Columns 0 and W/2 of the half grid hold both bin u and its mirror -u;
-    # wrap_angle sends a tie to +pi at both, so mirror the increment by hand.
-    cols = [0] + ([w // 2] if w % 2 == 0 else [])
-    rows = np.arange(1, (h + 1) // 2)[:, None]
+    # Where the half grid holds both a bin and its mirror, wrap_angle sends
+    # a tie to +pi at both, so mirror the increment by hand.
+    rows, cols = half_grid_mirrors(h, w)
     delta[:, h - rows, cols] = -delta[:, rows, cols]
     lambdas = _lambda_grid(t)
     spectra = s0 * np.exp(1j * lambdas[:, None, None, None] * delta)

@@ -121,6 +121,17 @@ def radial_mask(h: int, w: int, rho: float) -> RadialMask:
     return RadialMask(included=normalized_radius(h, w) <= rho, rho=float(rho))
 
 
+def half_grid_mirrors(h: int, w: int) -> tuple[np.ndarray, list[int]]:
+    """Rows and columns where the rfft2 half grid holds both a bin and its mirror.
+
+    Columns 0 and W/2 (W even) hold every row; there the mirror (-u, -v) of
+    bin (u, v) is (H - u, v). Returns the rows u with 0 < u < H - u, as an
+    (R, 1) index array, and those columns, so ``x[..., h - rows, cols]``
+    addresses the mirrors of ``x[..., rows, cols]``.
+    """
+    return np.arange(1, (h + 1) // 2)[:, None], [0] + ([w // 2] if w % 2 == 0 else [])
+
+
 def image_stack(images, name: str) -> np.ndarray:
     """Validate images and stack them into a float64 (N, C, H, W) array.
 
@@ -149,11 +160,19 @@ def psd(images: Sequence) -> PsdMap:
     """Mean power spectral density |X|^2 / (H*W) over images and channels.
 
     The normalization makes unit-variance white noise flat at expected power 1.
+    The power is computed on the real half-spectrum and mirrored through
+    P[u, v] = P[-u, -v], so the map is exactly point-symmetric.
     """
     stack = image_stack(images, "psd input")
     n, _, h, w = stack.shape
-    spectra = np.fft.fft2(stack, axes=(-2, -1))
+    spectra = np.fft.rfft2(stack, axes=(-2, -1))
     # Channel mean first, then image mean, so repeated identical images
     # average bit-identically.
-    per_image = np.mean(np.abs(spectra) ** 2, axis=1) / (h * w)
-    return PsdMap(power=np.mean(per_image, axis=0), source_count=n)
+    per_image = np.mean(spectra.real**2 + spectra.imag**2, axis=1) / (h * w)
+    power = np.empty((h, w))
+    power[:, : w // 2 + 1] = np.mean(per_image, axis=0)
+    rows, cols = half_grid_mirrors(h, w)
+    power[h - rows, cols] = power[rows, cols]
+    # The remaining columns are the mirrors (-u, -v) of half-grid bins.
+    power[:, w // 2 + 1 :] = power[-np.arange(h) % h, (w - 1) // 2 : 0 : -1]
+    return PsdMap(power=power, source_count=n)

@@ -8,11 +8,14 @@ byte-identical files.
 
 A trace CSV is parsed chunk by chunk into one probability array and
 validated in numpy; its rows may interleave paths, and the first offending
-line in file order is the one reported.
+line in file order is the one reported. Every reader turns a line that does
+not decode or that ``csv`` cannot parse (say, a field over its size limit)
+into a TraceParseError naming the file and the line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -26,6 +29,14 @@ from .regression import AccuracyRecord, MetricRecord
 
 # Trace rows parsed per chunk: only one chunk's field strings are alive at once.
 _CHUNK_ROWS = 8192
+
+# Characters of CSV text checked for undecodable bytes at once.
+_BLOCK_CHARS = 1 << 16
+
+# Columns of the fit CSV that ``specrob regress`` writes and ``report --fit`` reads.
+FIT_COLUMNS = (
+    "group", "n_models", "slope", "intercept", "r2", "status", "x_spec", "x_transform", "ood_dataset",
+)
 
 
 def fmt_float(x) -> str:
@@ -64,8 +75,7 @@ def read_traces(path) -> list[PredictionTrace]:
     order raises TraceParseError naming it; within a line the checks run in
     the order field count, parse, step, sign, row sum, finiteness.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -81,7 +91,9 @@ def read_traces(path) -> list[PredictionTrace]:
         steps: list[int] = []
         tables = []
         malformed = None
-        while malformed is None and (chunk := list(itertools.islice(reader, _CHUNK_ROWS))):
+        unreadable: list[TraceParseError] = []
+        rows = _rows_until_unreadable(reader, path, unreadable)
+        while malformed is None and (chunk := list(itertools.islice(rows, _CHUNK_ROWS))):
             chunk_steps, chunk_table, malformed = _parse_trace_rows(chunk, k)
             ids += [row[0] for row in chunk[: len(chunk_steps)]]
             steps += chunk_steps
@@ -123,6 +135,8 @@ def read_traces(path) -> list[PredictionTrace]:
         raise TraceParseError(f"{path} line {i + 2}: {messages[kind]}")
     if malformed is not None:
         raise TraceParseError(f"{path} line {n + 2}: {malformed}")
+    if unreadable:
+        raise unreadable[0]
 
     short = np.flatnonzero(counts < 2)
     if short.size:
@@ -134,6 +148,62 @@ def read_traces(path) -> list[PredictionTrace]:
         PredictionTrace(probs=table[a : a + c], path_id=path_id)
         for path_id, a, c in zip(index, starts, counts)
     ]
+
+
+@contextlib.contextmanager
+def _csv_reader(path, make=csv.reader):
+    """``make`` (``csv.reader`` or ``csv.DictReader``) over the text file at ``path``.
+
+    A line that does not decode, or that ``csv`` cannot parse, raises
+    TraceParseError naming the file and the line.
+    """
+    with open(path, newline="", errors="surrogateescape") as fh:
+        reader = make(itertools.chain.from_iterable(_decoded_blocks(fh, path)))
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise _unparseable(path, reader, exc) from None
+
+
+def _decoded_blocks(fh, path):
+    """Blocks of lines of ``fh``, opened with errors="surrogateescape".
+
+    A line holding an undecodable byte raises TraceParseError once the lines
+    before it are out. Checking block by block, all-ASCII text, which cannot
+    hold one, costs no Python call per line.
+    """
+    line_no = 0
+    while block := fh.readlines(_BLOCK_CHARS):
+        if not all(map(str.isascii, block)):
+            for i, line in enumerate(block):
+                # An undecodable byte b is read as the lone surrogate
+                # U+DC00 + b, which no encoding can encode.
+                try:
+                    line.encode(fh.encoding)
+                except UnicodeEncodeError as exc:
+                    yield block[:i]
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise TraceParseError(
+                        f"{path} line {line_no + i + 1}: byte 0x{byte:02x} is not valid {fh.encoding} text"
+                    ) from None
+        line_no += len(block)
+        yield block
+
+
+def _unparseable(path, reader, exc: csv.Error) -> TraceParseError:
+    # A DictReader copies its csv reader's line_num only once a row parses.
+    lines = reader.reader if isinstance(reader, csv.DictReader) else reader
+    return TraceParseError(f"{path} line {lines.line_num}: {exc}")
+
+
+def _rows_until_unreadable(reader, path, unreadable: list):
+    """Rows of ``reader`` up to the first it cannot read, whose error goes to ``unreadable``."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        unreadable.append(_unparseable(path, reader, exc))
+    except TraceParseError as exc:
+        unreadable.append(exc)
 
 
 def _parse_trace_rows(rows: list[list[str]], k: int) -> tuple[list[int], np.ndarray, str | None]:
@@ -215,8 +285,7 @@ def _csv_prefix(field) -> str:
 def read_labels(path, n_items: int | None = None) -> np.ndarray:
     """Read an ``index,label`` CSV covering indices 0..N-1 exactly once."""
     entries: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header != ["index", "label"]:
             raise TraceParseError(f"{path} line 1: header must be index,label")
@@ -255,8 +324,7 @@ def read_accuracies(path) -> list[AccuracyRecord]:
     """Read an accuracy CSV; a repeated (model_id, dataset_id) raises TraceParseError."""
     records = []
     seen: dict[tuple[str, str], int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with _csv_reader(path, csv.DictReader) as reader:
         if reader.fieldnames != ["model_id", "group", "dataset_id", "correct", "total"]:
             raise TraceParseError(
                 f"{path} line 1: header must be model_id,group,dataset_id,correct,total"
@@ -290,8 +358,7 @@ def read_metrics(path) -> list[MetricRecord]:
     """Read a model-metrics CSV; a repeated (model_id, metric_name) raises TraceParseError."""
     records = []
     seen: dict[tuple[str, str], int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with _csv_reader(path, csv.DictReader) as reader:
         if reader.fieldnames != ["model_id", "metric_name", "value", "value_kind"]:
             raise TraceParseError(
                 f"{path} line 1: header must be model_id,metric_name,value,value_kind"
@@ -350,8 +417,7 @@ def read_path_metrics(path) -> tuple[list[PathMetrics], dict[str, tuple[str, str
     """Read back a path-metrics CSV; returns (per-path rows, footer values)."""
     per_path = []
     footer: dict[str, tuple[str, str]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header != ["path_id", "hff", "cd"]:
             raise TraceParseError(f"{path} line 1: header must be path_id,hff,cd")
@@ -366,3 +432,11 @@ def read_path_metrics(path) -> tuple[list[PathMetrics], dict[str, tuple[str, str
                 except ValueError as exc:
                     raise TraceParseError(f"{path} line {line_no}: {exc}") from None
     return per_path, footer
+
+
+def read_fit(path) -> list[dict[str, str]]:
+    """Rows of a fit CSV written by ``specrob regress``, as dicts keyed by FIT_COLUMNS."""
+    with _csv_reader(path, csv.DictReader) as reader:
+        if reader.fieldnames != list(FIT_COLUMNS):
+            raise TraceParseError(f"{path} line 1: header must be {','.join(FIT_COLUMNS)}")
+        return list(reader)

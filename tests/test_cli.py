@@ -187,6 +187,24 @@ class TestPathMetricsCommand:
         rc = main(["path-metrics", "--traces", str(bad), "--out", str(tmp_path / "m.csv")])
         assert rc == 2
 
+    def test_field_over_csv_limit_fails_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("path_id,step,p_0,p_1\na,1,0.5,0.5\na,2,0.5,0.5\n" + "x" * 200_000 + ",1,0.5,0.5\n")
+        out = tmp_path / "m.csv"
+        rc = main(["path-metrics", "--traces", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert f"{bad} line 4: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undecodable_byte_fails_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"path_id,step,p_0,p_1\na,1,0.5,0.5\nb\xff,1,0.5,0.5\nb\xff,2,0.5,0.5\n")
+        out = tmp_path / "m.csv"
+        rc = main(["path-metrics", "--traces", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert f"{bad} line 3: byte 0xff is not valid" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestJacobianCommand:
     def test_linear_predictor(self, tmp_path):
@@ -347,3 +365,24 @@ class TestReportCommand:
         text = report.read_text()
         assert text.startswith("# Robustness metrics report")
         assert "| HFF |" in text
+
+    def test_unreadable_fit_fails_with_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        raw = rng.random((20, 2)) + 1e-8
+        tr_path = tmp_path / "traces.csv"
+        write_traces(tr_path, [PredictionTrace(raw / raw.sum(axis=1, keepdims=True), path_id="p0")])
+        metrics_path = tmp_path / "metrics.csv"
+        main(["path-metrics", "--traces", str(tr_path), "--out", str(metrics_path)])
+        header = b"group,n_models,slope,intercept,r2,status,x_spec,x_transform,ood_dataset\n"
+        for name, body, message in [
+            ("long.csv", b"g" * 200_000 + b",2,1,0,1,fitted,x,raw,ood\n", "line 2: field larger"),
+            ("bytes.csv", b"g\xff,2,1,0,1,fitted,x,raw,ood\n", "line 2: byte 0xff"),
+            ("header.csv", b"group,slope\ng,1\n", "line 1: header must be"),
+        ]:
+            fit = tmp_path / name
+            fit.write_bytes(header + body if name != "header.csv" else body)
+            report = tmp_path / "report.md"
+            rc = main(["report", "--metrics", str(metrics_path), "--fit", str(fit), "--out", str(report)])
+            assert rc == 2
+            assert f"{fit} {message}" in capsys.readouterr().err
+            assert not report.exists()

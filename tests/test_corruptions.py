@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from spectral_robustness import CorruptionSpec, InvalidInputError, apply_corruption, corrupt_batch
+from spectral_robustness.corruptions import CORRUPTION_KINDS
 
 
 def sample_image(seed=0, shape=(3, 32, 32)):
@@ -141,3 +145,111 @@ class TestBatch:
         assert not np.allclose(out[0] - images[0], out[1] - images[1])
         again = corrupt_batch(images, spec)
         assert np.array_equal(out, again)
+
+
+def reference_corruption(x, kind, param, seed):
+    """Reference: one (C, H, W) image corrupted by the per-image formula."""
+    if kind == "brightness":
+        return x + param
+    if kind == "contrast":
+        mean_c = x.mean(axis=(1, 2), keepdims=True)
+        return mean_c + param * (x - mean_c)
+    if kind == "gaussian_noise":
+        rng = np.random.default_rng([seed, 0])
+        return x + rng.normal(0.0, param, size=x.shape)
+    if kind == "impulse_noise":
+        rng = np.random.default_rng([seed, 1])
+        lo, hi = x.min(), x.max()
+        flip = rng.random(x.shape) < param
+        salt = rng.random(x.shape) < 0.5
+        return np.where(flip, np.where(salt, hi, lo), x)
+    if kind == "gaussian_blur":
+        radius = math.ceil(3.0 * param)
+        out = np.empty_like(x)
+        for c in range(x.shape[0]):
+            out[c] = ndimage.gaussian_filter(x[c], sigma=param, mode="reflect", radius=radius)
+        return out
+    factor = int(param)
+    c, h, w = x.shape
+    if h % factor or w % factor:
+        raise InvalidInputError("indivisible")
+    blocks = x.reshape(c, h // factor, factor, w // factor, factor)
+    return blocks.mean(axis=(2, 4)).repeat(factor, axis=1).repeat(factor, axis=2)
+
+
+def reference_batch(stack, kind, param, seed):
+    """Reference: corrupt_batch as a per-image loop, image i seeded from (seed, i)."""
+    return np.stack(
+        [
+            reference_corruption(
+                stack[i], kind, param, int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+            )
+            for i in range(len(stack))
+        ]
+    )
+
+
+GOLDEN_PARAMS = [
+    ("brightness", 0.7),
+    ("brightness", -1.3),
+    ("contrast", 0.5),
+    ("contrast", 1.7),
+    ("gaussian_noise", 0.3),
+    ("gaussian_noise", 1.1),
+    ("impulse_noise", 0.05),
+    ("impulse_noise", 0.6),
+    ("gaussian_blur", 1.0),
+    ("gaussian_blur", 0.45),
+    ("pixelate", 1),
+    ("pixelate", 2),
+]
+
+
+class TestGoldenCorruptions:
+    """The whole-stack kernel reproduces the per-image formulas bit for bit."""
+
+    @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS)
+    @pytest.mark.parametrize("shape", [(7, 3, 32, 32), (3, 1, 7, 9), (1, 2, 8, 6)])
+    def test_batch_matches_per_image_loop(self, kind, param, shape):
+        stack = np.random.default_rng(31).normal(size=shape) * 2.0 + 0.5
+        spec = CorruptionSpec(kind, param, seed=19)
+        try:
+            expected = reference_batch(stack, kind, param, 19)
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError, match="must divide"):
+                corrupt_batch(stack, spec)
+            return
+        assert np.array_equal(corrupt_batch(stack, spec), expected)
+
+    @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS)
+    def test_single_image_matches_formula(self, kind, param):
+        img = sample_image(32, shape=(3, 16, 12))
+        spec = CorruptionSpec(kind, param, seed=23)
+        assert np.array_equal(apply_corruption(img, spec), reference_corruption(img, kind, param, 23))
+
+    def test_every_kind_covered(self):
+        assert {kind for kind, _ in GOLDEN_PARAMS} == set(CORRUPTION_KINDS)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS[::2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, kind, param, bad):
+        stack = sample_image(40, shape=(2, 1, 8, 8))
+        stack[1, 0, 3, 4] = bad
+        spec = CorruptionSpec(kind, param, seed=1)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            corrupt_batch(stack, spec)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            apply_corruption(stack[1], spec)
+
+    @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS[::2])
+    @pytest.mark.parametrize("shape", [(0, 1, 8, 8), (2, 0, 8, 8), (2, 1, 0, 8), (8, 8), (2, 1, 8, 8, 1)])
+    def test_empty_or_misshapen_stack_rejected(self, kind, param, shape):
+        with pytest.raises(InvalidInputError):
+            corrupt_batch(np.zeros(shape), CorruptionSpec(kind, param))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 0, 8), (1, 1, 8, 8)])
+    def test_bad_image_rejected(self, shape):
+        with pytest.raises(InvalidInputError):
+            apply_corruption(np.zeros(shape), CorruptionSpec("brightness", 0.1))

@@ -226,3 +226,29 @@ class TestPsd:
             psd([])
         with pytest.raises(InvalidInputError):
             psd([np.zeros((1, 4, 4)), np.zeros((1, 8, 8))])
+
+
+def full_spectrum_psd(stack):
+    """The full-DFT formula: mean over channels, then images, of |fft2|^2 / (H*W)."""
+    h, w = stack.shape[-2:]
+    spectra = np.fft.fft2(stack, axes=(-2, -1))
+    return np.mean(np.mean(np.abs(spectra) ** 2, axis=1) / (h * w), axis=0)
+
+
+class TestPsdHalfSpectrum:
+    SHAPES = [(5, 3, 8, 8), (4, 2, 7, 9), (3, 1, 8, 5), (3, 2, 9, 6), (2, 3, 2, 2), (6, 1, 32, 32)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_full_spectrum_formula(self, shape):
+        stack = np.random.default_rng(17).normal(size=shape) * 3.0 + 1.0
+        expected = full_spectrum_psd(stack)
+        power = psd(stack).power
+        assert power.shape == shape[-2:]
+        assert np.abs(power - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_point_symmetric_bit_for_bit(self, shape):
+        power = psd(np.random.default_rng(18).normal(size=shape)).power
+        h, w = power.shape
+        mirror = power[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
+        assert np.array_equal(power, mirror)

@@ -247,6 +247,69 @@ class TestWriteTraces:
         assert not out.exists()
 
 
+class TestUnreadableLines:
+    """Lines that do not decode or that csv cannot parse fail with their line."""
+
+    READERS = [
+        (read_traces, "path_id,step,p_0,p_1\na,1,0.5,0.5\na,2,0.5,0.5\n", "{},1,0.5,0.5\n"),
+        (read_labels, "index,label\n0,1\n", "1,{}\n"),
+        (read_accuracies, "model_id,group,dataset_id,correct,total\nm0,g,d,8,10\n", "{},g,d,8,10\n"),
+        (read_metrics, "model_id,metric_name,value,value_kind\nm0,hff,0.2,raw\n", "{},hff,0.2,raw\n"),
+        (read_path_metrics, "path_id,hff,cd\np0,0.2,3\n", "{},0.2,3\n"),
+        (tables.read_fit, ",".join(tables.FIT_COLUMNS) + "\ng,2,1,0,1,fitted,x,raw,ood\n",
+         "{},2,1,0,1,fitted,x,raw,ood\n"),
+    ]
+
+    @pytest.mark.parametrize("reader, head, row", READERS)
+    def test_field_over_csv_limit(self, tmp_path, reader, head, row):
+        path = write_text(tmp_path, head + row.format("x" * 200_000))
+        with pytest.raises(TraceParseError) as info:
+            reader(path)
+        line = head.count("\n") + 1
+        assert str(info.value).startswith(f"{path} line {line}: field larger than field limit")
+
+    @pytest.mark.parametrize("reader, head, row", READERS)
+    def test_undecodable_byte(self, tmp_path, reader, head, row):
+        path = tmp_path / "t.csv"
+        path.write_bytes(head.encode() + row.format("\udcff").encode("utf-8", "surrogateescape"))
+        with pytest.raises(TraceParseError) as info:
+            reader(path)
+        line = head.count("\n") + 1
+        assert str(info.value).startswith(f"{path} line {line}: byte 0xff is not valid")
+
+    @pytest.mark.parametrize("reader, head, row", READERS)
+    def test_unreadable_header(self, tmp_path, reader, head, row):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xfe" + head.encode())
+        with pytest.raises(TraceParseError) as info:
+            reader(path)
+        assert str(info.value).startswith(f"{path} line 1: byte 0xfe is not valid")
+
+    @pytest.mark.parametrize("unreadable", ["x" * 200_000, "\udcff"])
+    @pytest.mark.parametrize("chunk_rows, block_chars", [(1, 1), (2, 30), (8192, 1 << 16)])
+    def test_first_fault_in_file_order_wins_over_unreadable_line(
+        self, tmp_path, monkeypatch, unreadable, chunk_rows, block_chars
+    ):
+        monkeypatch.setattr(tables, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(tables, "_BLOCK_CHARS", block_chars)
+        rows = ["a,1,0.5,0.5", "a,2,0.5,0.5", "b,1,0.5,0.5", f"{unreadable},1,0.5,0.5"]
+        path = tmp_path / "t.csv"
+        content = "path_id,step,p_0,p_1\n" + "\n".join(rows) + "\n"
+        path.write_bytes(content.encode("utf-8", "surrogateescape"))
+        with pytest.raises(TraceParseError) as info:
+            read_traces(path)
+        assert str(info.value).startswith(f"{path} line 5: ")
+        rows[1] = "a,3,0.5,0.5"
+        content = "path_id,step,p_0,p_1\n" + "\n".join(rows) + "\n"
+        path.write_bytes(content.encode("utf-8", "surrogateescape"))
+        with pytest.raises(TraceParseError, match="line 3: path 'a' expected step 2"):
+            read_traces(path)
+
+    def test_non_ascii_text_still_reads(self, tmp_path):
+        path = write_text(tmp_path, "path_id,step,p_0,p_1\né,1,0.5,0.5\né,2,0.5,0.5\n")
+        assert [t.path_id for t in read_traces(path)] == ["é"]
+
+
 class TestLabels:
     def test_round_trip(self, tmp_path):
         out = tmp_path / "labels.csv"
