@@ -77,6 +77,7 @@ from .regression import (
     AccuracyRecord,
     GroupFit,
     MetricRecord,
+    ModelPoint,
     ProbitRegression,
     clopper_pearson,
     effective_robustness,

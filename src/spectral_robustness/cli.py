@@ -8,7 +8,6 @@ all outputs are deterministic functions of the inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from . import corruptions, jacobian, paths, path_metrics, regression, render, shift_psd, tables, tensorio
 from .errors import InvalidInputError
+from .spectral import image_stack
 
 # All toolkit errors subclass ValueError; OSError covers file-system failures.
 _ERRORS = (ValueError, OSError)
@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", help="optional band-fractions CSV path")
     p.add_argument(
         "--band-edges",
-        default=None,
+        type=_band_edges,
+        default=shift_psd.DEFAULT_BAND_EDGES,
         help="comma-separated r1,r2 overriding the default band edges",
     )
     p.set_defaults(func=cmd_psd_shift)
@@ -110,13 +111,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _band_edges(text: str) -> tuple[float, float]:
+    try:
+        r1, r2 = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two numbers r1,r2, got {text!r}") from None
+    return r1, r2
+
+
 def _load_dataset(path) -> np.ndarray:
-    data, shape = tensorio.read_tensor(path)
-    if len(shape) != 4:
-        raise InvalidInputError(f"{path}: expected shape (N, C, H, W), got {shape}")
-    if not np.all(np.isfinite(data)):
-        raise InvalidInputError(f"{path}: dataset contains non-finite values")
-    return np.asarray(data, dtype=np.float64)
+    data, _ = tensorio.read_tensor(path)
+    return image_stack(data, str(path))
 
 
 def cmd_gen_paths(args) -> int:
@@ -134,39 +139,19 @@ def cmd_gen_paths(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "path_id",
-                "mode",
-                "source_index",
-                "target_index",
-                "class_relation",
-                "cutoff",
-                "steps",
-                "seed",
-                "file",
-            ]
+    manifest = []
+    for i, spec in enumerate(specs):
+        path_id = f"path_{i:05d}"
+        filename = f"{path_id}.tnsr"
+        built = paths.build_path(images[spec.source_index], images[spec.target_index], spec)
+        tensorio.write_tensor(out_dir / filename, built.images)
+        manifest.append(
+            [path_id, spec.mode, spec.source_index, spec.target_index, spec.class_relation,
+             spec.cutoff, spec.steps, spec.seed, filename]
         )
-        for i, spec in enumerate(specs):
-            path_id = f"path_{i:05d}"
-            filename = f"{path_id}.tnsr"
-            built = paths.build_path(images[spec.source_index], images[spec.target_index], spec)
-            tensorio.write_tensor(out_dir / filename, built.images)
-            writer.writerow(
-                [
-                    path_id,
-                    spec.mode,
-                    spec.source_index,
-                    spec.target_index,
-                    spec.class_relation,
-                    tables.fmt_float(spec.cutoff),
-                    spec.steps,
-                    spec.seed,
-                    filename,
-                ]
-            )
+    header = ["path_id", "mode", "source_index", "target_index", "class_relation", "cutoff",
+              "steps", "seed", "file"]
+    tables.write_rows(out_dir / "manifest.csv", header, manifest)
     print(f"wrote {len(specs)} paths to {out_dir}")
     return 0
 
@@ -194,29 +179,17 @@ def cmd_psd_shift(args) -> int:
         groups_b = {int(k): b[lb == k] for k in np.unique(lb)}
         psd_map = shift_psd.class_averaged_shift_psd(groups_a, groups_b)
 
-    edges = shift_psd.DEFAULT_BAND_EDGES
-    if args.band_edges:
-        r1, r2 = (float(v) for v in args.band_edges.split(","))
-        edges = (r1, r2)
-    fractions = shift_psd.band_fractions(psd_map, edges)
+    fractions = shift_psd.band_fractions(psd_map, args.band_edges)
 
     tensorio.write_tensor(args.out, psd_map.power)
     if args.pgm:
         render.emit_pgm(psd_map, args.pgm)
     if args.bands:
-        with open(args.bands, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["low", "mid", "high", "r1", "r2", "source_count"])
-            writer.writerow(
-                [
-                    tables.fmt_float(fractions.low),
-                    tables.fmt_float(fractions.mid),
-                    tables.fmt_float(fractions.high),
-                    tables.fmt_float(edges[0]),
-                    tables.fmt_float(edges[1]),
-                    psd_map.source_count,
-                ]
-            )
+        tables.write_rows(
+            args.bands,
+            ["low", "mid", "high", "r1", "r2", "source_count"],
+            [[fractions.low, fractions.mid, fractions.high, *args.band_edges, psd_map.source_count]],
+        )
     print(
         f"shift bands: low={fractions.low:.4f} mid={fractions.mid:.4f} "
         f"high={fractions.high:.4f}"
@@ -270,36 +243,11 @@ def cmd_jacobian(args) -> int:
     )
     estimate = jacobian.estimate_jacobian_norm(predictor, images[: args.batch], config)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "frobenius_norm",
-                "ci95_low",
-                "ci95_high",
-                "n_estimates",
-                "n_proj",
-                "batch_size",
-                "target",
-                "method",
-                "predictor",
-                "seed",
-            ]
-        )
-        writer.writerow(
-            [
-                tables.fmt_float(estimate.frobenius_norm),
-                tables.fmt_float(estimate.ci95_low),
-                tables.fmt_float(estimate.ci95_high),
-                estimate.n_estimates,
-                args.nproj,
-                args.batch,
-                estimate.target,
-                estimate.method,
-                args.predictor,
-                args.seed,
-            ]
-        )
+    header = ["frobenius_norm", "ci95_low", "ci95_high", "n_estimates", "n_proj", "batch_size",
+              "target", "method", "predictor", "seed"]
+    row = [estimate.frobenius_norm, estimate.ci95_low, estimate.ci95_high, estimate.n_estimates,
+           args.nproj, args.batch, estimate.target, estimate.method, args.predictor, args.seed]
+    tables.write_rows(args.out, header, [row])
     print(
         f"jacobian norm {estimate.frobenius_norm:.4f} "
         f"[{estimate.ci95_low:.4f}, {estimate.ci95_high:.4f}] ({estimate.method})"
@@ -319,46 +267,11 @@ def cmd_regress(args) -> int:
         id_dataset=args.id_dataset,
     )
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(tables.FIT_COLUMNS)
-        for fit in result.per_group:
-            writer.writerow(
-                [
-                    fit.group,
-                    fit.n_models,
-                    tables.fmt_float(fit.slope),
-                    tables.fmt_float(fit.intercept),
-                    tables.fmt_float(fit.r_squared),
-                    "fitted",
-                    result.x_spec,
-                    result.x_transform,
-                    result.ood_dataset,
-                ]
-            )
-        for group, reason in result.skipped:
-            writer.writerow(
-                [group, "", "", "", "", f"skipped: {reason}", result.x_spec, result.x_transform, result.ood_dataset]
-            )
-        writer.writerow(
-            [
-                "__average__",
-                sum(f.n_models for f in result.per_group),
-                tables.fmt_float(result.averaged_slope),
-                "",
-                tables.fmt_float(result.averaged_r2),
-                "fitted",
-                result.x_spec,
-                result.x_transform,
-                result.ood_dataset,
-            ]
-        )
-
+    tables.write_fit(args.out, result)
     if args.svg:
-        points, lines = _scatter_data(accuracies, metrics, result, args)
         render.emit_scatter_svg(
-            points,
-            lines,
+            result.points,
+            result.per_group,
             args.svg,
             x_label=(
                 f"probit({result.x_spec})" if result.x_transform == "probit" else result.x_spec
@@ -372,40 +285,6 @@ def cmd_regress(args) -> int:
         f"over {len(result.per_group)} group(s)"
     )
     return 0
-
-
-def _scatter_data(accuracies, metrics, result, args):
-    ood = {rec.model_id: rec for rec in accuracies if rec.dataset_id == result.ood_dataset}
-    if result.x_spec == regression.ID_ACCURACY:
-        id_dataset = regression._resolve_id_dataset(accuracies, result.ood_dataset, args.id_dataset)
-        xs = {
-            rec.model_id: regression.probit(rec.accuracy)
-            for rec in accuracies
-            if rec.dataset_id == id_dataset
-        }
-    else:
-        xs = {}
-        for m in metrics:
-            if m.metric_name == result.x_spec:
-                xs[m.model_id] = (
-                    regression.probit(m.value) if result.x_transform == "probit" else m.value
-                )
-    points = []
-    for model_id in sorted(ood):
-        if model_id not in xs:
-            continue
-        rec = ood[model_id]
-        lo, hi = regression.clopper_pearson(rec.correct, rec.total)
-        points.append(
-            (
-                xs[model_id],
-                regression.probit(rec.accuracy),
-                str(getattr(rec, args.group_by)),
-                (regression.probit(lo), regression.probit(hi)),
-            )
-        )
-    lines = [(f.group, f.slope, f.intercept, f.r_squared) for f in result.per_group]
-    return points, lines
 
 
 def cmd_report(args) -> int:

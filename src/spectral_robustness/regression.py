@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -56,8 +57,7 @@ class MetricRecord:
             )
 
 
-@dataclass
-class GroupFit:
+class GroupFit(NamedTuple):
     group: str
     slope: float
     intercept: float
@@ -65,9 +65,22 @@ class GroupFit:
     n_models: int
 
 
+class ModelPoint(NamedTuple):
+    """One model of a regression: its predictor value and probit(OOD accuracy)."""
+
+    x: float
+    y: float
+    group: str
+    ci: tuple[float, float]  # Clopper-Pearson interval of the OOD accuracy, probit units
+
+
 @dataclass
 class ProbitRegression:
-    """Per-group probit-domain fits plus their unweighted averages."""
+    """Per-group probit-domain fits plus their unweighted averages.
+
+    ``points`` holds one ModelPoint per model with both a predictor value and
+    an OOD accuracy, in ``model_id`` order, skipped groups' models included.
+    """
 
     per_group: list[GroupFit]
     averaged_slope: float
@@ -76,6 +89,7 @@ class ProbitRegression:
     x_transform: str  # "probit" or "raw", recorded so outputs are self-describing
     ood_dataset: str
     skipped: list[tuple[str, str]] = field(default_factory=list)
+    points: list[ModelPoint] = field(default_factory=list)
 
 
 def clopper_pearson(correct: int, total: int, alpha: float = 0.05) -> tuple[float, float]:
@@ -149,7 +163,8 @@ def grouped_regression(
     The predictor is probit(ID accuracy) when x_spec == "ID accuracy",
     probit(value) for accuracy-kind metrics, and the raw value otherwise.
     Groups with fewer than 2 usable models (or a constant predictor) are
-    skipped with a warning and excluded from the averages.
+    skipped with a warning and excluded from the averages; their models
+    still get points.
     """
     by_model_ood: dict[str, AccuracyRecord] = {}
     for rec in accuracies:
@@ -178,32 +193,39 @@ def grouped_regression(
             m.model_id: probit(m.value) if x_transform == "probit" else m.value for m in wanted
         }
 
-    groups: dict[str, list[tuple[float, float]]] = {}
+    # A group's points stay in accuracy-table order: fit_line's sums depend on it.
+    points: dict[str, ModelPoint] = {}
+    groups: dict[str, list[ModelPoint]] = {}
     for model_id, ood_rec in by_model_ood.items():
         if model_id not in x_values:
             continue
-        key = str(getattr(ood_rec, group_by))
-        groups.setdefault(key, []).append((x_values[model_id], probit(ood_rec.accuracy)))
+        low, high = clopper_pearson(ood_rec.correct, ood_rec.total)
+        point = ModelPoint(
+            x_values[model_id],
+            probit(ood_rec.accuracy),
+            str(getattr(ood_rec, group_by)),
+            (probit(low), probit(high)),
+        )
+        points[model_id] = point
+        groups.setdefault(point.group, []).append(point)
 
     fits: list[GroupFit] = []
     skipped: list[tuple[str, str]] = []
     for key in sorted(groups):
-        points = groups[key]
-        if len(points) < 2:
-            reason = f"only {len(points)} usable model(s)"
+        members = groups[key]
+        if len(members) < 2:
+            reason = f"only {len(members)} usable model(s)"
             warnings.warn(f"skipping group {key!r}: {reason}")
             skipped.append((key, reason))
             continue
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
         try:
-            slope, intercept, r2 = fit_line(xs, ys)
+            slope, intercept, r2 = fit_line([p.x for p in members], [p.y for p in members])
         except DegenerateFitError:
             reason = "constant predictor values"
             warnings.warn(f"skipping group {key!r}: {reason}")
             skipped.append((key, reason))
             continue
-        fits.append(GroupFit(key, slope, intercept, r2, len(points)))
+        fits.append(GroupFit(key, slope, intercept, r2, len(members)))
 
     if not fits:
         raise InvalidInputError("no group had enough usable models to fit")
@@ -215,6 +237,7 @@ def grouped_regression(
         x_transform=x_transform,
         ood_dataset=ood_dataset,
         skipped=skipped,
+        points=[points[model_id] for model_id in sorted(points)],
     )
 
 

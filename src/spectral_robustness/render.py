@@ -40,9 +40,10 @@ def emit_scatter_svg(
 ) -> None:
     """Write a scatter plot with per-group regression lines.
 
-    ``points`` is a sequence of (x, y, group, ci) where ci is None or a
-    (low, high) pair of y values drawn as a vertical whisker. ``lines`` is a
-    sequence of (group, slope, intercept, r_squared).
+    ``points`` is a sequence of (x, y, group, ci), such as a regression's
+    ModelPoints, where ci is None or a (low, high) pair of y values drawn as
+    a vertical whisker. ``lines`` is a sequence of (group, slope, intercept,
+    r_squared), such as a regression's GroupFits; further items are ignored.
     """
     points = list(points)
     if not points:
@@ -115,7 +116,7 @@ def emit_scatter_svg(
             f'text-anchor="middle" font-family="sans-serif">{_escape(title)}</text>'
         )
 
-    for group, slope, intercept, r2 in lines:
+    for group, slope, intercept, r2, *_ in lines:
         opacity = min(max(float(r2), OPACITY_FLOOR), 1.0)
         y1 = slope * x_lo + intercept
         y2 = slope * x_hi + intercept

@@ -6,6 +6,11 @@ form) from Python's ``repr``, so file bytes do not depend on the numpy
 version. Rows come in a deterministic order, so identical inputs produce
 byte-identical files.
 
+This module is the only one that knows a CSV layout. Every table but the
+trace table is read by ``_rows`` and written by ``write_rows``: an exact
+header, then rows of exactly its field count; a blank line is a row of no
+fields and so an error, and errors name the physical line a row starts on.
+
 A trace CSV is parsed chunk by chunk into one probability array and
 validated in numpy; its rows may interleave paths, and the first offending
 line in file order is the one reported. Every reader turns a line that does
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import TraceParseError
 from .path_metrics import ROW_SUM_TOLERANCE, MetricSummary, PathMetrics, PredictionTrace
-from .regression import AccuracyRecord, MetricRecord
+from .regression import AccuracyRecord, MetricRecord, ProbitRegression
 
 
 # Trace rows parsed per chunk: only one chunk's field strings are alive at once.
@@ -33,7 +38,11 @@ _CHUNK_ROWS = 8192
 # Characters of CSV text checked for undecodable bytes at once.
 _BLOCK_CHARS = 1 << 16
 
-# Columns of the fit CSV that ``specrob regress`` writes and ``report --fit`` reads.
+# Headers of the row tables; the trace table's depends on its class count.
+LABEL_COLUMNS = ("index", "label")
+ACCURACY_COLUMNS = ("model_id", "group", "dataset_id", "correct", "total")
+METRIC_COLUMNS = ("model_id", "metric_name", "value", "value_kind")
+PATH_METRIC_COLUMNS = ("path_id", "hff", "cd")
 FIT_COLUMNS = (
     "group", "n_models", "slope", "intercept", "r2", "status", "x_spec", "x_transform", "ood_dataset",
 )
@@ -132,9 +141,9 @@ def read_traces(path) -> list[PredictionTrace]:
             f"path {path_id!r} has a non-finite probability",
         ]
         kind = next(j for j, fault in enumerate(faults) if fault[i])
-        raise TraceParseError(f"{path} line {i + 2}: {messages[kind]}")
+        raise TraceParseError(f"{path} line {_line_of_row(path, i)}: {messages[kind]}")
     if malformed is not None:
-        raise TraceParseError(f"{path} line {n + 2}: {malformed}")
+        raise TraceParseError(f"{path} line {_line_of_row(path, n)}: {malformed}")
     if unreadable:
         raise unreadable[0]
 
@@ -151,18 +160,57 @@ def read_traces(path) -> list[PredictionTrace]:
 
 
 @contextlib.contextmanager
-def _csv_reader(path, make=csv.reader):
-    """``make`` (``csv.reader`` or ``csv.DictReader``) over the text file at ``path``.
+def _csv_reader(path):
+    """``csv.reader`` over the text file at ``path``.
 
     A line that does not decode, or that ``csv`` cannot parse, raises
     TraceParseError naming the file and the line.
     """
     with open(path, newline="", errors="surrogateescape") as fh:
-        reader = make(itertools.chain.from_iterable(_decoded_blocks(fh, path)))
+        reader = csv.reader(itertools.chain.from_iterable(_decoded_blocks(fh, path)))
         try:
             yield reader
         except csv.Error as exc:
             raise _unparseable(path, reader, exc) from None
+
+
+def _rows(path, header):
+    """``(line, row)`` for each body row of the CSV at ``path``, ``line`` its first physical line.
+
+    The first row must be ``header``, and every row must have exactly as many
+    fields; a blank line is a row of none.
+    """
+    header = list(header)
+    with _csv_reader(path) as reader:
+        if next(reader, None) != header:
+            raise TraceParseError(f"{path} line 1: header must be {','.join(header)}")
+        line_no = reader.line_num + 1
+        for row in reader:
+            if len(row) != len(header):
+                raise TraceParseError(
+                    f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield line_no, row
+            line_no = reader.line_num + 1
+
+
+def write_rows(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV; every float cell, Python or numpy, via ``fmt_float``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [fmt_float(cell) if isinstance(cell, (float, np.floating)) else cell for cell in row]
+            for row in rows
+        )
+
+
+def _line_of_row(path, i: int) -> int:
+    """Physical line on which body row ``i`` (from 0) of the CSV at ``path`` starts."""
+    with _csv_reader(path) as reader:
+        for _ in itertools.islice(reader, i + 1):
+            pass
+        return reader.line_num + 1
 
 
 def _decoded_blocks(fh, path):
@@ -191,9 +239,7 @@ def _decoded_blocks(fh, path):
 
 
 def _unparseable(path, reader, exc: csv.Error) -> TraceParseError:
-    # A DictReader copies its csv reader's line_num only once a row parses.
-    lines = reader.reader if isinstance(reader, csv.DictReader) else reader
-    return TraceParseError(f"{path} line {lines.line_num}: {exc}")
+    return TraceParseError(f"{path} line {reader.line_num}: {exc}")
 
 
 def _rows_until_unreadable(reader, path, unreadable: list):
@@ -285,18 +331,14 @@ def _csv_prefix(field) -> str:
 def read_labels(path, n_items: int | None = None) -> np.ndarray:
     """Read an ``index,label`` CSV covering indices 0..N-1 exactly once."""
     entries: dict[int, int] = {}
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header != ["index", "label"]:
-            raise TraceParseError(f"{path} line 1: header must be index,label")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                idx, label = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
-                raise TraceParseError(f"{path} line {line_no}: bad row {row!r}") from None
-            if idx in entries:
-                raise TraceParseError(f"{path} line {line_no}: duplicate index {idx}")
-            entries[idx] = label
+    for line_no, row in _rows(path, LABEL_COLUMNS):
+        try:
+            idx, label = int(row[0]), int(row[1])
+        except ValueError:
+            raise TraceParseError(f"{path} line {line_no}: bad row {row!r}") from None
+        if idx in entries:
+            raise TraceParseError(f"{path} line {line_no}: duplicate index {idx}")
+        entries[idx] = label
     n = n_items if n_items is not None else len(entries)
     if sorted(entries) != list(range(n)):
         raise TraceParseError(f"{path}: indices must cover 0..{n - 1} exactly once")
@@ -304,14 +346,10 @@ def read_labels(path, n_items: int | None = None) -> np.ndarray:
 
 
 def write_labels(path, labels) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label"])
-        for i, label in enumerate(labels):
-            writer.writerow([i, int(label)])
+    write_rows(path, LABEL_COLUMNS, ([i, int(label)] for i, label in enumerate(labels)))
 
 
-def _reject_duplicate(seen: dict, key: tuple, path, line_no: int, names: str) -> None:
+def _reject_duplicate(seen: dict, key, path, line_no: int, names: str) -> None:
     """Record ``key``'s line, or raise if an earlier line already had it."""
     first = seen.setdefault(key, line_no)
     if first != line_no:
@@ -324,67 +362,44 @@ def read_accuracies(path) -> list[AccuracyRecord]:
     """Read an accuracy CSV; a repeated (model_id, dataset_id) raises TraceParseError."""
     records = []
     seen: dict[tuple[str, str], int] = {}
-    with _csv_reader(path, csv.DictReader) as reader:
-        if reader.fieldnames != ["model_id", "group", "dataset_id", "correct", "total"]:
-            raise TraceParseError(
-                f"{path} line 1: header must be model_id,group,dataset_id,correct,total"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                rec = AccuracyRecord(
-                    model_id=row["model_id"],
-                    group=row["group"],
-                    dataset_id=row["dataset_id"],
-                    correct=int(row["correct"]),
-                    total=int(row["total"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise TraceParseError(f"{path} line {line_no}: {exc}") from None
-            key = (rec.model_id, rec.dataset_id)
-            _reject_duplicate(seen, key, path, line_no, "model_id, dataset_id")
-            records.append(rec)
+    for line_no, (model_id, group, dataset_id, correct, total) in _rows(path, ACCURACY_COLUMNS):
+        try:
+            rec = AccuracyRecord(model_id, group, dataset_id, int(correct), int(total))
+        except ValueError as exc:
+            raise TraceParseError(f"{path} line {line_no}: {exc}") from None
+        _reject_duplicate(seen, (model_id, dataset_id), path, line_no, "model_id, dataset_id")
+        records.append(rec)
     return records
 
 
 def write_accuracies(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model_id", "group", "dataset_id", "correct", "total"])
-        for rec in records:
-            writer.writerow([rec.model_id, rec.group, rec.dataset_id, rec.correct, rec.total])
+    write_rows(
+        path,
+        ACCURACY_COLUMNS,
+        ([r.model_id, r.group, r.dataset_id, r.correct, r.total] for r in records),
+    )
 
 
 def read_metrics(path) -> list[MetricRecord]:
     """Read a model-metrics CSV; a repeated (model_id, metric_name) raises TraceParseError."""
     records = []
     seen: dict[tuple[str, str], int] = {}
-    with _csv_reader(path, csv.DictReader) as reader:
-        if reader.fieldnames != ["model_id", "metric_name", "value", "value_kind"]:
-            raise TraceParseError(
-                f"{path} line 1: header must be model_id,metric_name,value,value_kind"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                rec = MetricRecord(
-                    model_id=row["model_id"],
-                    metric_name=row["metric_name"],
-                    value=float(row["value"]),
-                    value_kind=row["value_kind"],
-                )
-            except (TypeError, ValueError) as exc:
-                raise TraceParseError(f"{path} line {line_no}: {exc}") from None
-            key = (rec.model_id, rec.metric_name)
-            _reject_duplicate(seen, key, path, line_no, "model_id, metric_name")
-            records.append(rec)
+    for line_no, (model_id, metric_name, value, value_kind) in _rows(path, METRIC_COLUMNS):
+        try:
+            rec = MetricRecord(model_id, metric_name, float(value), value_kind)
+        except ValueError as exc:
+            raise TraceParseError(f"{path} line {line_no}: {exc}") from None
+        _reject_duplicate(seen, (model_id, metric_name), path, line_no, "model_id, metric_name")
+        records.append(rec)
     return records
 
 
 def write_metrics(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model_id", "metric_name", "value", "value_kind"])
-        for rec in records:
-            writer.writerow([rec.model_id, rec.metric_name, fmt_float(rec.value), rec.value_kind])
+    write_rows(
+        path,
+        METRIC_COLUMNS,
+        ([r.model_id, r.metric_name, r.value, r.value_kind] for r in records),
+    )
 
 
 def write_path_metrics(
@@ -395,48 +410,46 @@ def write_path_metrics(
     threshold_k: int,
 ) -> None:
     """Per-path hff/cd rows followed by ``__``-prefixed summary footer rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "hff", "cd"])
-        for m in metrics:
-            writer.writerow([m.path_id, fmt_float(m.hff), m.cd])
-        writer.writerow(["__hff_threshold_k__", threshold_k, ""])
-        for name, h, c in [
-            ("mean", hff_summary.mean, cd_summary.mean),
-            ("sample_std", hff_summary.sample_std, cd_summary.sample_std),
-            ("n", hff_summary.n, cd_summary.n),
-            ("ci95_low", hff_summary.ci95_low, cd_summary.ci95_low),
-            ("ci95_high", hff_summary.ci95_high, cd_summary.ci95_high),
-        ]:
-            writer.writerow(
-                [f"__{name}__", h if name == "n" else fmt_float(h), c if name == "n" else fmt_float(c)]
-            )
+    rows = [[m.path_id, m.hff, m.cd] for m in metrics]
+    rows.append(["__hff_threshold_k__", threshold_k, ""])
+    for name in ("mean", "sample_std", "n", "ci95_low", "ci95_high"):
+        rows.append([f"__{name}__", getattr(hff_summary, name), getattr(cd_summary, name)])
+    write_rows(path, PATH_METRIC_COLUMNS, rows)
 
 
 def read_path_metrics(path) -> tuple[list[PathMetrics], dict[str, tuple[str, str]]]:
-    """Read back a path-metrics CSV; returns (per-path rows, footer values)."""
+    """Read back a path-metrics CSV; returns (per-path rows, footer values).
+
+    A repeated ``path_id``, footer names included, raises TraceParseError.
+    """
     per_path = []
     footer: dict[str, tuple[str, str]] = {}
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header != ["path_id", "hff", "cd"]:
-            raise TraceParseError(f"{path} line 1: header must be path_id,hff,cd")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise TraceParseError(f"{path} line {line_no}: expected 3 fields")
-            if row[0].startswith("__"):
-                footer[row[0].strip("_")] = (row[1], row[2])
-            else:
-                try:
-                    per_path.append(PathMetrics(row[0], float(row[1]), int(row[2])))
-                except ValueError as exc:
-                    raise TraceParseError(f"{path} line {line_no}: {exc}") from None
+    seen: dict[str, int] = {}
+    for line_no, (path_id, hff, cd) in _rows(path, PATH_METRIC_COLUMNS):
+        _reject_duplicate(seen, path_id, path, line_no, "path_id")
+        if path_id.startswith("__"):
+            footer[path_id.strip("_")] = (hff, cd)
+            continue
+        try:
+            per_path.append(PathMetrics(path_id, float(hff), int(cd)))
+        except ValueError as exc:
+            raise TraceParseError(f"{path} line {line_no}: {exc}") from None
     return per_path, footer
 
 
+def write_fit(path, result: ProbitRegression) -> None:
+    """The fit CSV of ``specrob regress``: fitted groups, skipped groups, then ``__average__``."""
+    tail = [result.x_spec, result.x_transform, result.ood_dataset]
+    rows = [
+        [fit.group, fit.n_models, fit.slope, fit.intercept, fit.r_squared, "fitted", *tail]
+        for fit in result.per_group
+    ]
+    rows += [[group, "", "", "", "", f"skipped: {reason}", *tail] for group, reason in result.skipped]
+    n_models = sum(fit.n_models for fit in result.per_group)
+    rows.append(["__average__", n_models, result.averaged_slope, "", result.averaged_r2, "fitted", *tail])
+    write_rows(path, FIT_COLUMNS, rows)
+
+
 def read_fit(path) -> list[dict[str, str]]:
-    """Rows of a fit CSV written by ``specrob regress``, as dicts keyed by FIT_COLUMNS."""
-    with _csv_reader(path, csv.DictReader) as reader:
-        if reader.fieldnames != list(FIT_COLUMNS):
-            raise TraceParseError(f"{path} line 1: header must be {','.join(FIT_COLUMNS)}")
-        return list(reader)
+    """Rows of a fit CSV written by ``write_fit``, as dicts keyed by FIT_COLUMNS."""
+    return [dict(zip(FIT_COLUMNS, row)) for _, row in _rows(path, FIT_COLUMNS)]

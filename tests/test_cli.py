@@ -91,6 +91,24 @@ class TestCorrupt:
         corrupted, _ = read_tensor(out)
         assert np.allclose(corrupted - original, 0.5, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (np.full((2, 1, 4, 4), np.nan, dtype=np.float32), "contains non-finite values"),
+            (np.zeros((2, 4, 4), dtype=np.float32), "must be a nonempty (N, C, H, W) stack"),
+        ],
+        ids=["nan", "3-d"],
+    )
+    def test_bad_image_stack_fails_before_output(self, tmp_path, capsys, data, message):
+        images = tmp_path / "bad.tnsr"
+        write_tensor(images, data)
+        out = tmp_path / "corr.tnsr"
+        rc = main(["corrupt", "--images", str(images), "--kind", "brightness", "--param", "0.5",
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"{images} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPsdShift:
     def test_paired_mode_with_bands_and_pgm(self, tmp_path, blob_files):
@@ -157,6 +175,19 @@ class TestPsdShift:
         )
         # identical groups -> all-zero map -> band fractions undefined
         assert rc == 2
+
+    @pytest.mark.parametrize("edges", ["0.3", "0.3,x", "0.2,0.4,0.6"])
+    def test_bad_band_edges_are_a_usage_error_before_any_read(self, tmp_path, capsys, edges):
+        out = tmp_path / "psd.tnsr"
+        argv = ["psd-shift", "--mode", "paired", "--a", str(tmp_path / "missing-a.tnsr"),
+                "--b", str(tmp_path / "missing-b.tnsr"), "--out", str(out), "--band-edges", edges]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --band-edges: expected two numbers r1,r2, got '{edges}'" in err
+        assert "missing" not in err
+        assert not out.exists()
 
 
 class TestPathMetricsCommand:
@@ -298,6 +329,26 @@ class TestRegressCommand:
         assert all(r["x_transform"] == "probit" for r in rows)
         assert svg.read_text().startswith("<?xml")
 
+    @pytest.mark.parametrize("x", ["ID accuracy", "amp_hff"])
+    def test_svg_has_one_marker_per_model(self, tmp_path, x):
+        acc_path, met_path = self.make_tables(tmp_path)
+        with open(acc_path, "a") as fh:
+            # A group of one is skipped but still drawn; a model with no ID
+            # accuracy and no metric has no x and is not.
+            fh.write("solo0,solo,id-set,7000,10000\nsolo0,solo,ood-set,6000,10000\n")
+            fh.write("orphan,vgg,ood-set,5000,10000\n")
+        with open(met_path, "a") as fh:
+            fh.write("solo0,amp_hff,0.2,raw\n")
+        svg = tmp_path / "plot.svg"
+        with pytest.warns(UserWarning, match="solo"):
+            rc = main(["regress", "--accuracies", str(acc_path), "--metrics", str(met_path),
+                       "--x", x, "--ood", "ood-set", "--out", str(tmp_path / "fit.csv"),
+                       "--svg", str(svg)])
+        assert rc == 0
+        text = svg.read_text()
+        assert text.count("<circle") == 11
+        assert ">solo</text>" in text
+
     def test_metric_fit(self, tmp_path):
         acc_path, met_path = self.make_tables(tmp_path)
         out = tmp_path / "fit.csv"
@@ -365,6 +416,20 @@ class TestReportCommand:
         text = report.read_text()
         assert text.startswith("# Robustness metrics report")
         assert "| HFF |" in text
+
+    @pytest.mark.parametrize(
+        "row, key, first",
+        [("__mean__,0.9,9", "'__mean__'", 4), ("p0,0.9,9", "'p0'", 2)],
+    )
+    def test_repeated_metrics_row_fails_before_output(self, tmp_path, capsys, row, key, first):
+        metrics_path = tmp_path / "metrics.csv"
+        metrics_path.write_text(f"path_id,hff,cd\np0,0.2,3\n__hff_threshold_k__,10,\n__mean__,0.2,3\n{row}\n")
+        report = tmp_path / "report.md"
+        rc = main(["report", "--metrics", str(metrics_path), "--out", str(report)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{metrics_path} line 5: duplicate (path_id) {key}, first on line {first}" in err
+        assert not report.exists()
 
     def test_unreadable_fit_fails_with_line(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

@@ -292,6 +292,55 @@ class TestGroupedRegression:
         assert len(result.per_group) == 1
 
 
+class TestModelPoints:
+    """ProbitRegression.points against a recomputation from the records."""
+
+    @staticmethod
+    def records():
+        rng = np.random.default_rng(7)
+        accs, mets = [], []
+        for model, group in [("c2", "conv"), ("a0", "vgg"), ("c0", "conv"), ("b1", "vgg"),
+                             ("c1", "conv"), ("s0", "solo")]:
+            id_correct = int(rng.integers(5000, 9000))
+            accs.append(AccuracyRecord(model, group, "id-set", id_correct, 10000))
+            accs.append(AccuracyRecord(model, group, "ood-set", id_correct - 900, 10000))
+            mets.append(MetricRecord(model, "hff", float(rng.uniform(0.1, 0.3)), "raw"))
+            mets.append(MetricRecord(model, "acc_c", float(rng.uniform(0.3, 0.9)), "accuracy"))
+        # No predictor value for this model, so no point.
+        accs.append(AccuracyRecord("z9", "vgg", "ood-set", 4000, 10000))
+        return accs, mets
+
+    @pytest.mark.parametrize("x_spec", ["ID accuracy", "acc_c", "hff"])
+    def test_points_recomputed(self, x_spec):
+        accs, mets = self.records()
+        with pytest.warns(UserWarning, match="solo"):
+            result = grouped_regression(accs, mets, x_spec, "ood-set")
+        assert result.skipped == [("solo", "only 1 usable model(s)")]
+        if x_spec == "ID accuracy":
+            xs = {r.model_id: probit(r.accuracy) for r in accs if r.dataset_id == "id-set"}
+        else:
+            xs = {m.model_id: m.value for m in mets if m.metric_name == x_spec}
+            if x_spec == "acc_c":
+                xs = {k: probit(v) for k, v in xs.items()}
+        want = []
+        for r in sorted(accs, key=lambda r: r.model_id):
+            if r.dataset_id == "ood-set" and r.model_id in xs:
+                lo, hi = clopper_pearson(r.correct, r.total)
+                want.append((xs[r.model_id], probit(r.accuracy), r.group, (probit(lo), probit(hi))))
+        assert result.points == want
+        assert [p.group for p in result.points] == ["vgg", "vgg", "conv", "conv", "conv", "solo"]
+
+    def test_fits_use_the_points(self):
+        accs, mets = self.records()
+        with pytest.warns(UserWarning):
+            result = grouped_regression(accs, mets, "hff", "ood-set")
+        for fit in result.per_group:
+            members = [p for p in result.points if p.group == fit.group]
+            slope, intercept, r2 = fit_line([p.x for p in members], [p.y for p in members])
+            assert (fit.slope, fit.intercept, fit.r_squared) == pytest.approx((slope, intercept, r2))
+            assert fit.n_models == len(members)
+
+
 class TestEffectiveRobustness:
     def test_point_on_baseline_scores_zero(self):
         m, b = 0.9, -0.3

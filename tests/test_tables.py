@@ -247,18 +247,21 @@ class TestWriteTraces:
         assert not out.exists()
 
 
+# Each reader, its header plus one valid row, and a row template whose first
+# field (the label, for read_labels) is "{}"; "2" and "2\n" keep the row valid.
+READERS = [
+    (read_traces, "path_id,step,p_0,p_1\na,1,0.5,0.5\na,2,0.5,0.5\n", "{},1,0.5,0.5\n"),
+    (read_labels, "index,label\n0,1\n", "1,{}\n"),
+    (read_accuracies, "model_id,group,dataset_id,correct,total\nm0,g,d,8,10\n", "{},g,d,8,10\n"),
+    (read_metrics, "model_id,metric_name,value,value_kind\nm0,hff,0.2,raw\n", "{},hff,0.2,raw\n"),
+    (read_path_metrics, "path_id,hff,cd\np0,0.2,3\n", "{},0.2,3\n"),
+    (tables.read_fit, ",".join(tables.FIT_COLUMNS) + "\ng,2,1,0,1,fitted,x,raw,ood\n",
+     "{},2,1,0,1,fitted,x,raw,ood\n"),
+]
+
+
 class TestUnreadableLines:
     """Lines that do not decode or that csv cannot parse fail with their line."""
-
-    READERS = [
-        (read_traces, "path_id,step,p_0,p_1\na,1,0.5,0.5\na,2,0.5,0.5\n", "{},1,0.5,0.5\n"),
-        (read_labels, "index,label\n0,1\n", "1,{}\n"),
-        (read_accuracies, "model_id,group,dataset_id,correct,total\nm0,g,d,8,10\n", "{},g,d,8,10\n"),
-        (read_metrics, "model_id,metric_name,value,value_kind\nm0,hff,0.2,raw\n", "{},hff,0.2,raw\n"),
-        (read_path_metrics, "path_id,hff,cd\np0,0.2,3\n", "{},0.2,3\n"),
-        (tables.read_fit, ",".join(tables.FIT_COLUMNS) + "\ng,2,1,0,1,fitted,x,raw,ood\n",
-         "{},2,1,0,1,fitted,x,raw,ood\n"),
-    ]
 
     @pytest.mark.parametrize("reader, head, row", READERS)
     def test_field_over_csv_limit(self, tmp_path, reader, head, row):
@@ -308,6 +311,34 @@ class TestUnreadableLines:
     def test_non_ascii_text_still_reads(self, tmp_path):
         path = write_text(tmp_path, "path_id,step,p_0,p_1\né,1,0.5,0.5\né,2,0.5,0.5\n")
         assert [t.path_id for t in read_traces(path)] == ["é"]
+
+
+class TestRowShape:
+    """Every reader wants exactly the header's field count and names the physical line."""
+
+    @staticmethod
+    def cases(row):
+        long_row = row.format("2").replace("\n", ",9\n")
+        short_row = row.format("2").rsplit(",", 1)[0] + "\n"
+        return [
+            # (body after the head, first line of the bad row, fields it has)
+            (long_row, 0, 1),
+            (short_row, 0, -1),
+            ("\n" + row.format("2"), 0, None),
+            (row.format('"2\n"') + long_row, 2, 1),
+        ]
+
+    @pytest.mark.parametrize("case", range(4), ids=["long", "short", "blank", "quoted newline"])
+    @pytest.mark.parametrize("reader, head, row", READERS)
+    def test_wrong_field_count_names_physical_line(self, tmp_path, reader, head, row, case):
+        body, offset, extra = self.cases(row)[case]
+        path = write_text(tmp_path, head + body)
+        width = head.split("\n")[0].count(",") + 1
+        got = 0 if extra is None else width + extra
+        with pytest.raises(TraceParseError) as info:
+            reader(path)
+        line = head.count("\n") + 1 + offset
+        assert str(info.value) == f"{path} line {line}: expected {width} fields, got {got}"
 
 
 class TestLabels:
@@ -392,6 +423,19 @@ class TestPathMetricsTable:
         assert footer["hff_threshold_k"][0] == "4"
         assert float(footer["mean"][0]) == hff_summary.mean
         assert float(footer["ci95_high"][1]) == cd_summary.ci95_high
+
+    @pytest.mark.parametrize(
+        "body, key, first",
+        [
+            ("p0,0.2,3\n__mean__,0.2,3\np1,0.4,5\n__mean__,0.3,4\n", "'__mean__'", 3),
+            ("p0,0.2,3\np1,0.4,5\n__mean__,0.3,4\np0,0.3,4\n", "'p0'", 2),
+        ],
+    )
+    def test_repeated_row_rejected_with_both_lines(self, tmp_path, body, key, first):
+        path = write_text(tmp_path, "path_id,hff,cd\n" + body)
+        with pytest.raises(TraceParseError) as info:
+            read_path_metrics(path)
+        assert str(info.value) == f"{path} line 5: duplicate (path_id) {key}, first on line {first}"
 
     def test_deterministic_bytes(self, tmp_path):
         raw = np.full((5, 2), 0.5)
