@@ -7,10 +7,14 @@ reported norm, with a Gaussian 95% CI built on the squared-norm estimates
 (treated as i.i.d.) and mapped through sqrt.
 
 Predictors with an analytic vector-Jacobian product return all B x n_proj
-squared norms from one ``sq_vjp_norms(batch, vs)`` call. Predictors without
-one fall back to central finite differences along random input-space unit
-directions u, using the dual identity E_u[D * ||J u||^2] = ||J||_F^2, with one
-``predict`` call per sample holding all of its 2 * n_proj perturbations.
+squared norms from one ``sq_vjp_norms(batch, vs)`` call, with cotangents v
+uniform on the unit K-sphere. Predictors without one fall back to central
+finite differences along random input-space sign directions u = s / sqrt(D),
+s uniform on {-1, +1}^D, using the dual identity E_u[D * ||J u||^2] =
+||J||_F^2 (Hutchinson's estimator), with one ``predict`` call per sample
+holding all of its 2 * n_proj perturbations. Sign directions take one random
+bit per pixel. The K-dimensional cotangents stay on the sphere: at K = 2 with
+softmax outputs, sign cotangents would double each projection's variance.
 """
 
 from __future__ import annotations
@@ -238,13 +242,21 @@ def fd_directional_derivative(predictor: Predictor, x, u, eps: float = DEFAULT_F
     norm = np.sqrt(np.sum(u * u))
     if abs(norm - 1.0) > 1e-9:
         raise InvalidInputError(f"direction must be a unit vector, got norm {norm}")
-    return _central_differences(predictor, x, u[None], eps)[0]
+    return _central_differences(predictor, x, (eps * u)[None], eps)[0]
 
 
-def _central_differences(predictor: Predictor, x, us, eps: float) -> np.ndarray:
-    """(P, K) directional derivatives along P directions ``us``, from one ``predict`` call."""
-    out = predictor.predict(np.concatenate([x + eps * us, x - eps * us]))
-    return (out[: len(us)] - out[len(us) :]) / (2.0 * eps)
+def _central_differences(predictor: Predictor, x, steps, eps: float) -> np.ndarray:
+    """(P, K) central differences (f(x + d) - f(x - d)) / (2 eps) along P steps d = eps * u.
+
+    One ``predict`` call takes all 2P perturbed images, in a fresh array: a
+    black-box predictor may keep the batch it was given.
+    """
+    p = len(steps)
+    batch = np.empty((2 * p,) + x.shape)
+    np.add(x, steps, out=batch[:p])
+    np.subtract(x, steps, out=batch[p:])
+    out = predictor.predict(batch)
+    return (out[:p] - out[p:]) / (2.0 * eps)
 
 
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -258,12 +270,23 @@ def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return g / norms[:, None]
 
 
+def _sign_bits(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """(n, dim) uniform bits from the first n*dim bits of ``rng.bytes``; a 1 marks a -1 sign.
+
+    Row j gives the unit direction u_j = s_j / sqrt(dim) with s_j = 1 - 2 * bits[j].
+    """
+    raw = np.frombuffer(rng.bytes(-(-n * dim // 8)), dtype=np.uint8)
+    return np.unpackbits(raw, count=n * dim).reshape(n, dim)
+
+
 def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) -> JacobianEstimate:
     """Estimate the (root-mean-square over the batch) Jacobian Frobenius norm.
 
-    Each of the B samples draws its n_proj unit projections from one RNG
-    stream keyed by (seed, sample); the reduction runs in (sample, projection)
-    order so results are bit-stable per seed.
+    Each of the B samples draws its n_proj projections from one RNG stream
+    keyed by (seed, sample): unit-sphere cotangents for the VJP route, sign
+    directions from the stream's raw bytes for the finite-difference route.
+    The reduction runs in (sample, projection) order so results are
+    bit-stable per seed.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 4:
@@ -283,10 +306,14 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
         vs = np.stack([_unit_rows(rng, config.n_proj, k) for rng in rngs])
         estimates = k * predictor.sq_vjp_norms(batch, vs)
     else:
+        # eps * u_j = +-step exactly, with step = eps * (1 / sqrt(D)) rounded once.
+        step = config.fd_eps * (1.0 / np.sqrt(d))
         estimates = np.empty((config.batch_size, config.n_proj))
         for s, (x, rng) in enumerate(zip(batch, rngs)):
-            us = _unit_rows(rng, config.n_proj, d).reshape((config.n_proj,) + x.shape)
-            ju = _central_differences(predictor, x, us, config.fd_eps)
+            bits = _sign_bits(rng, config.n_proj, d).reshape((config.n_proj,) + x.shape)
+            steps = bits * (-2.0 * step)
+            steps += step
+            ju = _central_differences(predictor, x, steps, config.fd_eps)
             estimates[s] = d * np.sum(ju * ju, axis=1)
     estimates = estimates.ravel()
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .spectral import decompose, half_grid_mirrors, image_stack, radial_mask
+from .spectral import decompose, half_grid_mirrors, image_stack, irfft2, radial_mask, rfft2
 
 PATH_MODES = ("amplitude", "phase", "pixel")
 CLASS_RELATIONS = ("within", "between", "unconstrained")
@@ -90,7 +90,7 @@ def _half_spectra(x0, x1, rho: float):
     """Real-input half spectra (C, H, W//2+1) of both endpoints and the radial mask."""
     h, w = x0.shape[1:]
     mask = radial_mask(h, w, rho).included[:, : w // 2 + 1]
-    return np.fft.rfft2(x0), np.fft.rfft2(x1), mask
+    return rfft2(x0), rfft2(x1), mask
 
 
 def amplitude_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
@@ -104,7 +104,7 @@ def amplitude_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationP
     x0, x1 = _check_pair(x0, x1, t)
     s0, s1, mask = _half_spectra(x0, x1, rho)
     hybrid = np.where(mask, decompose(s1).amplitude * np.exp(1j * decompose(s0).phase), s0)
-    return pixel_path(x0, np.fft.irfft2(hybrid, s=x0.shape[1:]), t)
+    return pixel_path(x0, irfft2(hybrid, x0.shape[1:]), t)
 
 
 def phase_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
@@ -129,8 +129,14 @@ def phase_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
     rows, cols = half_grid_mirrors(h, w)
     delta[:, h - rows, cols] = -delta[:, rows, cols]
     lambdas = _lambda_grid(t)
-    spectra = s0 * np.exp(1j * lambdas[:, None, None, None] * delta)
-    return InterpolationPath(images=np.fft.irfft2(spectra, s=(h, w)), lambdas=lambdas)
+    # Only bins with a nonzero increment rotate; elsewhere s0 * exp(0j) == s0.
+    # The spectra are bin-major, (bins, T), so each moved bin is one row.
+    moved = np.flatnonzero(delta)
+    bins = s0.ravel()
+    spectra = np.repeat(bins[:, None], t, axis=1)
+    spectra[moved] = bins[moved, None] * np.exp(1j * lambdas * delta.ravel()[moved, None])
+    images = irfft2(spectra.T.reshape((t,) + s0.shape), (h, w))
+    return InterpolationPath(images=images, lambdas=lambdas)
 
 
 def pixel_path(x0, x1, t: int = DEFAULT_STEPS) -> InterpolationPath:

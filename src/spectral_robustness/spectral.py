@@ -4,6 +4,9 @@ Images are real arrays of shape (C, H, W) in normalized-pixel units (values may
 be negative after mean/std normalization). Spectra are complex arrays of the
 same shape using the standard unnormalized DFT convention, so Parseval reads
 ``sum |X|^2 = H*W * sum |x|^2`` per channel.
+
+Every 2D transform in this package goes through ``rfft2`` and ``irfft2``
+here, the one place that picks the FFT backend (``scipy.fft``).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 
 from .errors import InvalidInputError
 
@@ -72,18 +76,48 @@ def _as_spectrum(s) -> np.ndarray:
     return s
 
 
+def rfft2(x) -> np.ndarray:
+    """Real-input half spectrum over the last two axes: shape (..., H, W//2 + 1)."""
+    return scipy.fft.rfft2(x)
+
+
+def irfft2(spectra, shape) -> np.ndarray:
+    """Inverse of ``rfft2``: real (..., H, W) images from half spectra, with ``shape`` = (H, W)."""
+    return scipy.fft.irfft2(spectra, s=shape)
+
+
+def _mirror_columns(half: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Half-grid values at (-u, -v) for the full-grid columns v = W//2+1 .. W-1, in that order."""
+    return half[..., -np.arange(h) % h, (w - 1) // 2 : 0 : -1]
+
+
 def dft2(image) -> np.ndarray:
-    """Forward unnormalized 2D DFT applied per channel."""
-    return np.fft.fft2(_as_image(image), axes=(-2, -1))
+    """Forward unnormalized 2D DFT applied per channel.
+
+    The columns past W/2 are the conjugate mirrors X[-u, -v] of the real
+    input's half spectrum.
+    """
+    x = _as_image(image)
+    h, w = x.shape[1:]
+    half = rfft2(x)
+    full = np.empty(x.shape, dtype=np.complex128)
+    full[..., : w // 2 + 1] = half
+    full[..., w // 2 + 1 :] = np.conj(_mirror_columns(half, h, w))
+    return full
 
 
 def idft2_real(spectrum) -> np.ndarray:
     """Inverse 2D DFT per channel, keeping the real component.
 
-    Any imaginary residue from a non-Hermitian spectrum is discarded, not
-    symmetrized away.
+    Any imaginary residue from a non-Hermitian spectrum is discarded. The
+    real part of the inverse DFT of X is the inverse DFT of X's Hermitian
+    part (X[u, v] + conj(X[-u, -v])) / 2, which runs on the half grid.
     """
-    return np.fft.ifft2(_as_spectrum(spectrum), axes=(-2, -1)).real
+    s = _as_spectrum(spectrum)
+    h, w = s.shape[1:]
+    cols = np.arange(w // 2 + 1)
+    mirror = s[:, -np.arange(h)[:, None] % h, -cols % w]
+    return irfft2((s[..., cols] + np.conj(mirror)) / 2, (h, w))
 
 
 def decompose(spectrum) -> FourierDecomposition:
@@ -165,7 +199,7 @@ def psd(images: Sequence) -> PsdMap:
     """
     stack = image_stack(images, "psd input")
     n, _, h, w = stack.shape
-    spectra = np.fft.rfft2(stack, axes=(-2, -1))
+    spectra = rfft2(stack)
     # Channel mean first, then image mean, so repeated identical images
     # average bit-identically.
     per_image = np.mean(spectra.real**2 + spectra.imag**2, axis=1) / (h * w)
@@ -174,5 +208,5 @@ def psd(images: Sequence) -> PsdMap:
     rows, cols = half_grid_mirrors(h, w)
     power[h - rows, cols] = power[rows, cols]
     # The remaining columns are the mirrors (-u, -v) of half-grid bins.
-    power[:, w // 2 + 1 :] = power[-np.arange(h) % h, (w - 1) // 2 : 0 : -1]
+    power[:, w // 2 + 1 :] = _mirror_columns(power, h, w)
     return PsdMap(power=power, source_count=n)

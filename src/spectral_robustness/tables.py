@@ -27,7 +27,7 @@ import itertools
 
 import numpy as np
 
-from .errors import TraceParseError
+from .errors import InvalidInputError, TraceParseError
 from .path_metrics import ROW_SUM_TOLERANCE, MetricSummary, PathMetrics, PredictionTrace
 from .regression import AccuracyRecord, MetricRecord, ProbitRegression
 
@@ -43,6 +43,11 @@ LABEL_COLUMNS = ("index", "label")
 ACCURACY_COLUMNS = ("model_id", "group", "dataset_id", "correct", "total")
 METRIC_COLUMNS = ("model_id", "metric_name", "value", "value_kind")
 PATH_METRIC_COLUMNS = ("path_id", "hff", "cd")
+# A path-metrics CSV ends in footer rows ``__hff_threshold_k__`` and then
+# ``__<field>__`` for each summary field; ``_FOOTER_KEYS`` maps each footer
+# ``path_id`` to its key in ``read_path_metrics``' footer dict.
+_SUMMARY_FIELDS = ("mean", "sample_std", "n", "ci95_low", "ci95_high")
+_FOOTER_KEYS = {f"__{name}__": name for name in ("hff_threshold_k",) + _SUMMARY_FIELDS}
 FIT_COLUMNS = (
     "group", "n_models", "slope", "intercept", "r2", "status", "x_spec", "x_transform", "ood_dataset",
 )
@@ -409,10 +414,17 @@ def write_path_metrics(
     cd_summary: MetricSummary,
     threshold_k: int,
 ) -> None:
-    """Per-path hff/cd rows followed by ``__``-prefixed summary footer rows."""
+    """Per-path hff/cd rows followed by ``__``-prefixed summary footer rows.
+
+    A ``path_id`` equal to a footer row's name raises InvalidInputError
+    before the file is opened.
+    """
+    for m in metrics:
+        if m.path_id in _FOOTER_KEYS:
+            raise InvalidInputError(f"path_id {m.path_id!r} is reserved for a summary footer row")
     rows = [[m.path_id, m.hff, m.cd] for m in metrics]
     rows.append(["__hff_threshold_k__", threshold_k, ""])
-    for name in ("mean", "sample_std", "n", "ci95_low", "ci95_high"):
+    for name in _SUMMARY_FIELDS:
         rows.append([f"__{name}__", getattr(hff_summary, name), getattr(cd_summary, name)])
     write_rows(path, PATH_METRIC_COLUMNS, rows)
 
@@ -420,15 +432,17 @@ def write_path_metrics(
 def read_path_metrics(path) -> tuple[list[PathMetrics], dict[str, tuple[str, str]]]:
     """Read back a path-metrics CSV; returns (per-path rows, footer values).
 
-    A repeated ``path_id``, footer names included, raises TraceParseError.
+    Only the footer names ``write_path_metrics`` writes are footer rows; any
+    other ``path_id``, ``__``-prefixed or not, is a path. A repeated
+    ``path_id``, footer names included, raises TraceParseError.
     """
     per_path = []
     footer: dict[str, tuple[str, str]] = {}
     seen: dict[str, int] = {}
     for line_no, (path_id, hff, cd) in _rows(path, PATH_METRIC_COLUMNS):
         _reject_duplicate(seen, path_id, path, line_no, "path_id")
-        if path_id.startswith("__"):
-            footer[path_id.strip("_")] = (hff, cd)
+        if path_id in _FOOTER_KEYS:
+            footer[_FOOTER_KEYS[path_id]] = (hff, cd)
             continue
         try:
             per_path.append(PathMetrics(path_id, float(hff), int(cd)))

@@ -417,6 +417,25 @@ class TestReportCommand:
         assert text.startswith("# Robustness metrics report")
         assert "| HFF |" in text
 
+    def test_underscored_path_id_counts_as_a_path(self, tmp_path):
+        raw = np.full((20, 2), 0.5)
+        tr_path = tmp_path / "traces.csv"
+        write_traces(tr_path, [PredictionTrace(raw, path_id=pid) for pid in ("__x__", "p")])
+        metrics_path = tmp_path / "metrics.csv"
+        assert main(["path-metrics", "--traces", str(tr_path), "--out", str(metrics_path)]) == 0
+        report = tmp_path / "report.md"
+        assert main(["report", "--metrics", str(metrics_path), "--out", str(report)]) == 0
+        assert "Paths analyzed: 2\n" in report.read_text()
+
+    def test_footer_name_as_path_id_fails_before_output(self, tmp_path, capsys):
+        tr_path = tmp_path / "traces.csv"
+        write_traces(tr_path, [PredictionTrace(np.full((20, 2), 0.5), path_id="__mean__")])
+        metrics_path = tmp_path / "metrics.csv"
+        rc = main(["path-metrics", "--traces", str(tr_path), "--out", str(metrics_path)])
+        assert rc == 2
+        assert "path_id '__mean__' is reserved for a summary footer row" in capsys.readouterr().err
+        assert not metrics_path.exists()
+
     @pytest.mark.parametrize(
         "row, key, first",
         [("__mean__,0.9,9", "'__mean__'", 4), ("p0,0.9,9", "'p0'", 2)],

@@ -13,7 +13,13 @@ from spectral_robustness import (
     train_blob_mlp,
     vjp_linear_softmax,
 )
-from spectral_robustness.jacobian import _unit_rows, pack_mlp_weights, softmax, unpack_mlp_weights
+from spectral_robustness.jacobian import (
+    _sign_bits,
+    _unit_rows,
+    pack_mlp_weights,
+    softmax,
+    unpack_mlp_weights,
+)
 
 
 def random_linear(seed, k=10, d=50, target="logits"):
@@ -95,6 +101,33 @@ class VjpOnlyMlp(Predictor):
 
     def vjp(self, x, v):
         return self.mlp.vjp(x, v)
+
+
+def sign_directions(rng, n, image_shape):
+    """The estimator's finite-difference directions s / sqrt(D), s in {-1, +1}^D, as images."""
+    d = int(np.prod(image_shape))
+    return ((1.0 - 2.0 * _sign_bits(rng, n, d)) / np.sqrt(d)).reshape((n,) + tuple(image_shape))
+
+
+def mlp_coverage_hits(n_classes, black_box, reps=100):
+    """How many of ``reps`` seeds give a CI covering a blob MLP's exact batch norm.
+
+    The exact norm comes from VJPs on the K basis vectors; the pooled CI
+    treats a sample's projections as i.i.d. although they share J(x), and
+    must still cover this fixed-batch target. ``black_box`` wraps the MLP in
+    a CallablePredictor, so the estimate takes finite differences.
+    """
+    mlp, images, _ = train_blob_mlp((1, 8, 8), n_classes=n_classes, seed=0)
+    batch = images[::n_classes]
+    basis = np.eye(n_classes)
+    exact = np.sqrt(np.mean([sum(np.sum(mlp.vjp(x, e) ** 2) for e in basis) for x in batch]))
+    predictor = CallablePredictor(mlp.predict, n_classes, (1, 8, 8)) if black_box else mlp
+    hits = 0
+    for rep in range(reps):
+        est = estimate_jacobian_norm(predictor, batch, JacobianConfig(10, 100, seed=2000 + rep))
+        assert est.method == ("fd" if black_box else "vjp")
+        hits += est.ci95_low <= exact <= est.ci95_high
+    return hits
 
 
 class TestSqVjpNorms:
@@ -234,12 +267,38 @@ class TestEstimateJacobianNorm:
         est = estimate_jacobian_norm(predictor, batch, JacobianConfig(5, 7, seed=42, fd_eps=1e-3))
         per_direction = []
         for s, x in enumerate(batch):
-            rng = np.random.default_rng([42, s])
-            for u in _unit_rows(rng, 5, 12):
-                ju = fd_directional_derivative(predictor, x, u.reshape(x.shape), eps=1e-3)
+            for u in sign_directions(np.random.default_rng([42, s]), 5, x.shape):
+                ju = fd_directional_derivative(predictor, x, u, eps=1e-3)
                 per_direction.append(12 * np.sum(ju * ju))
         assert est.method == "fd"
         assert est.frobenius_norm == pytest.approx(np.sqrt(np.mean(per_direction)), rel=1e-9)
+
+    def test_sign_directions_are_uniform_signs(self):
+        bits = _sign_bits(np.random.default_rng(45), 40, 1000)
+        assert bits.shape == (40, 1000)
+        assert set(np.unique(bits)) == {0, 1}
+        # 40,000 fair bits: the count of ones is within 5 standard deviations of 20,000.
+        assert abs(int(bits.sum()) - 20000) < 5 * 100
+        # Rows come from consecutive bits of one stream, with no reuse across rows.
+        again = _sign_bits(np.random.default_rng(45), 80, 500).reshape(40, 1000)
+        assert np.array_equal(bits, again)
+
+    def test_fd_batches_are_fresh_and_hold_the_perturbations(self):
+        mlp = random_mlp(46, hidden=5, d=12, k=3)
+        kept = []
+
+        def fn(batch):
+            kept.append(batch)
+            return mlp.predict(batch)
+
+        predictor = CallablePredictor(fn, 3, (1, 3, 4))
+        batch = np.random.default_rng(47).normal(size=(4, 1, 3, 4))
+        eps = 1e-3
+        estimate_jacobian_norm(predictor, batch, JacobianConfig(3, 4, seed=48, fd_eps=eps))
+        assert len(kept) == 4
+        for s, (x, seen) in enumerate(zip(batch, kept)):
+            us = sign_directions(np.random.default_rng([48, s]), 3, x.shape)
+            assert np.array_equal(seen, np.concatenate([x + eps * us, x - eps * us]))
 
     def test_fd_makes_one_predict_call_per_sample(self):
         w = np.random.default_rng(43).normal(size=(3, 16))
@@ -279,18 +338,11 @@ class TestEstimateJacobianNorm:
 
     @pytest.mark.parametrize("n_classes", [2, 4])
     def test_ci_coverage_on_nonlinear_mlp(self, n_classes):
-        # The exact batch norm comes from VJPs on the K basis vectors; the
-        # pooled CI treats a sample's projections as i.i.d. although they
-        # share J(x), and must still cover this fixed-batch target.
-        predictor, images, _ = train_blob_mlp((1, 8, 8), n_classes=n_classes, seed=0)
-        batch = images[::n_classes]
-        basis = np.eye(n_classes)
-        exact = np.sqrt(np.mean([sum(np.sum(predictor.vjp(x, e) ** 2) for e in basis) for x in batch]))
-        hits = 0
-        for rep in range(100):
-            est = estimate_jacobian_norm(predictor, batch, JacobianConfig(10, 100, seed=2000 + rep))
-            hits += est.ci95_low <= exact <= est.ci95_high
-        assert hits >= 88
+        assert mlp_coverage_hits(n_classes, black_box=False) >= 88
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_fd_ci_coverage_on_nonlinear_mlp(self, n_classes):
+        assert mlp_coverage_hits(n_classes, black_box=True) >= 88
 
     def test_batch_size_mismatch_rejected(self):
         predictor = random_linear(15, k=2, d=4)

@@ -12,6 +12,7 @@ from spectral_robustness import (
     sample_path_specs,
     wrap_angle,
 )
+from spectral_robustness import spectral
 
 
 def random_pair(shape, seed):
@@ -181,6 +182,28 @@ class TestPhasePath:
             expected[ch] = np.fft.ifft2(np.abs(s0) * np.exp(1j * phase)).real
         scale = max(np.abs(x0).max(), np.abs(x1).max())
         assert np.abs(path.images[ORACLE_STEP] - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "antipodal"])
+    @pytest.mark.parametrize("rho", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("shape", [(3, 32, 32), (1, 7, 9), (2, 6, 6)], ids=shape_id)
+    def test_equals_full_grid_rotation(self, shape, rho, ties):
+        # Rotating every half-grid bin by exp(i lambda delta), delta = 0 off
+        # the moved bins, is the same arithmetic on the same FFT backend.
+        x0, x1 = antipodal_pair(shape, 16) if ties else random_pair(shape, 16)
+        t = 11
+        h, w = shape[1:]
+        s0, s1 = spectral.rfft2(x0), spectral.rfft2(x1)
+        mask = oracle_mask(h, w, rho)[:, : w // 2 + 1]
+        for i in [0] + ([h // 2] if h % 2 == 0 else []):
+            for j in [0] + ([w // 2] if w % 2 == 0 else []):
+                mask[i, j] = False  # self-conjugate
+        p0 = decompose(s0).phase
+        delta = np.where(mask, wrap_angle(decompose(s1).phase - p0), 0.0)
+        rows, cols = spectral.half_grid_mirrors(h, w)
+        delta[:, h - rows, cols] = -delta[:, rows, cols]
+        lambdas = np.arange(t) / (t - 1)
+        expected = spectral.irfft2(s0 * np.exp(1j * lambdas[:, None, None, None] * delta), (h, w))
+        assert np.array_equal(phase_path(x0, x1, rho=rho, t=t).images, expected)
 
     def test_masked_phase_moves_toward_target(self):
         x0, x1 = cifar_pair(7)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spectral_robustness import (
     AccuracyRecord,
+    InvalidInputError,
     MetricRecord,
     PredictionTrace,
     TraceParseError,
@@ -423,6 +424,29 @@ class TestPathMetricsTable:
         assert footer["hff_threshold_k"][0] == "4"
         assert float(footer["mean"][0]) == hff_summary.mean
         assert float(footer["ci95_high"][1]) == cd_summary.ci95_high
+
+    def test_underscored_path_id_is_a_path(self, tmp_path):
+        traces = [PredictionTrace(np.full((5, 2), 0.5), path_id=pid) for pid in ("__x__", "p")]
+        per_path = compute_path_metrics(traces, threshold_k=2)
+        s = summarize_gaussian([m.hff for m in per_path])
+        c = summarize_gaussian([m.cd for m in per_path])
+        out = tmp_path / "metrics.csv"
+        write_path_metrics(out, per_path, s, c, 2)
+        rows, footer = read_path_metrics(out)
+        assert rows == per_path
+        assert sorted(footer) == ["ci95_high", "ci95_low", "hff_threshold_k", "mean", "n", "sample_std"]
+
+    @pytest.mark.parametrize(
+        "path_id",
+        ["__hff_threshold_k__", "__mean__", "__sample_std__", "__n__", "__ci95_low__", "__ci95_high__"],
+    )
+    def test_footer_name_as_path_id_rejected_before_writing(self, tmp_path, path_id):
+        per_path = compute_path_metrics([PredictionTrace(np.full((5, 2), 0.5), path_id=path_id)], 2)
+        s = summarize_gaussian([m.hff for m in per_path])
+        out = tmp_path / "metrics.csv"
+        with pytest.raises(InvalidInputError, match=f"path_id '{path_id}' is reserved"):
+            write_path_metrics(out, per_path, s, s, 2)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "body, key, first",
