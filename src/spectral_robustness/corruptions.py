@@ -87,7 +87,10 @@ def _corrupt(images, spec: CorruptionSpec, seed_of: Callable[[int], int], name: 
 
     if kind == "contrast":
         mean_c = stack.mean(axis=(2, 3), keepdims=True)
-        return mean_c + param * (stack - mean_c)
+        out = stack - mean_c
+        out *= param
+        out += mean_c
+        return out
 
     if kind == "gaussian_noise":
         noise = np.empty_like(stack)
@@ -96,16 +99,13 @@ def _corrupt(images, spec: CorruptionSpec, seed_of: Callable[[int], int], name: 
         return np.add(stack, noise, out=noise)
 
     if kind == "impulse_noise":
-        flip = np.empty(stack.shape, dtype=bool)
-        salt = np.empty(stack.shape, dtype=bool)
-        for i in range(n):
+        out = stack.copy()
+        u = np.empty((2, c, h, w))
+        for i, image in enumerate(out):
             # One draw of both fields equals drawing flip's, then salt's.
-            u = np.random.default_rng([seed_of(i), 1]).random((2, c, h, w))
-            np.less(u[0], param, out=flip[i])
-            np.less(u[1], 0.5, out=salt[i])
-        lo = stack.min(axis=(1, 2, 3), keepdims=True)
-        hi = stack.max(axis=(1, 2, 3), keepdims=True)
-        return np.where(flip, np.where(salt, hi, lo), stack)
+            np.random.default_rng([seed_of(i), 1]).random(out=u)
+            np.copyto(image, np.where(u[1] < 0.5, image.max(), image.min()), where=u[0] < param)
+        return out
 
     if kind == "gaussian_blur":
         # scipy 'reflect' is symmetric edge padding, which keeps the image

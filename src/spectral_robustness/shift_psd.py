@@ -37,14 +37,19 @@ class BandFractions:
 
 
 def paired_shift_psd(originals: Sequence, corrupted: Sequence) -> PsdMap:
-    """PSD of per-pair difference images (corrupted_i - original_i)."""
+    """PSD of per-pair difference images (corrupted_i - original_i).
+
+    A difference beyond the float64 range raises InvalidInputError from ``psd``.
+    """
     orig = image_stack(originals, "originals")
     corr = image_stack(corrupted, "corrupted")
     if orig.shape != corr.shape:
         raise InvalidInputError(
             f"originals/corrupted shape mismatch: {orig.shape} vs {corr.shape}"
         )
-    return psd(corr - orig)
+    with np.errstate(over="ignore"):
+        diff = corr - orig
+    return psd(diff)
 
 
 def class_averaged_shift_psd(a: Mapping, b: Mapping) -> PsdMap:

@@ -166,13 +166,8 @@ def half_grid_mirrors(h: int, w: int) -> tuple[np.ndarray, list[int]]:
     return np.arange(1, (h + 1) // 2)[:, None], [0] + ([w // 2] if w % 2 == 0 else [])
 
 
-def image_stack(images, name: str) -> np.ndarray:
-    """Validate images and stack them into a float64 (N, C, H, W) array.
-
-    ``images`` is an (N, C, H, W) array or a sequence of (C, H, W) images of
-    one shape. Empty input, mixed shapes, an empty axis and non-finite values
-    raise InvalidInputError naming ``name``.
-    """
+def _stack(images, name: str) -> np.ndarray:
+    """``image_stack`` without its finiteness scan."""
     if isinstance(images, np.ndarray) and images.ndim == 4:
         stack = np.asarray(images, dtype=np.float64)
     else:
@@ -185,6 +180,17 @@ def image_stack(images, name: str) -> np.ndarray:
         stack = np.stack(items)
     if stack.ndim != 4 or 0 in stack.shape:
         raise InvalidInputError(f"{name} must be a nonempty (N, C, H, W) stack, got {stack.shape}")
+    return stack
+
+
+def image_stack(images, name: str) -> np.ndarray:
+    """Validate images and stack them into a float64 (N, C, H, W) array.
+
+    ``images`` is an (N, C, H, W) array or a sequence of (C, H, W) images of
+    one shape. Empty input, mixed shapes, an empty axis and non-finite values
+    raise InvalidInputError naming ``name``.
+    """
+    stack = _stack(images, name)
     if not np.all(np.isfinite(stack)):
         raise InvalidInputError(f"{name} contains non-finite values")
     return stack
@@ -196,15 +202,27 @@ def psd(images: Sequence) -> PsdMap:
     The normalization makes unit-variance white noise flat at expected power 1.
     The power is computed on the real half-spectrum and mirrored through
     P[u, v] = P[-u, -v], so the map is exactly point-symmetric.
+
+    Non-finite input and power beyond the float64 range raise
+    InvalidInputError. Finiteness is checked on the map, not the input: the
+    DC bin sums every pixel, so a non-finite pixel always reaches the map.
     """
-    stack = image_stack(images, "psd input")
+    stack = _stack(images, "psd input")
     n, _, h, w = stack.shape
-    spectra = rfft2(stack)
-    # Channel mean first, then image mean, so repeated identical images
-    # average bit-identically.
-    per_image = np.mean(spectra.real**2 + spectra.imag**2, axis=1) / (h * w)
+    # The real and imaginary parts, interleaved, squared in place.
+    parts = rfft2(stack).view(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(parts, parts, out=parts)
+        # Channel mean first, then image mean, so repeated identical images
+        # average bit-identically.
+        per_image = np.mean(parts[..., 0::2] + parts[..., 1::2], axis=1) / (h * w)
+        half = np.mean(per_image, axis=0)
+    if not np.all(np.isfinite(half)):
+        if not np.all(np.isfinite(stack)):
+            raise InvalidInputError("psd input contains non-finite values")
+        raise InvalidInputError("psd power overflows float64: the input is too large")
     power = np.empty((h, w))
-    power[:, : w // 2 + 1] = np.mean(per_image, axis=0)
+    power[:, : w // 2 + 1] = half
     rows, cols = half_grid_mirrors(h, w)
     power[h - rows, cols] = power[rows, cols]
     # The remaining columns are the mirrors (-u, -v) of half-grid bins.

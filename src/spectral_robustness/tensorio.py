@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 
 import numpy as np
 
@@ -19,7 +20,10 @@ _HEADER_KEYS = ("dtype", "shape", "order", "byte_order")
 
 
 def write_tensor(path, data, shape=None) -> None:
-    """Write an array to the container format; fails before touching the file on mismatch."""
+    """Write an array to the container format; fails before touching the file on mismatch.
+
+    The file appears under ``path`` only once it is complete.
+    """
     arr = np.asarray(data)
     if shape is None:
         shape = list(arr.shape)
@@ -34,10 +38,21 @@ def write_tensor(path, data, shape=None) -> None:
         {"dtype": "f32", "shape": shape, "order": "row-major", "byte_order": "little"},
         separators=(",", ":"),
     )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload)
+    # Write a temp file beside the target and rename it into place, so an
+    # interrupted write never leaves a truncated file under the final name.
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(header.encode("utf-8"))
+            fh.write(b"\n")
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read_tensor(path) -> tuple[np.ndarray, list[int]]:

@@ -230,6 +230,23 @@ class TestGoldenCorruptions:
     def test_every_kind_covered(self):
         assert {kind for kind, _ in GOLDEN_PARAMS} == set(CORRUPTION_KINDS)
 
+    @pytest.mark.parametrize(
+        "kind,param",
+        [("contrast", 0.5), ("contrast", 1.7), ("impulse_noise", 0.05), ("impulse_noise", 0.6)],
+    )
+    @pytest.mark.parametrize("layout", ["F", "reversed", "transposed", "float32"])
+    def test_memory_layout_does_not_change_output(self, kind, param, layout):
+        stack = np.random.default_rng(33).normal(size=(5, 3, 9, 6)) * 2.0 + 0.5
+        stacks = {
+            "F": np.asfortranarray(stack),
+            "reversed": np.ascontiguousarray(stack[::-1, ::-1, ::-1, ::-1])[::-1, ::-1, ::-1, ::-1],
+            "transposed": np.ascontiguousarray(stack.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+            "float32": stack.astype(np.float32),
+        }
+        given = stacks[layout]
+        expected = reference_batch(given.astype(np.float64), kind, param, 29)
+        assert np.array_equal(corrupt_batch(given, CorruptionSpec(kind, param, seed=29)), expected)
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS[::2])

@@ -313,16 +313,56 @@ class TestEstimateJacobianNorm:
         estimate_jacobian_norm(predictor, batch, JacobianConfig(6, 9, seed=0))
         assert calls == [12] * 9
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_linear(50, k=10, d=48, target="logits"),
+            lambda: random_linear(51, k=10, d=48, target="probs"),
+            lambda: random_mlp(52, hidden=16, d=48, k=10, target="probs"),
+        ],
+        ids=["linear-logits", "linear-probs", "mlp-probs"],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_vjp_estimate_equals_per_sample_cotangent_loop(self, make, seed):
+        def unit_rows(rng, n, dim):
+            g = rng.standard_normal((n, dim))
+            norms = np.sqrt(np.sum(g * g, axis=1))
+            while not norms.all():
+                i = int(np.argmin(norms))
+                g[i] = rng.standard_normal(dim)
+                norms[i] = np.sqrt(np.sum(g[i] * g[i]))
+            return g / norms[:, None]
+
+        predictor = make()
+        batch = np.random.default_rng(53).normal(size=(40, 1, 1, 48))
+        vs = np.stack([unit_rows(np.random.default_rng([seed, s]), 10, 10) for s in range(40)])
+        estimates = (10 * predictor.sq_vjp_norms(batch, vs)).ravel()
+        mean = float(estimates.mean())
+        half = 1.96 * float(estimates.std(ddof=1)) / np.sqrt(estimates.size)
+        est = estimate_jacobian_norm(predictor, batch, JacobianConfig(10, 40, seed=seed))
+        assert est.method == "vjp"
+        assert est.frobenius_norm == float(np.sqrt(mean))
+        assert est.ci95_low == float(np.sqrt(max(mean - half, 0.0)))
+        assert est.ci95_high == float(np.sqrt(mean + half))
+
     def test_zero_direction_is_redrawn_from_the_same_stream(self):
         class Stream:
             def __init__(self, draws):
                 self.draws = list(draws)
 
-            def standard_normal(self, shape):
-                return np.array(self.draws.pop(0), dtype=np.float64).reshape(shape)
+            def standard_normal(self, size=None, out=None):
+                draw = np.array(self.draws.pop(0), dtype=np.float64)
+                if out is None:
+                    return draw.reshape(size)
+                out[...] = draw
+                return out
 
-        rows = _unit_rows(Stream([[[3.0, 4.0], [0.0, 0.0]], [0.0, 0.0], [0.0, -2.0]]), 2, 2)
-        assert np.array_equal(rows, [[0.6, 0.8], [0.0, -1.0]])
+        # The first stream has no draws left, so a redraw taken from it would raise.
+        first = Stream([[[-2.0, 0.0], [0.0, 5.0]]])
+        second = Stream([[[3.0, 4.0], [0.0, 0.0]], [0.0, 0.0], [0.0, -2.0]])
+        rows = _unit_rows([first, second], 2, 2)
+        assert np.array_equal(rows, [[[-1.0, 0.0], [0.0, 1.0]], [[0.6, 0.8], [0.0, -1.0]]])
+        assert second.draws == []
 
     def test_ci_coverage_smoke(self):
         predictor = random_linear(13, k=6, d=20)

@@ -65,6 +65,28 @@ class TestPairedShiftPsd:
         with pytest.raises(InvalidInputError):
             paired_shift_psd(a, a[:2])
 
+    @pytest.mark.parametrize("side", ["originals", "corrupted"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_named(self, side, bad):
+        rng = np.random.default_rng(7)
+        stacks = {name: rng.normal(size=(3, 3, 8, 8)) for name in ("originals", "corrupted")}
+        stacks[side][1, 1, 4, 5] = bad
+        with pytest.raises(InvalidInputError, match=f"^{side} contains non-finite values$"):
+            paired_shift_psd(stacks["originals"], stacks["corrupted"])
+
+    def test_overflowing_difference_power_rejected(self):
+        a = np.random.default_rng(8).normal(size=(3, 3, 8, 8))
+        b = a.copy()
+        b[1, 1, 4, 5] = 1e200
+        with pytest.raises(InvalidInputError, match="^psd power overflows"):
+            paired_shift_psd(a, b)
+
+    def test_difference_beyond_float64_rejected(self):
+        a = np.random.default_rng(9).normal(size=(3, 3, 8, 8))
+        a[1, 1, 4, 5] = 1e308
+        with pytest.raises(InvalidInputError, match="^psd input contains non-finite values$"):
+            paired_shift_psd(a, -a)
+
 
 class TestClassAveragedShiftPsd:
     def test_identical_groups_give_exact_zero(self):
@@ -108,6 +130,23 @@ class TestClassAveragedShiftPsd:
         imgs = np.zeros((2, 1, 8, 8))
         with pytest.raises(InvalidInputError):
             class_averaged_shift_psd({0: imgs}, {1: imgs})
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_named(self, side, bad):
+        rng = np.random.default_rng(10)
+        groups = {g: {k: rng.normal(size=(3, 3, 8, 8)) for k in range(3)} for g in "ab"}
+        groups[side][1][1, 1, 4, 5] = bad
+        with pytest.raises(InvalidInputError, match=rf"^{side}\[1\] contains non-finite values$"):
+            class_averaged_shift_psd(groups["a"], groups["b"])
+
+    def test_overflowing_power_rejected(self):
+        rng = np.random.default_rng(11)
+        a = {k: rng.normal(size=(3, 3, 8, 8)) for k in range(3)}
+        b = {k: v.copy() for k, v in a.items()}
+        b[1][1, 1, 4, 5] = 1e200
+        with pytest.raises(InvalidInputError, match="^psd power overflows"):
+            class_averaged_shift_psd(a, b)
 
 
 class TestRadialProfile:

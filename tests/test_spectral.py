@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from spectral_robustness import (
     InvalidInputError,
@@ -252,3 +253,48 @@ class TestPsdHalfSpectrum:
         h, w = power.shape
         mirror = power[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
         assert np.array_equal(power, mirror)
+
+
+def memory_layouts(stack):
+    """The same values in C order, Fortran order, reversed strides, channels-last and float32."""
+    return {
+        "C": np.ascontiguousarray(stack),
+        "F": np.asfortranarray(stack),
+        "reversed": np.ascontiguousarray(stack[::-1, ::-1, ::-1, ::-1])[::-1, ::-1, ::-1, ::-1],
+        "transposed": np.ascontiguousarray(stack.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+        "float32": stack.astype(np.float32),
+    }
+
+
+class TestPsdLayoutsAndFiniteness:
+    @pytest.mark.parametrize("shape", [(400, 3, 32, 32), (5, 1, 7, 9), (4, 3, 9, 6), (3, 2, 2, 2)])
+    @pytest.mark.parametrize("layout", ["C", "F", "reversed", "transposed", "float32"])
+    def test_half_map_equals_inline_formula(self, shape, layout):
+        stack = memory_layouts(np.random.default_rng(21).normal(size=shape) * 2.0 + 0.3)[layout]
+        h, w = shape[-2:]
+        spectra = scipy.fft.rfft2(np.asarray(stack, dtype=np.float64))
+        per_image = np.mean(spectra.real**2 + spectra.imag**2, axis=1) / (h * w)
+        # Columns 0 and W/2 hold each bin and its mirror; psd copies rows
+        # below H/2 there from their mirrors, so those bins are compared by
+        # the point-symmetry test instead.
+        computed = np.ones((h, w // 2 + 1), dtype=bool)
+        computed[h // 2 + 1 :, [0] + ([w // 2] if w % 2 == 0 else [])] = False
+        power = psd(stack).power[:, : w // 2 + 1]
+        assert np.array_equal(power[computed], np.mean(per_image, axis=0)[computed])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, bad):
+        stack = np.random.default_rng(22).normal(size=(3, 3, 8, 8))
+        stack[1, 1, 4, 5] = bad
+        with pytest.raises(InvalidInputError, match="^psd input contains non-finite values$"):
+            psd(stack)
+
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_overflowing_power_rejected(self, fill):
+        if fill:
+            stack = np.full((2, 1, 4, 4), 1e200)
+        else:
+            stack = np.random.default_rng(23).normal(size=(3, 3, 8, 8))
+            stack[1, 1, 4, 5] = 1e200
+        with pytest.raises(InvalidInputError, match="^psd power overflows"):
+            psd(stack)

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from spectral_robustness import TensorFormatError
+from spectral_robustness import TensorFormatError, tensorio
 from spectral_robustness.tensorio import read_tensor, write_tensor
 
 
@@ -33,6 +35,37 @@ class TestWrite:
         with pytest.raises(TensorFormatError):
             write_tensor(out, np.zeros(5), shape=[2, 2])
         assert not out.exists()
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "x.tnsr"
+        write_tensor(out, np.arange(6.0).reshape(2, 3))
+        before = out.read_bytes()
+
+        class FullDisk:
+            """Writes the header, then half of the payload, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if len(data) == 4 * 16:
+                    self.fh.write(data[:32])
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        real_open = open
+        monkeypatch.setattr(tensorio, "open", lambda *a: FullDisk(real_open(*a)), raising=False)
+        for name in ("x.tnsr", "new.tnsr"):
+            with pytest.raises(OSError, match="disk full"):
+                write_tensor(tmp_path / name, np.ones((4, 4)))
+        assert os.listdir(tmp_path) == ["x.tnsr"]
+        assert out.read_bytes() == before
 
 
 class TestRead:
