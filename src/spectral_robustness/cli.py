@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=jacobian.DEFAULT_BATCH_SIZE)
     p.add_argument("--target", default="probs", choices=["probs", "logits"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=jacobian.DEFAULT_FD_EPS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_jacobian)
 
@@ -238,9 +237,7 @@ def cmd_jacobian(args) -> int:
         raise InvalidInputError(
             f"need at least {args.batch} images for batch size {args.batch}, got {len(images)}"
         )
-    config = jacobian.JacobianConfig(
-        n_proj=args.nproj, batch_size=args.batch, seed=args.seed, fd_eps=args.eps
-    )
+    config = jacobian.JacobianConfig(n_proj=args.nproj, batch_size=args.batch, seed=args.seed)
     estimate = jacobian.estimate_jacobian_norm(predictor, images[: args.batch], config)
 
     header = ["frobenius_norm", "ci95_low", "ci95_high", "n_estimates", "n_proj", "batch_size",

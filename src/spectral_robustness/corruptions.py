@@ -32,7 +32,6 @@ CORRUPTION_KINDS = (
     "gaussian_blur",
     "pixelate",
 )
-STOCHASTIC_KINDS = ("gaussian_noise", "impulse_noise")
 
 
 @dataclass

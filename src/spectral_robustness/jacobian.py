@@ -6,15 +6,16 @@ per-projection estimates over a batch and taking a square root gives the
 reported norm, with a Gaussian 95% CI built on the squared-norm estimates
 (treated as i.i.d.) and mapped through sqrt.
 
-Predictors with an analytic vector-Jacobian product return all B x n_proj
-squared norms from one ``sq_vjp_norms(batch, vs)`` call, with cotangents v
-uniform on the unit K-sphere. Predictors without one fall back to central
-finite differences along random input-space sign directions u = s / sqrt(D),
-s uniform on {-1, +1}^D, using the dual identity E_u[D * ||J u||^2] =
-||J||_F^2 (Hutchinson's estimator), with one ``predict`` call per sample
-holding all of its 2 * n_proj perturbations. Sign directions take one random
-bit per pixel. The K-dimensional cotangents stay on the sphere: at K = 2 with
-softmax outputs, sign cotangents would double each projection's variance.
+A predictor with an analytic Jacobian overrides ``sq_vjp_norms(batch, vs)``,
+the one VJP entry point, and sets ``has_vjp = True``: one call returns all
+B x n_proj squared norms, for cotangents v uniform on the unit K-sphere.
+Others fall back to central finite differences, step ``DEFAULT_FD_EPS``, along
+sign directions u = s / sqrt(D), s uniform on {-1, +1}^D (one random bit per
+pixel), by the dual identity E_u[D * ||J u||^2] = ||J||_F^2 (Hutchinson's
+estimator), with one ``predict`` call per sample holding all of its
+2 * n_proj perturbations. The K-dimensional cotangents stay on the sphere: at
+K = 2 with softmax outputs, sign cotangents would double each projection's
+variance.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .path_metrics import summarize_gaussian
+from .spectral import image_stack
 from .synthetic import make_blobs
 
 DEFAULT_N_PROJ = 10
@@ -36,13 +39,10 @@ class JacobianConfig:
     n_proj: int = DEFAULT_N_PROJ
     batch_size: int = DEFAULT_BATCH_SIZE
     seed: int = 0
-    fd_eps: float = DEFAULT_FD_EPS
 
     def __post_init__(self):
         if self.n_proj < 1 or self.batch_size < 1:
             raise InvalidInputError("n_proj and batch_size must be >= 1")
-        if self.fd_eps <= 0:
-            raise InvalidInputError("fd_eps must be > 0")
 
 
 @dataclass
@@ -64,10 +64,9 @@ def softmax(z: np.ndarray) -> np.ndarray:
 class Predictor:
     """Maps an (N, C, H, W) image batch to an (N, K) output matrix.
 
-    ``target`` says whether outputs are logits or softmax probabilities.
-    Subclasses with an analytic VJP override ``vjp`` and report
-    ``has_vjp = True``; they may also override ``sq_vjp_norms`` with a batched
-    closed form. Others are handled by finite differences.
+    ``target`` says whether outputs are logits or softmax probabilities. A
+    predictor with an analytic Jacobian overrides ``sq_vjp_norms`` and sets
+    ``has_vjp = True``; others are handled by finite differences on ``predict``.
     """
 
     target = "probs"
@@ -77,20 +76,9 @@ class Predictor:
     def predict(self, batch: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def vjp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError("this predictor has no analytic VJP")
-
     def sq_vjp_norms(self, batch: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """(B, P) squared norms ||J(x_s)^T v_{s,j}||^2 for a (B, ...) batch and (B, P, K) ``vs``.
-
-        This default loops over ``vjp``.
-        """
-        out = np.empty(np.shape(vs)[:2])
-        for s, x in enumerate(batch):
-            for j, v in enumerate(vs[s]):
-                grad = self.vjp(x, v)
-                out[s, j] = np.sum(grad * grad)
-        return out
+        """(B, P) squared norms ||J(x_s)^T v_{s,j}||^2 for a (B, ...) batch and (B, P, K) ``vs``."""
+        raise NotImplementedError("this predictor has no analytic VJP")
 
 
 def _check_target(target: str) -> str:
@@ -117,6 +105,46 @@ def _sq_row_norms(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sum(y * y, axis=-1)
 
 
+class _FirstLayerPredictor(Predictor):
+    """A built-in predictor whose first layer multiplies flattened images by ``first_weights``.
+
+    Subclasses supply the forward pass ``_forward(flat) -> (state, logits)``
+    and ``_pullback(state, g)``, which takes (B, P, K) cotangents at the
+    logits back to the first layer's outputs; the input gradient is then
+    that cotangent times ``first_weights``.
+    """
+
+    has_vjp = True
+
+    def __init__(self, first_weights: np.ndarray, n_outputs: int, image_shape, target: str):
+        d = first_weights.shape[1]
+        self.image_shape = image_shape if image_shape is not None else (1, 1, d)
+        if int(np.prod(self.image_shape)) != d:
+            raise InvalidInputError(f"image_shape {self.image_shape} does not flatten to D={d}")
+        self._first_weights = first_weights
+        self.target = _check_target(target)
+        self.n_outputs = n_outputs
+
+    def predict(self, batch: np.ndarray) -> np.ndarray:
+        _, z = self._forward(np.asarray(batch, dtype=np.float64).reshape(len(batch), -1))
+        return softmax(z) if self.target == "probs" else z
+
+    def _first_layer_cotangents(self, batch, vs) -> np.ndarray:
+        state, z = self._forward(np.asarray(batch, dtype=np.float64).reshape(len(batch), -1))
+        vs = np.asarray(vs, dtype=np.float64)
+        if self.target == "probs":
+            vs = _probs_cotangents(softmax(z), vs)
+        return self._pullback(state, vs)
+
+    def vjp(self, x, v) -> np.ndarray:
+        """J(x)^T v as an image, for one image ``x`` and one K-vector ``v``."""
+        g = self._first_layer_cotangents(np.asarray(x)[None], np.asarray(v)[None, None])
+        return (g[0, 0] @ self._first_weights).reshape(self.image_shape)
+
+    def sq_vjp_norms(self, batch, vs):
+        return _sq_row_norms(self._first_layer_cotangents(batch, vs), self._first_weights)
+
+
 def vjp_linear_softmax(weights, bias, x, v, target: str = "probs") -> np.ndarray:
     """VJP of a linear predictor: W^T v for logits, W^T (diag(p) - p p^T) v for probs."""
     weights = np.asarray(weights, dtype=np.float64)
@@ -128,51 +156,31 @@ def vjp_linear_softmax(weights, bias, x, v, target: str = "probs") -> np.ndarray
         raise InvalidInputError(
             f"inconsistent shapes: W {weights.shape}, b {bias.shape}, x {x.shape}, v {v.shape}"
         )
-    if _check_target(target) == "logits":
-        return weights.T @ v
-    p = softmax(weights @ x + bias)
-    return weights.T @ (p * v - p * (p @ v))
+    return LinearPredictor(weights, bias, target=target).vjp(x, v).ravel()
 
 
-class LinearPredictor(Predictor):
+class LinearPredictor(_FirstLayerPredictor):
     """f(x) = W x + b on flattened images, optionally through a softmax head."""
-
-    has_vjp = True
 
     def __init__(self, weights, bias=None, image_shape=None, target: str = "probs"):
         self.weights = np.asarray(weights, dtype=np.float64)
         if self.weights.ndim != 2:
             raise InvalidInputError(f"weights must be (K, D), got {self.weights.shape}")
-        k, d = self.weights.shape
+        k = len(self.weights)
         self.bias = np.zeros(k) if bias is None else np.asarray(bias, dtype=np.float64)
         if self.bias.shape != (k,):
             raise InvalidInputError(f"bias must have shape ({k},), got {self.bias.shape}")
-        self.image_shape = image_shape if image_shape is not None else (1, 1, d)
-        if int(np.prod(self.image_shape)) != d:
-            raise InvalidInputError(f"image_shape {self.image_shape} does not flatten to D={d}")
-        self.target = _check_target(target)
-        self.n_outputs = k
+        super().__init__(self.weights, k, image_shape, target)
 
-    def predict(self, batch: np.ndarray) -> np.ndarray:
-        flat = np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
-        z = flat @ self.weights.T + self.bias
-        return softmax(z) if self.target == "probs" else z
+    def _forward(self, flat):
+        return None, flat @ self.weights.T + self.bias
 
-    def vjp(self, x, v):
-        out = vjp_linear_softmax(self.weights, self.bias, np.ravel(x), v, self.target)
-        return out.reshape(self.image_shape)
-
-    def sq_vjp_norms(self, batch, vs):
-        vs = np.asarray(vs, dtype=np.float64)
-        if self.target == "probs":
-            vs = _probs_cotangents(self.predict(batch), vs)
-        return _sq_row_norms(vs, self.weights)
+    def _pullback(self, state, g):
+        return g
 
 
-class MlpPredictor(Predictor):
+class MlpPredictor(_FirstLayerPredictor):
     """One-hidden-layer network: softmax(W2 tanh(W1 x + b1) + b2)."""
-
-    has_vjp = True
 
     def __init__(self, w1, b1, w2, b2, image_shape=None, target: str = "probs"):
         self.w1 = np.asarray(w1, dtype=np.float64)
@@ -181,41 +189,19 @@ class MlpPredictor(Predictor):
         self.b2 = np.asarray(b2, dtype=np.float64)
         if self.w1.ndim != 2 or self.w2.ndim != 2:
             raise InvalidInputError("w1 and w2 must be matrices")
-        hidden, d = self.w1.shape
+        hidden = len(self.w1)
         k, hidden2 = self.w2.shape
         if hidden != hidden2 or self.b1.shape != (hidden,) or self.b2.shape != (k,):
             raise InvalidInputError("inconsistent MLP weight shapes")
-        self.image_shape = image_shape if image_shape is not None else (1, 1, d)
-        if int(np.prod(self.image_shape)) != d:
-            raise InvalidInputError(f"image_shape {self.image_shape} does not flatten to D={d}")
-        self.target = _check_target(target)
-        self.n_outputs = k
+        super().__init__(self.w1, k, image_shape, target)
 
-    def _forward(self, flat: np.ndarray):
+    def _forward(self, flat):
         h = np.tanh(flat @ self.w1.T + self.b1)
-        z = h @ self.w2.T + self.b2
-        return h, z
+        return h, h @ self.w2.T + self.b2
 
-    def predict(self, batch: np.ndarray) -> np.ndarray:
-        flat = np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
-        _, z = self._forward(flat)
-        return softmax(z) if self.target == "probs" else z
-
-    def _hidden_cotangents(self, batch, vs) -> np.ndarray:
-        """(B, P, hidden) cotangents at the pre-activations W1 x + b1 for (B, P, K) ``vs``."""
-        flat = np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
-        h, z = self._forward(flat)
-        vs = np.asarray(vs, dtype=np.float64)
-        if self.target == "probs":
-            vs = _probs_cotangents(softmax(z), vs)
-        return (vs @ self.w2) * (1.0 - h**2)[:, None, :]
-
-    def vjp(self, x, v):
-        gu = self._hidden_cotangents(np.asarray(x)[None], np.asarray(v)[None, None])
-        return (gu[0, 0] @ self.w1).reshape(self.image_shape)
-
-    def sq_vjp_norms(self, batch, vs):
-        return _sq_row_norms(self._hidden_cotangents(batch, vs), self.w1)
+    def _pullback(self, h, g):
+        """Cotangents at the pre-activations W1 x + b1."""
+        return (g @ self.w2) * (1.0 - h**2)[:, None, :]
 
 
 class CallablePredictor(Predictor):
@@ -299,9 +285,7 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
     2000-2399, it covered the exact norm in 373/400 (K=2) and 372/400 (K=4)
     runs by finite differences, and in 399/400 and 394/400 by VJP.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 4:
-        raise InvalidInputError(f"batch must be (B, C, H, W), got shape {batch.shape}")
+    batch = image_stack(batch, "batch")
     if len(batch) != config.batch_size:
         raise InvalidInputError(
             f"batch has {len(batch)} samples but config.batch_size is {config.batch_size}"
@@ -318,25 +302,20 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
         estimates = k * predictor.sq_vjp_norms(batch, vs)
     else:
         # eps * u_j = +-step exactly, with step = eps * (1 / sqrt(D)) rounded once.
-        step = config.fd_eps * (1.0 / np.sqrt(d))
+        step = DEFAULT_FD_EPS * (1.0 / np.sqrt(d))
         estimates = np.empty((config.batch_size, config.n_proj))
         for s, (x, rng) in enumerate(zip(batch, rngs)):
             bits = _sign_bits(rng, config.n_proj, d).reshape((config.n_proj,) + x.shape)
             steps = bits * (-2.0 * step)
             steps += step
-            ju = _central_differences(predictor, x, steps, config.fd_eps)
+            ju = _central_differences(predictor, x, steps, DEFAULT_FD_EPS)
             estimates[s] = d * np.sum(ju * ju, axis=1)
-    estimates = estimates.ravel()
-
-    n = estimates.size
-    mean = float(estimates.mean())
-    std = float(estimates.std(ddof=1)) if n > 1 else 0.0
-    half = 1.96 * std / np.sqrt(n)
+    s = summarize_gaussian(estimates.ravel())
     return JacobianEstimate(
-        frobenius_norm=float(np.sqrt(mean)),
-        ci95_low=float(np.sqrt(max(mean - half, 0.0))),
-        ci95_high=float(np.sqrt(mean + half)),
-        n_estimates=int(n),
+        frobenius_norm=float(np.sqrt(s.mean)),
+        ci95_low=float(np.sqrt(max(s.ci95_low, 0.0))),
+        ci95_high=float(np.sqrt(s.ci95_high)),
+        n_estimates=s.n,
         target=predictor.target,
         method=method,
     )
@@ -374,15 +353,10 @@ def unpack_mlp_weights(packed, image_shape=None, target: str = "probs") -> MlpPr
             f"packed MLP weights have {packed.size} values, expected {expected} "
             f"for D={d}, hidden={hidden}, K={k}"
         )
-    pos = 3
-    w1 = packed[pos : pos + hidden * d].reshape(hidden, d)
-    pos += hidden * d
-    b1 = packed[pos : pos + hidden]
-    pos += hidden
-    w2 = packed[pos : pos + k * hidden].reshape(k, hidden)
-    pos += k * hidden
-    b2 = packed[pos : pos + k]
-    return MlpPredictor(w1, b1, w2, b2, image_shape=image_shape, target=target)
+    w1, b1, w2, b2 = np.split(packed[3:], np.cumsum([hidden * d, hidden, k * hidden]))
+    return MlpPredictor(
+        w1.reshape(hidden, d), b1, w2.reshape(k, hidden), b2, image_shape=image_shape, target=target
+    )
 
 
 def fit_mlp(

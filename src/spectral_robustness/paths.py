@@ -20,12 +20,10 @@ PATH_MODES = ("amplitude", "phase", "pixel")
 CLASS_RELATIONS = ("within", "between", "unconstrained")
 
 # Paper-procedure defaults: 100 lambda steps per path; low-frequency cutoff 0.4
-# for CIFAR-scale amplitude and phase, 0.2 for large-image phase, 1.0 (all
-# frequencies) for large-image amplitude.
+# for CIFAR-scale amplitude and phase. The paper's large-image cutoffs (0.2 for
+# phase, 1.0 for amplitude) are passed explicitly.
 DEFAULT_STEPS = 100
 DEFAULT_CUTOFF = 0.4
-LARGE_IMAGE_PHASE_CUTOFF = 0.2
-LARGE_IMAGE_AMPLITUDE_CUTOFF = 1.0
 
 
 @dataclass

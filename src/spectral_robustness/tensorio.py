@@ -20,10 +20,13 @@ _HEADER_KEYS = ("dtype", "shape", "order", "byte_order")
 
 
 def write_tensor(path, data, shape=None) -> None:
-    """Write an array to the container format; fails before touching the file on mismatch.
+    """Write an array to the container format; fails before touching the file on bad data.
 
-    The file appears under ``path`` only once it is complete.
+    A shape mismatch or a finite value beyond the float32 range raises
+    TensorFormatError; NaN and +-inf are stored as they are. The file appears
+    under ``path`` only once it is complete.
     """
+    path = os.fspath(path)
     arr = np.asarray(data)
     if shape is None:
         shape = list(arr.shape)
@@ -33,14 +36,17 @@ def write_tensor(path, data, shape=None) -> None:
         raise TensorFormatError(
             f"data has {arr.size} values but shape {shape} needs {count}"
         )
-    payload = np.ascontiguousarray(arr.reshape(-1), dtype="<f4").tobytes()
+    try:
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(arr.reshape(-1), dtype="<f4").tobytes()
+    except FloatingPointError:
+        raise TensorFormatError(f"{path}: a finite value overflows float32") from None
     header = json.dumps(
         {"dtype": "f32", "shape": shape, "order": "row-major", "byte_order": "little"},
         separators=(",", ":"),
     )
     # Write a temp file beside the target and rename it into place, so an
     # interrupted write never leaves a truncated file under the final name.
-    path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
     fh = open(tmp, "xb")

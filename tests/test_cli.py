@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -188,6 +189,19 @@ class TestPsdShift:
         assert f"argument --band-edges: expected two numbers r1,r2, got '{edges}'" in err
         assert "missing" not in err
         assert not out.exists()
+
+    def test_shift_map_beyond_float32_fails_without_output(self, tmp_path, capsys):
+        # Inputs near 1e30 fit float32, but their power (about 1e60) does not.
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(4, 1, 8, 8)) * 1e30
+        write_tensor(tmp_path / "a.tnsr", a)
+        write_tensor(tmp_path / "b.tnsr", 2 * a)
+        out = tmp_path / "psd.tnsr"
+        rc = main(["psd-shift", "--mode", "paired", "--a", str(tmp_path / "a.tnsr"),
+                   "--b", str(tmp_path / "b.tnsr"), "--out", str(out)])
+        assert rc == 2
+        assert f"{out}: a finite value overflows float32" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["a.tnsr", "b.tnsr"]
 
 
 class TestPathMetricsCommand:

@@ -1,0 +1,45 @@
+"""Every module-level function, class and constant of the package is used.
+
+A name defined at module level in ``src/spectral_robustness/`` must appear
+as a whole word (a maximal run of word characters) somewhere besides its
+definition: in ``src/``, ``tests/``, ``perfbench/`` or README.md. Dead
+helpers fail here instead of lingering.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "spectral_robustness"
+
+
+def module_level_names(source: str) -> list[str]:
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def test_every_module_level_name_is_referenced():
+    searched = [
+        *sorted((ROOT / "src").rglob("*.py")),
+        *sorted((ROOT / "tests").rglob("*.py")),
+        *sorted(p for p in (ROOT / "perfbench").rglob("*") if p.suffix in (".py", ".md")),
+        ROOT / "README.md",
+    ]
+    words = Counter(re.findall(r"\w+", "\n".join(p.read_text(encoding="utf-8") for p in searched)))
+    defined = {
+        f"{module.stem}.{name}": name
+        for module in sorted(PACKAGE.glob("*.py"))
+        for name in module_level_names(module.read_text(encoding="utf-8"))
+    }
+    # A name defined in several modules needs more matches than it has definitions.
+    definitions = Counter(defined.values())
+    dead = [qualified for qualified, name in defined.items() if words[name] <= definitions[name]]
+    assert dead == []

@@ -14,6 +14,7 @@ from spectral_robustness import (
     vjp_linear_softmax,
 )
 from spectral_robustness.jacobian import (
+    DEFAULT_FD_EPS,
     _sign_bits,
     _unit_rows,
     pack_mlp_weights,
@@ -86,23 +87,6 @@ def random_mlp(seed, hidden=7, d=12, k=4, target="probs"):
     )
 
 
-class VjpOnlyMlp(Predictor):
-    """A third-party predictor that implements ``vjp`` but not ``sq_vjp_norms``."""
-
-    has_vjp = True
-
-    def __init__(self, mlp):
-        self.mlp = mlp
-        self.n_outputs = mlp.n_outputs
-        self.target = mlp.target
-
-    def predict(self, batch):
-        return self.mlp.predict(batch)
-
-    def vjp(self, x, v):
-        return self.mlp.vjp(x, v)
-
-
 def sign_directions(rng, n, image_shape):
     """The estimator's finite-difference directions s / sqrt(D), s in {-1, +1}^D, as images."""
     d = int(np.prod(image_shape))
@@ -138,9 +122,8 @@ class TestSqVjpNorms:
             lambda: random_linear(31, k=5, d=12, target="probs"),
             lambda: random_mlp(32, target="logits"),
             lambda: random_mlp(33, target="probs"),
-            lambda: VjpOnlyMlp(random_mlp(34, target="probs")),
         ],
-        ids=["linear-logits", "linear-probs", "mlp-logits", "mlp-probs", "vjp-only-subclass"],
+        ids=["linear-logits", "linear-probs", "mlp-logits", "mlp-probs"],
     )
     def test_matches_direct_vjp(self, make):
         predictor = make()
@@ -153,6 +136,14 @@ class TestSqVjpNorms:
         )
         assert got.shape == (6, 3)
         assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_base_predictor_has_no_vjp(self):
+        # sq_vjp_norms is the one VJP entry point; a predictor without it takes finite differences.
+        predictor = Predictor()
+        assert not predictor.has_vjp
+        assert not hasattr(predictor, "vjp")
+        with pytest.raises(NotImplementedError):
+            predictor.sq_vjp_norms(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2)))
 
 
 class TestFiniteDifference:
@@ -264,11 +255,11 @@ class TestEstimateJacobianNorm:
         mlp = random_mlp(40, hidden=6, d=12, k=3)
         predictor = CallablePredictor(mlp.predict, 3, (1, 3, 4))
         batch = np.random.default_rng(41).normal(size=(7, 1, 3, 4))
-        est = estimate_jacobian_norm(predictor, batch, JacobianConfig(5, 7, seed=42, fd_eps=1e-3))
+        est = estimate_jacobian_norm(predictor, batch, JacobianConfig(5, 7, seed=42))
         per_direction = []
         for s, x in enumerate(batch):
             for u in sign_directions(np.random.default_rng([42, s]), 5, x.shape):
-                ju = fd_directional_derivative(predictor, x, u, eps=1e-3)
+                ju = fd_directional_derivative(predictor, x, u, eps=DEFAULT_FD_EPS)
                 per_direction.append(12 * np.sum(ju * ju))
         assert est.method == "fd"
         assert est.frobenius_norm == pytest.approx(np.sqrt(np.mean(per_direction)), rel=1e-9)
@@ -293,8 +284,8 @@ class TestEstimateJacobianNorm:
 
         predictor = CallablePredictor(fn, 3, (1, 3, 4))
         batch = np.random.default_rng(47).normal(size=(4, 1, 3, 4))
-        eps = 1e-3
-        estimate_jacobian_norm(predictor, batch, JacobianConfig(3, 4, seed=48, fd_eps=eps))
+        eps = DEFAULT_FD_EPS
+        estimate_jacobian_norm(predictor, batch, JacobianConfig(3, 4, seed=48))
         assert len(kept) == 4
         for s, (x, seen) in enumerate(zip(batch, kept)):
             us = sign_directions(np.random.default_rng([48, s]), 3, x.shape)
@@ -384,6 +375,16 @@ class TestEstimateJacobianNorm:
     def test_fd_ci_coverage_on_nonlinear_mlp(self, n_classes):
         assert mlp_coverage_hits(n_classes, black_box=True) >= 88
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("black_box", [False, True], ids=["vjp", "fd"])
+    def test_non_finite_batch_rejected(self, bad, black_box):
+        mlp = random_mlp(16, hidden=4, d=12, k=3)
+        predictor = CallablePredictor(mlp.predict, 3, (1, 3, 4)) if black_box else mlp
+        batch = np.random.default_rng(17).normal(size=(5, 1, 3, 4))
+        batch[2, 0, 1, 3] = bad
+        with pytest.raises(InvalidInputError, match="batch contains non-finite values"):
+            estimate_jacobian_norm(predictor, batch, JacobianConfig(2, 5, seed=0))
+
     def test_batch_size_mismatch_rejected(self):
         predictor = random_linear(15, k=2, d=4)
         with pytest.raises(InvalidInputError):
@@ -445,5 +446,3 @@ class TestConfigValidation:
             JacobianConfig(n_proj=0, batch_size=10)
         with pytest.raises(InvalidInputError):
             JacobianConfig(n_proj=1, batch_size=0)
-        with pytest.raises(InvalidInputError):
-            JacobianConfig(fd_eps=0.0)

@@ -36,6 +36,19 @@ class TestWrite:
             write_tensor(out, np.zeros(5), shape=[2, 2])
         assert not out.exists()
 
+    def test_float32_overflow_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "big.tnsr"
+        with pytest.raises(TensorFormatError, match=r"big\.tnsr: a finite value overflows float32"):
+            write_tensor(out, np.array([1.0, 1e39, 2.0]))
+        assert os.listdir(tmp_path) == []
+
+    def test_non_finite_values_round_trip(self, tmp_path):
+        out = tmp_path / "nf.tnsr"
+        arr = np.array([np.nan, np.inf, -np.inf, 3.4e38, -1.0])
+        write_tensor(out, arr)
+        back, _ = read_tensor(out)
+        assert np.array_equal(back, arr.astype(np.float32), equal_nan=True)
+
     def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         out = tmp_path / "x.tnsr"
         write_tensor(out, np.arange(6.0).reshape(2, 3))
