@@ -6,16 +6,16 @@ pixelate), and two high (gaussian_noise, impulse_noise). Outputs are not
 clamped; images are assumed to be mean/std normalized real values.
 
 One kernel corrupts an image or a whole (N, C, H, W) stack. The
-deterministic kinds run as array operations over the stack; the stochastic
-kinds draw each image's noise from its own RNG stream, keyed by that image's
-seed. Corrupting a stack therefore gives, image by image, what corrupting
-each image alone with its seed gives.
+deterministic kinds run as array operations over the stack. Each stochastic
+call builds one RNG stream from the spec's seed, and image i takes the i-th
+consecutive block of its draws, so the first m images of a stack are
+corrupted exactly as the stack of those m images alone would be; an image on
+its own is a stack of one.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,20 +63,25 @@ class CorruptionSpec:
 
 
 def apply_corruption(image, spec: CorruptionSpec) -> np.ndarray:
-    """Apply one corruption to a (C, H, W) image, bit-reproducible given the seed."""
+    """Apply one corruption to a (C, H, W) image: ``corrupt_batch(image[None], spec)[0]``."""
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 3:
         raise InvalidInputError(f"image must have shape (C, H, W), got {x.shape}")
-    return _corrupt(x[None], spec, lambda i: spec.seed, "image")[0]
+    return _corrupt(x[None], spec, "image")[0]
 
 
 def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
-    """Apply a corruption to an (N, C, H, W) stack, seeding image i from (seed, i)."""
-    return _corrupt(images, spec, lambda i: _derive_seed(spec.seed, i), "images")
+    """Apply a corruption to an (N, C, H, W) stack, bit-reproducible given the seed.
+
+    Noise comes from one stream, ``default_rng([seed, 0])`` for gaussian
+    noise and ``default_rng([seed, 1])`` for impulse noise; image i takes the
+    i-th consecutive block of its draws.
+    """
+    return _corrupt(images, spec, "images")
 
 
-def _corrupt(images, spec: CorruptionSpec, seed_of: Callable[[int], int], name: str) -> np.ndarray:
-    """Corrupt every image of a stack; image i's random draws are seeded by ``seed_of(i)``."""
+def _corrupt(images, spec: CorruptionSpec, name: str) -> np.ndarray:
+    """Corrupt every image of a stack; image i draws the i-th block of the spec's stream."""
     stack = image_stack(images, name)
     n, c, h, w = stack.shape
     kind, param = spec.kind, spec.param
@@ -92,17 +97,16 @@ def _corrupt(images, spec: CorruptionSpec, seed_of: Callable[[int], int], name: 
         return out
 
     if kind == "gaussian_noise":
-        noise = np.empty_like(stack)
-        for i in range(n):
-            noise[i] = np.random.default_rng([seed_of(i), 0]).normal(0.0, param, size=(c, h, w))
+        noise = np.random.default_rng([spec.seed, 0]).normal(0.0, param, size=stack.shape)
         return np.add(stack, noise, out=noise)
 
     if kind == "impulse_noise":
         out = stack.copy()
         u = np.empty((2, c, h, w))
-        for i, image in enumerate(out):
+        rng = np.random.default_rng([spec.seed, 1])
+        for image in out:
             # One draw of both fields equals drawing flip's, then salt's.
-            np.random.default_rng([seed_of(i), 1]).random(out=u)
+            rng.random(out=u)
             np.copyto(image, np.where(u[1] < 0.5, image.max(), image.min()), where=u[0] < param)
         return out
 
@@ -114,14 +118,22 @@ def _corrupt(images, spec: CorruptionSpec, seed_of: Callable[[int], int], name: 
             stack, sigma=(0, 0, param, param), mode="reflect", radius=(0, 0, r, r)
         )
 
-    # pixelate
+    # pixelate: sum each block row along its pixels, then add the rows in
+    # order and divide once. The order is fixed, so unlike numpy's
+    # blocks.mean(axis=(3, 5)) the result does not depend on the stack's
+    # memory layout. On C-ordered stacks it equals that mean bit for bit at
+    # factors 1, 2 and 4; from factor 8 numpy sums pairwise, and the two
+    # differ by at most 3 units in the last place of the largest |pixel|
+    # (measured on 200 random stacks at factors 8 and 16).
     factor = int(param)
     if h % factor or w % factor:
         raise InvalidInputError(f"block factor {factor} must divide H={h} and W={w}")
     blocks = stack.reshape(n, c, h // factor, factor, w // factor, factor)
-    means = blocks.mean(axis=(3, 5))
+    rows = blocks[..., 0].copy()
+    for j in range(1, factor):
+        rows += blocks[..., j]
+    means = rows[:, :, :, 0].copy()
+    for i in range(1, factor):
+        means += rows[:, :, :, i]
+    means /= factor * factor
     return means.repeat(factor, axis=2).repeat(factor, axis=3)
-
-
-def _derive_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])

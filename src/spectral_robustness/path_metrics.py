@@ -114,8 +114,14 @@ def compute_path_metrics(
 
 
 def summarize_gaussian(values) -> MetricSummary:
-    """Mean, sample std (n-1 denominator, 0 when n = 1), and Gaussian 95% CI."""
-    values = np.asarray(list(values), dtype=np.float64)
+    """Mean, sample std (n-1 denominator, 0 when n = 1), and Gaussian 95% CI.
+
+    An array is read directly, flattened in C order; any other iterable is
+    collected into a list first.
+    """
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    values = np.ravel(np.asarray(values, dtype=np.float64))
     if values.size == 0:
         raise InvalidInputError("cannot summarize an empty sequence")
     n = values.size

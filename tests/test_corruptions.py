@@ -114,6 +114,29 @@ class TestBlurPixelate:
         out = apply_corruption(img, CorruptionSpec("pixelate", 1))
         assert np.array_equal(out, img)
 
+    @pytest.mark.parametrize("factor", [8, 16])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pixelate_large_factors_within_three_ulps_of_numpy_mean(self, factor, seed):
+        rng = np.random.default_rng([16, seed])
+        stack = rng.normal(size=(4, 3, 32, 32)) * rng.uniform(0.1, 100) + rng.uniform(-50, 50)
+        blocks = stack.reshape(4, 3, 32 // factor, factor, 32 // factor, factor)
+        expected = blocks.mean(axis=(3, 5)).repeat(factor, axis=2).repeat(factor, axis=3)
+        got = corrupt_batch(stack, CorruptionSpec("pixelate", factor))
+        assert np.abs(got - expected).max() <= 3 * np.spacing(np.abs(stack).max())
+
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    def test_pixelate_does_not_depend_on_memory_layout(self, factor):
+        # numpy's mean over the block axes sums Fortran and channels-last
+        # stacks in another order; the block sums here have one fixed order.
+        stack = np.random.default_rng(17).normal(size=(7, 3, 32, 32)) * 2.0 + 0.5
+        spec = CorruptionSpec("pixelate", factor)
+        expected = corrupt_batch(stack, spec)
+        for given in (
+            np.asfortranarray(stack),
+            np.ascontiguousarray(stack.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+        ):
+            assert np.array_equal(corrupt_batch(given, spec), expected)
+
     def test_pixelate_requires_divisible_factor(self):
         with pytest.raises(InvalidInputError):
             apply_corruption(sample_image(14, shape=(1, 30, 30)), CorruptionSpec("pixelate", 4))
@@ -137,28 +160,33 @@ class TestSpecValidation:
 
 
 class TestBatch:
-    def test_batch_derives_per_image_seeds(self):
+    def test_batch_slices_one_stream(self):
         images = np.stack([sample_image(20), sample_image(21)])
         spec = CorruptionSpec("gaussian_noise", 0.5, seed=2)
         out = corrupt_batch(images, spec)
-        # Different images must receive different noise draws.
-        assert not np.allclose(out[0] - images[0], out[1] - images[1])
+        # Image i takes the i-th block of one stream's draws.
+        noise = np.random.default_rng([2, 0]).normal(0.0, 0.5, size=images.shape)
+        assert np.array_equal(out, images + noise)
+        assert not np.array_equal(noise[0], noise[1])
         again = corrupt_batch(images, spec)
         assert np.array_equal(out, again)
 
 
-def reference_corruption(x, kind, param, seed):
-    """Reference: one (C, H, W) image corrupted by the per-image formula."""
+def reference_corruption(x, kind, param, seed, rng=None):
+    """Reference: one (C, H, W) image corrupted by the per-image formula.
+
+    Noise is drawn from ``rng`` when given, else from the seed's own stream.
+    """
     if kind == "brightness":
         return x + param
     if kind == "contrast":
         mean_c = x.mean(axis=(1, 2), keepdims=True)
         return mean_c + param * (x - mean_c)
     if kind == "gaussian_noise":
-        rng = np.random.default_rng([seed, 0])
+        rng = np.random.default_rng([seed, 0]) if rng is None else rng
         return x + rng.normal(0.0, param, size=x.shape)
     if kind == "impulse_noise":
-        rng = np.random.default_rng([seed, 1])
+        rng = np.random.default_rng([seed, 1]) if rng is None else rng
         lo, hi = x.min(), x.max()
         flip = rng.random(x.shape) < param
         salt = rng.random(x.shape) < 0.5
@@ -178,15 +206,9 @@ def reference_corruption(x, kind, param, seed):
 
 
 def reference_batch(stack, kind, param, seed):
-    """Reference: corrupt_batch as a per-image loop, image i seeded from (seed, i)."""
-    return np.stack(
-        [
-            reference_corruption(
-                stack[i], kind, param, int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-            )
-            for i in range(len(stack))
-        ]
-    )
+    """Reference: corrupt_batch as a per-image loop, image i drawing next from one stream."""
+    rng = np.random.default_rng([seed, 1 if kind == "impulse_noise" else 0])
+    return np.stack([reference_corruption(x, kind, param, seed, rng) for x in stack])
 
 
 GOLDEN_PARAMS = [
@@ -202,6 +224,7 @@ GOLDEN_PARAMS = [
     ("gaussian_blur", 0.45),
     ("pixelate", 1),
     ("pixelate", 2),
+    ("pixelate", 4),
 ]
 
 
@@ -229,6 +252,27 @@ class TestGoldenCorruptions:
 
     def test_every_kind_covered(self):
         assert {kind for kind, _ in GOLDEN_PARAMS} == set(CORRUPTION_KINDS)
+
+    @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS)
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_prefix_of_a_stack_is_corrupted_as_that_prefix(self, kind, param, m):
+        stack = np.random.default_rng(24).normal(size=(6, 2, 8, 12))
+        spec = CorruptionSpec(kind, param, seed=25)
+        assert np.array_equal(corrupt_batch(stack, spec)[:m], corrupt_batch(stack[:m], spec))
+
+    @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS[::2])
+    def test_one_generator_per_noise_call(self, monkeypatch, kind, param):
+        stack = np.random.default_rng(26).normal(size=(50, 1, 4, 4))
+        built = []
+        make = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        corrupt_batch(stack, CorruptionSpec(kind, param, seed=27))
+        assert len(built) == (1 if kind.endswith("_noise") else 0)
 
     @pytest.mark.parametrize(
         "kind,param",

@@ -257,8 +257,9 @@ class TestEstimateJacobianNorm:
         batch = np.random.default_rng(41).normal(size=(7, 1, 3, 4))
         est = estimate_jacobian_norm(predictor, batch, JacobianConfig(5, 7, seed=42))
         per_direction = []
-        for s, x in enumerate(batch):
-            for u in sign_directions(np.random.default_rng([42, s]), 5, x.shape):
+        rng = np.random.default_rng(42)
+        for x in batch:
+            for u in sign_directions(rng, 5, x.shape):
                 ju = fd_directional_derivative(predictor, x, u, eps=DEFAULT_FD_EPS)
                 per_direction.append(12 * np.sum(ju * ju))
         assert est.method == "fd"
@@ -287,8 +288,9 @@ class TestEstimateJacobianNorm:
         eps = DEFAULT_FD_EPS
         estimate_jacobian_norm(predictor, batch, JacobianConfig(3, 4, seed=48))
         assert len(kept) == 4
-        for s, (x, seen) in enumerate(zip(batch, kept)):
-            us = sign_directions(np.random.default_rng([48, s]), 3, x.shape)
+        rng = np.random.default_rng(48)
+        for x, seen in zip(batch, kept):
+            us = sign_directions(rng, 3, x.shape)
             assert np.array_equal(seen, np.concatenate([x + eps * us, x - eps * us]))
 
     def test_fd_makes_one_predict_call_per_sample(self):
@@ -326,7 +328,9 @@ class TestEstimateJacobianNorm:
 
         predictor = make()
         batch = np.random.default_rng(53).normal(size=(40, 1, 1, 48))
-        vs = np.stack([unit_rows(np.random.default_rng([seed, s]), 10, 10) for s in range(40)])
+        # Sample s takes the s-th block of one stream's draws.
+        rng = np.random.default_rng(seed)
+        vs = np.stack([unit_rows(rng, 10, 10) for _ in range(40)])
         estimates = (10 * predictor.sq_vjp_norms(batch, vs)).ravel()
         mean = float(estimates.mean())
         half = 1.96 * float(estimates.std(ddof=1)) / np.sqrt(estimates.size)
@@ -341,19 +345,56 @@ class TestEstimateJacobianNorm:
             def __init__(self, draws):
                 self.draws = list(draws)
 
-            def standard_normal(self, size=None, out=None):
-                draw = np.array(self.draws.pop(0), dtype=np.float64)
-                if out is None:
-                    return draw.reshape(size)
-                out[...] = draw
-                return out
+            def standard_normal(self, size=None):
+                return np.array(self.draws.pop(0), dtype=np.float64).reshape(size)
 
-        # The first stream has no draws left, so a redraw taken from it would raise.
-        first = Stream([[[-2.0, 0.0], [0.0, 5.0]]])
-        second = Stream([[[3.0, 4.0], [0.0, 0.0]], [0.0, 0.0], [0.0, -2.0]])
-        rows = _unit_rows([first, second], 2, 2)
-        assert np.array_equal(rows, [[[-1.0, 0.0], [0.0, 1.0]], [[0.6, 0.8], [0.0, -1.0]]])
-        assert second.draws == []
+        # One draw for every row, then the zero rows' redraws in (sample, row) order.
+        stream = Stream(
+            [
+                [[[-2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [3.0, 4.0]]],
+                [0.0, 0.0],
+                [0.0, -2.0],
+                [5.0, 0.0],
+            ]
+        )
+        rows = _unit_rows(stream, 2, 2, 2)
+        assert np.array_equal(rows, [[[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.6, 0.8]]])
+        assert stream.draws == []
+
+    def test_prefix_of_a_batch_draws_the_same_cotangents(self):
+        mlp = random_mlp(54, hidden=5, d=12, k=3)
+        seen = []
+
+        class Spy(MlpPredictor):
+            def sq_vjp_norms(self, batch, vs):
+                seen.append(vs)
+                return super().sq_vjp_norms(batch, vs)
+
+        spy = Spy(mlp.w1, mlp.b1, mlp.w2, mlp.b2, image_shape=(1, 3, 4))
+        batch = np.random.default_rng(55).normal(size=(9, 1, 3, 4))
+        for m in (9, 1, 8):
+            estimate_jacobian_norm(spy, batch[:m], JacobianConfig(4, m, seed=56))
+        full, first, most = seen
+        assert full.shape == (9, 4, 3)
+        assert np.array_equal(first, full[:1])
+        assert np.array_equal(most, full[:8])
+
+    @pytest.mark.parametrize("black_box", [False, True], ids=["vjp", "fd"])
+    def test_one_generator_per_estimate(self, monkeypatch, black_box):
+        mlp = random_mlp(57, hidden=4, d=12, k=3)
+        predictor = CallablePredictor(mlp.predict, 3, (1, 3, 4)) if black_box else mlp
+        batch = np.random.default_rng(58).normal(size=(50, 1, 3, 4))
+        built = []
+        make = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        est = estimate_jacobian_norm(predictor, batch, JacobianConfig(5, 50, seed=59))
+        assert est.method == ("fd" if black_box else "vjp")
+        assert built == [(59,)]
 
     def test_ci_coverage_smoke(self):
         predictor = random_linear(13, k=6, d=20)

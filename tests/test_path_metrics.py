@@ -182,9 +182,28 @@ class TestSummarizeGaussian:
             widths[n] = np.mean(ratios)
         assert widths[400] / widths[1600] == pytest.approx(2.0, rel=0.1)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a: a,
+            lambda a: a.astype(np.float32),
+            lambda a: a[::-1],
+            lambda a: a.reshape(40, 100),
+            lambda a: np.asfortranarray(a.reshape(40, 100)),
+        ],
+        ids=["float64", "float32", "reversed", "2d", "fortran"],
+    )
+    def test_array_input_equals_list_and_generator_input(self, make):
+        values = make(np.random.default_rng(9).exponential(size=4000))
+        as_list = summarize_gaussian([v for v in np.asarray(values).ravel()])
+        assert summarize_gaussian(values) == as_list
+        assert summarize_gaussian(float(v) for v in np.asarray(values).ravel()) == as_list
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             summarize_gaussian([])
+        with pytest.raises(InvalidInputError):
+            summarize_gaussian(np.zeros((3, 0)))
 
 
 @settings(max_examples=60, deadline=None)
