@@ -212,6 +212,11 @@ def cmd_path_metrics(args) -> int:
 
 def cmd_jacobian(args) -> int:
     images = _load_dataset(args.images)
+    config = jacobian.JacobianConfig(n_proj=args.nproj, batch_size=args.batch, seed=args.seed)
+    if len(images) < args.batch:
+        raise InvalidInputError(
+            f"need at least {args.batch} images for batch size {args.batch}, got {len(images)}"
+        )
     image_shape = images.shape[1:]
     d = int(np.prod(image_shape))
     if args.predictor == "linear":
@@ -233,11 +238,6 @@ def cmd_jacobian(args) -> int:
             predictor, _, _ = jacobian.train_blob_mlp(
                 image_shape=tuple(image_shape), seed=args.seed, target=args.target
             )
-    if len(images) < args.batch:
-        raise InvalidInputError(
-            f"need at least {args.batch} images for batch size {args.batch}, got {len(images)}"
-        )
-    config = jacobian.JacobianConfig(n_proj=args.nproj, batch_size=args.batch, seed=args.seed)
     estimate = jacobian.estimate_jacobian_norm(predictor, images[: args.batch], config)
 
     header = ["frobenius_norm", "ci95_low", "ci95_high", "n_estimates", "n_proj", "batch_size",

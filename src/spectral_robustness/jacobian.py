@@ -371,39 +371,63 @@ def fit_mlp(
 ) -> MlpPredictor:
     """Fit the built-in MLP to labeled images with full-batch gradient descent.
 
-    Plain cross-entropy descent, deterministic given the seed.
+    Plain cross-entropy descent, deterministic given the seed. ``images`` is
+    a finite (N, C, H, W) stack (or a sequence of (C, H, W) images) and
+    ``labels`` N integer classes >= 0, the largest >= 1 (it sets K - 1);
+    ``hidden`` must be >= 1, ``epochs`` >= 0 and ``lr`` finite and > 0.
+    Inputs are checked before any random draw and raise InvalidInputError.
+
+    The loop trains the pre-activations Z = X W1^T (X the (N, D) flattened
+    images) instead of W1: the step W1 -= lr * dH^T X moves Z by exactly
+    -lr * (X X^T) dH, so W1 is formed once at the end as
+    W1_0 - lr * (sum of dH)^T X. Each epoch then costs O(N^2 hidden) instead
+    of O(N D hidden). The N x N Gram matrix X X^T is formed only when N <= D,
+    so it never takes more memory than the images; for N > D the same step
+    is applied as X (X^T dH). The weights equal those of updating W1 in
+    every epoch up to rounding.
     """
-    images = np.asarray(images, dtype=np.float64)
+    images = image_stack(images, "images")
     labels = np.asarray(labels)
-    if images.ndim != 4 or len(images) != len(labels):
-        raise InvalidInputError("expected (N, C, H, W) images with matching labels")
+    if labels.shape != (len(images),):
+        raise InvalidInputError(
+            f"expected {len(images)} labels for {len(images)} images, got shape {labels.shape}"
+        )
+    if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
+        raise InvalidInputError("labels must be integers >= 0")
+    if hidden < 1 or epochs < 0:
+        raise InvalidInputError(f"need hidden >= 1 and epochs >= 0, got {hidden} and {epochs}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise InvalidInputError(f"lr must be finite and > 0, got {lr}")
     image_shape = images.shape[1:]
     n_classes = int(labels.max()) + 1
     if n_classes < 2:
         raise InvalidInputError("need at least 2 classes")
-    d = int(np.prod(image_shape))
+    flat = images.reshape(len(images), -1)
+    n, d = flat.shape
     rng = np.random.default_rng([seed, 13])
     w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden, d))
     b1 = np.zeros(hidden)
     w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(n_classes, hidden))
     b2 = np.zeros(n_classes)
 
-    flat = images.reshape(len(images), -1)
     onehot = np.eye(n_classes)[labels]
-    n = len(flat)
+    z = flat @ w1.T
+    gram = flat @ flat.T if n <= d else None
+    dh_sum = np.zeros((n, hidden))
     for _ in range(epochs):
-        hid = np.tanh(flat @ w1.T + b1)
+        hid = np.tanh(z + b1)
         probs = softmax(hid @ w2.T + b2)
         dz = (probs - onehot) / n  # cross-entropy + softmax gradient
         gw2 = dz.T @ hid
         gb2 = dz.sum(axis=0)
         dh = (dz @ w2) * (1.0 - hid**2)
-        gw1 = dh.T @ flat
         gb1 = dh.sum(axis=0)
         w2 -= lr * gw2
         b2 -= lr * gb2
-        w1 -= lr * gw1
         b1 -= lr * gb1
+        z -= lr * (gram @ dh if gram is not None else flat @ (flat.T @ dh))
+        dh_sum += dh
+    w1 -= lr * (dh_sum.T @ flat)
 
     return MlpPredictor(w1, b1, w2, b2, image_shape=image_shape, target=target)
 

@@ -303,6 +303,32 @@ class TestJacobianCommand:
         assert float(row["frobenius_norm"]) > 0
         assert row["target"] == "probs"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--batch", "17"], "need at least 17 images for batch size 17, got 16"),
+            (["--batch", "8", "--nproj", "0"], "n_proj and batch_size must be >= 1"),
+        ],
+        ids=["batch-over-image-count", "nproj-0"],
+    )
+    def test_bad_batch_or_nproj_fails_before_training(
+        self, tmp_path, capsys, monkeypatch, blob_files, flags, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the MLP was trained before the arguments were checked")
+
+        monkeypatch.setattr("spectral_robustness.jacobian.train_blob_mlp", no_training)
+        images_path, _ = blob_files
+        out = tmp_path / "jac.csv"
+        rc = main(
+            ["jacobian", "--predictor", "mlp", "--images", str(images_path), "--out", str(out)]
+            + flags
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {message}"]
+        assert not out.exists()
+
 
 class TestRegressCommand:
     def make_tables(self, tmp_path):

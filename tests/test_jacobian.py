@@ -10,6 +10,8 @@ from spectral_robustness import (
     Predictor,
     estimate_jacobian_norm,
     fd_directional_derivative,
+    fit_mlp,
+    make_blobs,
     train_blob_mlp,
     vjp_linear_softmax,
 )
@@ -434,13 +436,79 @@ class TestEstimateJacobianNorm:
             )
 
 
+def reference_fit(images, labels, hidden=16, epochs=300, lr=0.5, seed=0):
+    """Full-batch descent updating W1 in every epoch: two (N, D) x (D, hidden) products each."""
+    flat = images.reshape(len(images), -1)
+    n, d = flat.shape
+    k = int(labels.max()) + 1
+    rng = np.random.default_rng([seed, 13])
+    w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden, d))
+    b1 = np.zeros(hidden)
+    w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(k, hidden))
+    b2 = np.zeros(k)
+    onehot = np.eye(k)[labels]
+    for _ in range(epochs):
+        hid = np.tanh(flat @ w1.T + b1)
+        dz = (softmax(hid @ w2.T + b2) - onehot) / n
+        dh = (dz @ w2) * (1.0 - hid**2)
+        w2 -= lr * (dz.T @ hid)
+        b2 -= lr * dz.sum(axis=0)
+        w1 -= lr * (dh.T @ flat)
+        b1 -= lr * dh.sum(axis=0)
+    return w1, b1, w2, b2
+
+
+# (image_shape, n_classes, n_per_class): N = 45 <= D = 192 trains through the
+# N x N Gram matrix, N = 200 > D = 64 through the images.
+GRAM_SIDES = [((3, 8, 8), 3, 15), ((1, 8, 8), 2, 100)]
+GRAM_SIDE_IDS = ["gram-n45-d192", "images-n200-d64"]
+
+
 class TestBuiltinMlp:
-    def test_training_is_deterministic(self):
-        a, images_a, labels_a = train_blob_mlp(seed=21)
-        b, images_b, _ = train_blob_mlp(seed=21)
+    @pytest.mark.parametrize("shape, n_classes, n_per_class", GRAM_SIDES, ids=GRAM_SIDE_IDS)
+    def test_training_is_deterministic(self, shape, n_classes, n_per_class):
+        a, images_a, labels_a = train_blob_mlp(shape, n_classes, n_per_class=n_per_class, seed=21)
+        b, images_b, _ = train_blob_mlp(shape, n_classes, n_per_class=n_per_class, seed=21)
         assert np.array_equal(a.w1, b.w1)
         assert np.array_equal(a.w2, b.w2)
         assert np.array_equal(images_a, images_b)
+
+    @pytest.mark.parametrize("shape, n_classes, n_per_class", GRAM_SIDES, ids=GRAM_SIDE_IDS)
+    def test_matches_per_epoch_weight_updates(self, shape, n_classes, n_per_class):
+        images, labels = make_blobs(shape, n_classes, n_per_class, seed=27)
+        fitted = fit_mlp(images, labels, seed=28)
+        reference = reference_fit(images, labels, seed=28)
+        for got, want in zip((fitted.w1, fitted.b1, fitted.w2, fitted.b2), reference):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        w1, b1, w2, b2 = reference
+        want_classes = (np.tanh(images.reshape(len(images), -1) @ w1.T + b1) @ w2.T + b2).argmax(1)
+        assert np.array_equal(fitted.predict(images).argmax(axis=1), want_classes)
+
+    @pytest.mark.parametrize(
+        "images, labels, kwargs, message",
+        [
+            (np.full((4, 1, 1, 4), np.nan), [0, 1, 0, 1], {}, "images contains non-finite"),
+            (np.zeros((0, 1, 1, 4)), [], {}, "images must be a nonempty"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1.0], {}, "labels must be integers"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, -1, 1], {}, "labels must be integers >= 0"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0], {}, "expected 4 labels"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"hidden": 0}, "need hidden >= 1"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"epochs": -1}, "epochs >= 0"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": 0.0}, "lr must be finite and > 0"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": np.inf}, "lr must be finite and > 0"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": np.nan}, "lr must be finite and > 0"),
+            (np.zeros((4, 1, 1, 4)), [0, 0, 0, 0], {}, "need at least 2 classes"),
+        ],
+        ids=["nan-images", "empty-stack", "float-labels", "negative-label", "label-count",
+             "hidden-0", "negative-epochs", "zero-lr", "infinite-lr", "nan-lr", "one-class"],
+    )
+    def test_invalid_input_rejected_before_any_draw(self, monkeypatch, images, labels, kwargs, message):
+        def no_draw(*args, **kw):
+            raise AssertionError("fit_mlp drew from an RNG before validating its inputs")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(InvalidInputError, match=message):
+            fit_mlp(images, labels, **kwargs)
 
     def test_fits_the_blobs(self):
         predictor, images, labels = train_blob_mlp(seed=22)
