@@ -96,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help='metric name or "ID accuracy"')
     p.add_argument("--ood", required=True, help="OOD dataset_id")
     p.add_argument("--id", dest="id_dataset", help="ID dataset_id (inferred when unique)")
-    p.add_argument("--group-by", default="group")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", help="optional scatter plot path")
     p.set_defaults(func=cmd_regress)
@@ -138,6 +137,8 @@ def cmd_gen_paths(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A manifest vouches only for its own run: an interrupted rerun leaves none.
+    (out_dir / "manifest.csv").unlink(missing_ok=True)
     manifest = []
     for i, spec in enumerate(specs):
         path_id = f"path_{i:05d}"
@@ -260,7 +261,6 @@ def cmd_regress(args) -> int:
         metrics,
         x_spec=args.x,
         ood_dataset=args.ood,
-        group_by=args.group_by,
         id_dataset=args.id_dataset,
     )
 
@@ -318,7 +318,7 @@ def cmd_report(args) -> int:
             )
         lines.append("")
 
-    with open(args.out, "wb") as fh:
+    with tensorio.atomic_open(args.out, "wb") as fh:
         fh.write("\n".join(lines).encode("utf-8"))
     print(f"wrote report to {args.out}")
     return 0

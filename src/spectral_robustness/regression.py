@@ -51,6 +51,8 @@ class MetricRecord:
     def __post_init__(self):
         if self.value_kind not in ("accuracy", "raw"):
             raise InvalidInputError(f"unknown value_kind {self.value_kind!r}")
+        if not np.isfinite(self.value):
+            raise InvalidInputError(f"metric {self.metric_name!r} must be finite, got {self.value}")
         if self.value_kind == "accuracy" and not 0.0 <= self.value <= 1.0:
             raise InvalidInputError(
                 f"accuracy metric {self.metric_name!r} must be in [0, 1], got {self.value}"
@@ -155,7 +157,6 @@ def grouped_regression(
     metrics: list[MetricRecord],
     x_spec: str,
     ood_dataset: str,
-    group_by: str = "group",
     id_dataset: str | None = None,
 ) -> ProbitRegression:
     """Fit probit(OOD accuracy) against a predictor, per group, then average.
@@ -203,7 +204,7 @@ def grouped_regression(
         point = ModelPoint(
             x_values[model_id],
             probit(ood_rec.accuracy),
-            str(getattr(ood_rec, group_by)),
+            str(ood_rec.group),
             (probit(low), probit(high)),
         )
         points[model_id] = point

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensorio
 from .errors import InvalidInputError
 from .spectral import PsdMap
 from .tables import fmt_float
@@ -157,7 +158,7 @@ def emit_scatter_svg(
         )
 
     parts.append("</svg>")
-    with open(out, "wb") as fh:
+    with tensorio.atomic_open(out, "wb") as fh:
         fh.write("\n".join(parts).encode("utf-8"))
         fh.write(b"\n")
 
@@ -177,7 +178,7 @@ def emit_pgm(psd_map: PsdMap, out) -> None:
     h, w = centered.shape
     rows = ["P2", f"{w} {h}", "65535"]
     rows.extend(" ".join(str(v) for v in row) for row in centered)
-    with open(out, "wb") as fh:
+    with tensorio.atomic_open(out, "wb") as fh:
         fh.write("\n".join(rows).encode("ascii"))
         fh.write(b"\n")
 

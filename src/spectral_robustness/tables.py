@@ -27,6 +27,7 @@ import itertools
 
 import numpy as np
 
+from . import tensorio
 from .errors import InvalidInputError, TraceParseError
 from .path_metrics import ROW_SUM_TOLERANCE, MetricSummary, PathMetrics, PredictionTrace
 from .regression import AccuracyRecord, MetricRecord, ProbitRegression
@@ -201,7 +202,7 @@ def _rows(path, header):
 
 def write_rows(path, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV; every float cell, Python or numpy, via ``fmt_float``."""
-    with open(path, "w", newline="") as fh:
+    with tensorio.atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(
@@ -305,7 +306,7 @@ def write_traces(path, traces) -> None:
     k = traces[0].probs.shape[1]
     if any(trace.probs.shape[1] != k for trace in traces):
         raise TraceParseError("all traces must share the same class count")
-    with open(path, "w", newline="") as fh:
+    with tensorio.atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "step"] + [f"p_{i}" for i in range(k)])
         for trace in traces:

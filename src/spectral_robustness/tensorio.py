@@ -8,13 +8,14 @@ binary32 values in row-major order. Write/read round trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import uuid
 
 import numpy as np
 
-from .errors import TensorFormatError
+from .errors import InvalidInputError, TensorFormatError
 
 _HEADER_KEYS = ("dtype", "shape", "order", "byte_order")
 
@@ -45,17 +46,31 @@ def write_tensor(path, data, shape=None) -> None:
         {"dtype": "f32", "shape": shape, "order": "row-major", "byte_order": "little"},
         separators=(",", ":"),
     )
-    # Write a temp file beside the target and rename it into place, so an
-    # interrupted write never leaves a truncated file under the final name.
-    head, tail = os.path.split(path)
+    with atomic_open(path, "wb") as fh:
+        fh.write(header.encode("utf-8"))
+        fh.write(b"\n")
+        fh.write(payload)
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode, **open_kwargs):
+    """The package's one way to write an output file; ``mode`` is "w" or "wb".
+
+    Writes a temp file beside ``path``, renamed in on success; on an exception it is
+    removed and an old ``path`` keeps its bytes. A symlink is written through; a
+    target that is not a regular file, or has no directory, raises InvalidInputError
+    before any file is made. No fsync: this covers a failed command, not power loss.
+    """
+    real = os.path.realpath(path)
+    head, tail = os.path.split(real)
+    if not os.path.isdir(head) or os.path.exists(real) and not os.path.isfile(real):
+        raise InvalidInputError(f"{path}: output must be a regular file in an existing directory")
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
-    fh = open(tmp, "xb")
+    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
     try:
         with fh:
-            fh.write(header.encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(payload)
-        os.replace(tmp, path)
+            yield fh
+        os.replace(tmp, real)
     except BaseException:
         os.remove(tmp)
         raise

@@ -14,7 +14,7 @@ from spectral_robustness.tables import (
     write_traces,
 )
 from spectral_robustness.tensorio import read_tensor, write_tensor
-from spectral_robustness import AccuracyRecord, MetricRecord, PredictionTrace
+from spectral_robustness import AccuracyRecord, MetricRecord, PredictionTrace, tensorio
 
 
 @pytest.fixture()
@@ -72,6 +72,46 @@ class TestGenPaths:
             outs.append(out)
         for name in ["manifest.csv", "path_00000.tnsr", "path_00001.tnsr"]:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_interrupted_rerun_leaves_no_manifest(self, tmp_path, blob_files, monkeypatch):
+        images_path, labels_path = blob_files
+        images, _ = read_tensor(images_path)
+        out = tmp_path / "paths"
+        out.mkdir()
+        (out / "notes.txt").write_text("a user's file\n")
+
+        def gen_paths(seed, n_paths):
+            return main(["gen-paths", "--images", str(images_path), "--labels", str(labels_path),
+                         "--mode", "pixel", "--steps", "3", "--n-paths", str(n_paths),
+                         "--seed", str(seed), "--out", str(out)])
+
+        assert gen_paths(seed=1, n_paths=4) == 0
+        real_write, calls = tensorio.write_tensor, []
+
+        def fail_on_third_call(*args):
+            calls.append(args[0])
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real_write(*args)
+
+        monkeypatch.setattr(tensorio, "write_tensor", fail_on_third_call)
+        assert gen_paths(seed=2, n_paths=4) == 2
+        assert len(calls) == 3
+        assert not (out / "manifest.csv").exists()
+        monkeypatch.undo()
+
+        assert gen_paths(seed=2, n_paths=3) == 0
+        with open(out / "manifest.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["file"] for row in rows] == [f"path_0000{i}.tnsr" for i in range(3)]
+        for row in rows:
+            path, _ = read_tensor(out / row["file"])
+            assert np.array_equal(path[0], images[int(row["source_index"])])
+            assert np.array_equal(path[-1], images[int(row["target_index"])])
+        # Files this run did not write stay, the first run's fourth path among them.
+        assert sorted(os.listdir(out)) == ["manifest.csv", "notes.txt"] + [
+            f"path_0000{i}.tnsr" for i in range(4)
+        ]
 
 
 class TestCorrupt:
@@ -439,6 +479,32 @@ class TestRegressCommand:
         assert rc == 2
         assert "line 12: duplicate" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_group_by_is_not_an_option(self, tmp_path, capsys):
+        acc_path, met_path = self.make_tables(tmp_path)
+        out = tmp_path / "fit.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["regress", "--accuracies", str(acc_path), "--metrics", str(met_path),
+                  "--x", "ID accuracy", "--ood", "ood-set", "--group-by", "g", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --group-by g" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_metric_fails_before_output(self, tmp_path, capsys, value):
+        acc_path, met_path = self.make_tables(tmp_path)
+        with open(met_path, "a") as fh:
+            fh.write(f"extra,amp_hff,{value},raw\n")
+        out, svg = tmp_path / "fit.csv", tmp_path / "plot.svg"
+        rc = main(["regress", "--accuracies", str(acc_path), "--metrics", str(met_path),
+                   "--x", "amp_hff", "--ood", "ood-set", "--out", str(out), "--svg", str(svg)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {met_path} line 12: metric 'amp_hff' must be finite, got {float(value)}\n"
+        )
+        assert not out.exists() and not svg.exists()
 
 
 class TestReportCommand:

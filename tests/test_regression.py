@@ -68,6 +68,14 @@ def clopper_pearson_oracle(k, n, alpha=0.05):
     return low, high
 
 
+class TestMetricRecord:
+    @pytest.mark.parametrize("kind", ["raw", "accuracy"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, kind, value):
+        with pytest.raises(InvalidInputError, match="'hff' must be finite"):
+            MetricRecord("m0", "hff", value, kind)
+
+
 class TestClopperPearson:
     def test_zero_successes_closed_form(self):
         low, high = clopper_pearson(0, 10)
