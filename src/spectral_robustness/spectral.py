@@ -55,18 +55,6 @@ class PsdMap:
     source_count: int
 
 
-def _as_image(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise InvalidInputError(f"image must have shape (C, H, W), got {x.shape}")
-    c, h, w = x.shape
-    if c < 1 or h < 2 or w < 2:
-        raise InvalidInputError(f"image too small: shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("image contains non-finite values")
-    return x
-
-
 def _as_spectrum(s) -> np.ndarray:
     s = np.asarray(s, dtype=np.complex128)
     if s.ndim != 3:
@@ -97,7 +85,10 @@ def dft2(image) -> np.ndarray:
     The columns past W/2 are the conjugate mirrors X[-u, -v] of the real
     input's half spectrum.
     """
-    x = _as_image(image)
+    x = np.asarray(image, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1] < 2 or x.shape[2] < 2:
+        raise InvalidInputError(f"image must have shape (C, H, W) with H, W >= 2, got {x.shape}")
+    x = image_stack(x[None], "image")[0]
     h, w = x.shape[1:]
     half = rfft2(x)
     full = np.empty(x.shape, dtype=np.complex128)

@@ -6,20 +6,17 @@ form) from Python's ``repr``, so file bytes do not depend on the numpy
 version. Rows come in a deterministic order, so identical inputs produce
 byte-identical files.
 
-This module is the only one that knows a CSV layout. Every table but the
-trace table is read by ``_rows`` and written by ``write_rows``: an exact
-header, then rows of exactly its field count; a blank line is a row of no
-fields and so an error, and errors name the physical line a row starts on.
-
-A trace CSV is parsed chunk by chunk into one probability array and
-validated in numpy; its rows may interleave paths, and the first offending
-line in file order is the one reported. Every reader turns a line that does
+This module is the only one that knows a CSV layout. Every table is read
+row by row through ``_numbered``: an exact header, then rows of exactly its
+field count; a blank line is a row of no fields and so an error, and errors
+name the physical line a row starts on. Every reader turns a line that does
 not decode or that ``csv`` cannot parse (say, a field over its size limit)
 into a TraceParseError naming the file and the line.
 """
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import io
@@ -32,9 +29,6 @@ from .errors import InvalidInputError, TraceParseError
 from .path_metrics import ROW_SUM_TOLERANCE, MetricSummary, PathMetrics, PredictionTrace
 from .regression import AccuracyRecord, MetricRecord, ProbitRegression
 
-
-# Trace rows parsed per chunk: only one chunk's field strings are alive at once.
-_CHUNK_ROWS = 8192
 
 # Characters of CSV text checked for undecodable bytes at once.
 _BLOCK_CHARS = 1 << 16
@@ -102,35 +96,38 @@ def read_traces(path) -> list[PredictionTrace]:
                 f"{path} line 1: header must be path_id,step,p_0,...,p_{{K-1}} "
                 f"with K >= 2, got {','.join(header)}"
             )
-        ids: list[str] = []
-        steps: list[int] = []
-        tables = []
-        malformed = None
-        unreadable: list[TraceParseError] = []
-        rows = _rows_until_unreadable(reader, path, unreadable)
-        while malformed is None and (chunk := list(itertools.islice(rows, _CHUNK_ROWS))):
-            chunk_steps, chunk_table, malformed = _parse_trace_rows(chunk, k)
-            ids += [row[0] for row in chunk[: len(chunk_steps)]]
-            steps += chunk_steps
-            tables.append(chunk_table)
-    table = np.concatenate(tables or [np.empty((0, k))])
+        flat = array.array("d")
+        rows: dict[str, list[int]] = {}
+        lines: list[int] = []
+        fault = None
+        try:
+            for line, row in _numbered(path, reader, k + 2):
+                path_id = row[0]
+                try:
+                    step = int(row[1])
+                    flat.extend(map(float, row[2:]))
+                except ValueError as exc:
+                    fault = TraceParseError(f"{path} line {line}: {exc}")
+                    break
+                path_rows = rows.setdefault(path_id, [])
+                if step != len(path_rows) + 1:
+                    fault = TraceParseError(
+                        f"{path} line {line}: path {path_id!r} expected step "
+                        f"{len(path_rows) + 1}, got {step} (steps must be contiguous from 1)"
+                    )
+                    break
+                path_rows.append(len(lines))
+                lines.append(line)
+        except csv.Error as exc:
+            fault = _unparseable(path, reader, exc)
+        except TraceParseError as exc:
+            fault = exc
 
-    n = len(steps)
-    index: dict[str, int] = {}
-    codes = np.fromiter(
-        (index.setdefault(path_id, len(index)) for path_id in ids), dtype=np.intp, count=n
-    )
-    order = np.argsort(codes, kind="stable")
-    counts = np.bincount(codes)
-    starts = np.cumsum(counts) - counts
-    expected_step = np.empty(n, dtype=np.intp)
-    expected_step[order] = np.arange(1, n + 1) - np.repeat(starts, counts)
+    # The row that ended the scan may have left some of its values in ``flat``.
+    table = np.frombuffer(flat, count=len(lines) * k).reshape(len(lines), k)
     with np.errstate(invalid="ignore", over="ignore"):
         sums = table.sum(axis=1)
-    # In check order; a step too large for int64 makes an object array,
-    # which still compares elementwise.
     faults = [
-        np.asarray(steps) != expected_step,
         (table < 0).any(axis=1),
         np.abs(sums - 1.0) > ROW_SUM_TOLERANCE,
         ~np.isfinite(table).all(axis=1),
@@ -138,31 +135,20 @@ def read_traces(path) -> list[PredictionTrace]:
     bad = np.flatnonzero(np.logical_or.reduce(faults))
     if bad.size:
         i = int(bad[0])
-        path_id = ids[i]
+        path_id = next(path_id for path_id, path_rows in rows.items() if i in path_rows)
         messages = [
-            f"path {path_id!r} expected step {expected_step[i]}, got {steps[i]} "
-            "(steps must be contiguous from 1)",
             f"path {path_id!r} has a negative probability",
             f"path {path_id!r} probabilities sum to {sums[i]:.6f}, not 1",
             f"path {path_id!r} has a non-finite probability",
         ]
-        kind = next(j for j, fault in enumerate(faults) if fault[i])
-        raise TraceParseError(f"{path} line {_line_of_row(path, i)}: {messages[kind]}")
-    if malformed is not None:
-        raise TraceParseError(f"{path} line {_line_of_row(path, n)}: {malformed}")
-    if unreadable:
-        raise unreadable[0]
-
-    short = np.flatnonzero(counts < 2)
-    if short.size:
-        path_id = list(index)[short[0]]
-        raise TraceParseError(f"{path}: path {path_id!r} has fewer than 2 steps")
-    if np.any(order != np.arange(n)):
-        table = table[order]
-    return [
-        PredictionTrace(probs=table[a : a + c], path_id=path_id)
-        for path_id, a, c in zip(index, starts, counts)
-    ]
+        kind = next(j for j, check in enumerate(faults) if check[i])
+        raise TraceParseError(f"{path} line {lines[i]}: {messages[kind]}")
+    if fault is not None:
+        raise fault
+    for path_id, path_rows in rows.items():
+        if len(path_rows) < 2:
+            raise TraceParseError(f"{path}: path {path_id!r} has fewer than 2 steps")
+    return [PredictionTrace(table[path_rows], path_id) for path_id, path_rows in rows.items()]
 
 
 @contextlib.contextmanager
@@ -190,14 +176,20 @@ def _rows(path, header):
     with _csv_reader(path) as reader:
         if next(reader, None) != header:
             raise TraceParseError(f"{path} line 1: header must be {','.join(header)}")
-        line_no = reader.line_num + 1
-        for row in reader:
-            if len(row) != len(header):
-                raise TraceParseError(
-                    f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield line_no, row
-            line_no = reader.line_num + 1
+        yield from _numbered(path, reader, len(header))
+
+
+def _numbered(path, reader, width):
+    """``(line, row)`` for each remaining row of ``reader``, ``line`` its first physical line.
+
+    A row without exactly ``width`` fields, a blank line included, raises TraceParseError.
+    """
+    line = reader.line_num + 1
+    for row in reader:
+        if len(row) != width:
+            raise TraceParseError(f"{path} line {line}: expected {width} fields, got {len(row)}")
+        yield line, row
+        line = reader.line_num + 1
 
 
 def write_rows(path, header, rows) -> None:
@@ -209,14 +201,6 @@ def write_rows(path, header, rows) -> None:
             [fmt_float(cell) if isinstance(cell, (float, np.floating)) else cell for cell in row]
             for row in rows
         )
-
-
-def _line_of_row(path, i: int) -> int:
-    """Physical line on which body row ``i`` (from 0) of the CSV at ``path`` starts."""
-    with _csv_reader(path) as reader:
-        for _ in itertools.islice(reader, i + 1):
-            pass
-        return reader.line_num + 1
 
 
 def _decoded_blocks(fh, path):
@@ -246,52 +230,6 @@ def _decoded_blocks(fh, path):
 
 def _unparseable(path, reader, exc: csv.Error) -> TraceParseError:
     return TraceParseError(f"{path} line {reader.line_num}: {exc}")
-
-
-def _rows_until_unreadable(reader, path, unreadable: list):
-    """Rows of ``reader`` up to the first it cannot read, whose error goes to ``unreadable``."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        unreadable.append(_unparseable(path, reader, exc))
-    except TraceParseError as exc:
-        unreadable.append(exc)
-
-
-def _parse_trace_rows(rows: list[list[str]], k: int) -> tuple[list[int], np.ndarray, str | None]:
-    """Steps, (n, K) probabilities and a fault message for trace body rows.
-
-    Only the first n rows are parsed: those before the first malformed row,
-    one with the wrong field count or a field that does not parse. The fault
-    message describes that row, or is None when every row is well formed.
-    """
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    wrong = np.flatnonzero(widths != k + 2)
-    n = int(wrong[0]) if wrong.size else len(rows)
-    malformed = f"expected {k + 2} fields, got {widths[n]}" if wrong.size else None
-    try:
-        return (*_convert_trace_rows(rows[:n], k), malformed)
-    except ValueError:
-        pass
-    # Only a chunk with a field that does not parse pays for this rescan.
-    for i, row in enumerate(rows[:n]):
-        try:
-            _convert_trace_rows([row], k)
-        except ValueError as exc:
-            n, malformed = i, str(exc)
-            break
-    return (*_convert_trace_rows(rows[:n], k), malformed)
-
-
-def _convert_trace_rows(rows: list[list[str]], k: int) -> tuple[list[int], np.ndarray]:
-    """``int`` of every step and ``float`` of every probability, row by row."""
-    steps = [int(row[1]) for row in rows]
-    flat = np.fromiter(
-        map(float, itertools.chain.from_iterable(row[2:] for row in rows)),
-        dtype=np.float64,
-        count=len(rows) * k,
-    )
-    return steps, flat.reshape(len(rows), k)
 
 
 def write_traces(path, traces) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import shutil
 import uuid
 
 import numpy as np
@@ -56,10 +57,11 @@ def write_tensor(path, data, shape=None) -> None:
 def atomic_open(path, mode, **open_kwargs):
     """The package's one way to write an output file; ``mode`` is "w" or "wb".
 
-    Writes a temp file beside ``path``, renamed in on success; on an exception it is
-    removed and an old ``path`` keeps its bytes. A symlink is written through; a
-    target that is not a regular file, or has no directory, raises InvalidInputError
-    before any file is made. No fsync: this covers a failed command, not power loss.
+    Writes a temp file beside ``path``, renamed in on success with an old ``path``'s
+    permission bits; on an exception it is removed and an old ``path`` keeps its bytes.
+    A symlink is written through; a target that is not a regular file, or has no
+    directory, raises InvalidInputError before any file is made. Hard links are not
+    kept. No fsync: this covers a failed command, not power loss.
     """
     real = os.path.realpath(path)
     head, tail = os.path.split(real)
@@ -70,6 +72,8 @@ def atomic_open(path, mode, **open_kwargs):
     try:
         with fh:
             yield fh
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(real, tmp)
         os.replace(tmp, real)
     except BaseException:
         os.remove(tmp)

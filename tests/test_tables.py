@@ -1,8 +1,10 @@
 import csv
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spectral_robustness import (
@@ -15,6 +17,7 @@ from spectral_robustness import (
     summarize_gaussian,
 )
 from spectral_robustness import tables
+from spectral_robustness.path_metrics import ROW_SUM_TOLERANCE
 from spectral_robustness.tables import (
     fmt_float,
     read_accuracies,
@@ -118,11 +121,11 @@ class TestReadTraces:
         back = read_traces(out)
         assert np.array_equal(back[0].probs, probs)
 
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 8192])
+    @pytest.mark.parametrize("block_chars", [1, 30, 1 << 16])
     def test_interleaved_paths_grouped_in_first_appearance_order(
-        self, tmp_path, monkeypatch, chunk_rows
+        self, tmp_path, monkeypatch, block_chars
     ):
-        monkeypatch.setattr(tables, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(tables, "_BLOCK_CHARS", block_chars)
         content = (
             "path_id,step,p_0,p_1\n"
             "b,1,0.5,0.5\na,1,1.0,0.0\nb,2,0.25,0.75\nc,1,0.1,0.9\n"
@@ -172,11 +175,11 @@ class TestReadTraces:
             (["a,1,0.5,0.5", "a,2,0.5,0.5", "a,3,0.5", "b,1,0.5,0.5", "b,2,0.5,0.5"], 4),
         ],
     )
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 8192])
+    @pytest.mark.parametrize("block_chars", [1, 30, 1 << 16])
     def test_first_fault_in_file_order_is_reported(
-        self, tmp_path, monkeypatch, rows, line, chunk_rows
+        self, tmp_path, monkeypatch, rows, line, block_chars
     ):
-        monkeypatch.setattr(tables, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(tables, "_BLOCK_CHARS", block_chars)
         content = "path_id,step,p_0,p_1\n" + "\n".join(rows) + "\n"
         with pytest.raises(TraceParseError, match=f"line {line}:"):
             read_traces(write_text(tmp_path, content))
@@ -198,6 +201,171 @@ class TestReadTraces:
             assert "line 2:" in str(exc)
         else:
             assert traces[0].probs.tolist() == [row, row]
+
+    def test_peak_memory_follows_the_table(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n_paths, t, k = 200, 100, 10
+        path = tmp_path / "t.csv"
+        write_traces(
+            path,
+            [PredictionTrace(rng.dirichlet(np.ones(k), t), path_id=f"p{i}") for i in range(n_paths)],
+        )
+        tracemalloc.start()
+        try:
+            traces = read_traces(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traces) == n_paths
+        assert peak <= 5 * n_paths * t * k * 8
+
+
+def reference_read_traces(path):
+    """The README's trace contract, checked one row at a time.
+
+    Each row is checked in full, in the order field count, parse, step, sign,
+    row sum (``np.sum`` of the row as float64), finiteness, before the next
+    line is read.
+    """
+    with open(path) as fh:
+        encoding = fh.encoding
+
+    def decoded_lines():
+        for line_no, raw in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
+            try:
+                yield raw.decode(encoding)
+            except UnicodeDecodeError as exc:
+                raise TraceParseError(
+                    f"{path} line {line_no}: byte 0x{raw[exc.start]:02x} is not valid {encoding} text"
+                ) from None
+
+    reader = csv.reader(decoded_lines())
+    traces: dict[str, list[list[float]]] = {}
+    try:
+        header = next(reader)
+        k = len(header) - 2
+        line_no = reader.line_num + 1
+        for row in reader:
+            where = f"{path} line {line_no}"
+            if len(row) != k + 2:
+                raise TraceParseError(f"{where}: expected {k + 2} fields, got {len(row)}")
+            path_id = row[0]
+            try:
+                step = int(row[1])
+                probs = [float(p) for p in row[2:]]
+            except ValueError as exc:
+                raise TraceParseError(f"{where}: {exc}") from None
+            earlier = traces.setdefault(path_id, [])
+            if step != len(earlier) + 1:
+                raise TraceParseError(
+                    f"{where}: path {path_id!r} expected step {len(earlier) + 1}, got {step} "
+                    "(steps must be contiguous from 1)"
+                )
+            if any(p < 0 for p in probs):
+                raise TraceParseError(f"{where}: path {path_id!r} has a negative probability")
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = np.sum(np.array(probs, dtype=np.float64))
+            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+                raise TraceParseError(f"{where}: path {path_id!r} probabilities sum to {total:.6f}, not 1")
+            if not all(map(math.isfinite, probs)):
+                raise TraceParseError(f"{where}: path {path_id!r} has a non-finite probability")
+            earlier.append(probs)
+            line_no = reader.line_num + 1
+    except csv.Error as exc:
+        raise TraceParseError(f"{path} line {reader.line_num}: {exc}") from None
+    for path_id, rows in traces.items():
+        if len(rows) < 2:
+            raise TraceParseError(f"{path}: path {path_id!r} has fewer than 2 steps")
+    return [PredictionTrace(np.array(rows), path_id) for path_id, rows in traces.items()]
+
+
+# Values a mutation may put into one field, by mutation name.
+FIELD_VALUES = {
+    "bad float": "half", "negative": "-0.5", "sum off": "0.9",
+    "nan": "nan", "inf": "inf", "-inf": "-inf", "1e400": "1e400",
+}
+MUTATIONS = [
+    "drop", "duplicate", "swap", "short", "long", "blank", "undecodable", "over limit",
+    "quoted newline", "bad int", *FIELD_VALUES,
+]
+
+
+def mutate(rows, kind, i, j):
+    """Apply one row-level mutation to ``rows`` (lists of field strings) in place."""
+    if not rows:
+        return
+    r = i % len(rows)
+    row = rows[r]
+    field = j % len(row) if row else None
+    if kind == "drop":
+        del rows[r]
+    elif kind == "duplicate":
+        rows.insert(r, list(row))
+    elif kind == "swap":
+        s = j % len(rows)
+        rows[r], rows[s] = rows[s], rows[r]
+    elif kind == "short":
+        rows[r] = row[:-1]
+    elif kind == "long":
+        rows[r] = row + ["0"]
+    elif kind == "blank":
+        rows.insert(r, [])
+    elif kind == "undecodable" and row:
+        row[0] += "\udcff"
+    elif kind == "over limit" and row:
+        row[0] = "x" * 200_000
+    elif kind == "quoted newline" and row:
+        row[field] = f'"{row[field]}\n"'
+    elif kind == "bad int" and len(row) > 1:
+        row[1] = "x"
+    elif field is not None and kind in FIELD_VALUES:
+        row[field] = FIELD_VALUES[kind]
+
+
+@st.composite
+def trace_tables(draw):
+    """Bytes of a trace CSV after 0 to 2 row-level mutations.
+
+    Before them it is valid: up to 3 interleaved paths of 2 to 5 steps, K = 2 or 3.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    k = rnd.randint(2, 3)
+    order = [p for p in range(rnd.randint(1, 3)) for _ in range(rnd.randint(2, 5))]
+    rnd.shuffle(order)
+    steps = [0, 0, 0]
+    rows = []
+    for p in order:
+        steps[p] += 1
+        weights = [rnd.randint(0, 4) for _ in range(k)]
+        weights[rnd.randrange(k)] += 1
+        rows.append(["abc"[p], str(steps[p]), *(repr(w / sum(weights)) for w in weights)])
+    for _ in range(rnd.randint(0, 2)):
+        mutate(rows, rnd.choice(MUTATIONS), rnd.randrange(100), rnd.randrange(100))
+    header = "path_id,step," + ",".join(f"p_{i}" for i in range(k))
+    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+    return text.encode("utf-8", "surrogateescape")
+
+
+def outcome(read, path):
+    """The traces ``read`` returns, to the bit, or its TraceParseError text."""
+    try:
+        return [(t.path_id, t.probs.shape, t.probs.tobytes()) for t in read(path)]
+    except TraceParseError as exc:
+        return str(exc)
+
+
+class TestReadTracesAgainstReference:
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(trace_tables())
+    def test_same_traces_or_same_message(self, tmp_path, content):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        assert outcome(read_traces, path) == outcome(reference_read_traces, path)
 
 
 def reference_write_traces(path, traces):
@@ -290,11 +458,10 @@ class TestUnreadableLines:
         assert str(info.value).startswith(f"{path} line 1: byte 0xfe is not valid")
 
     @pytest.mark.parametrize("unreadable", ["x" * 200_000, "\udcff"])
-    @pytest.mark.parametrize("chunk_rows, block_chars", [(1, 1), (2, 30), (8192, 1 << 16)])
+    @pytest.mark.parametrize("block_chars", [1, 30, 1 << 16])
     def test_first_fault_in_file_order_wins_over_unreadable_line(
-        self, tmp_path, monkeypatch, unreadable, chunk_rows, block_chars
+        self, tmp_path, monkeypatch, unreadable, block_chars
     ):
-        monkeypatch.setattr(tables, "_CHUNK_ROWS", chunk_rows)
         monkeypatch.setattr(tables, "_BLOCK_CHARS", block_chars)
         rows = ["a,1,0.5,0.5", "a,2,0.5,0.5", "b,1,0.5,0.5", f"{unreadable},1,0.5,0.5"]
         path = tmp_path / "t.csv"

@@ -1,6 +1,7 @@
 import argparse
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -238,6 +239,21 @@ class TestAtomicOpen:
         assert link.is_symlink()
         assert (real_dir / "out").read_bytes() == reference.read_bytes()
         assert os.listdir(real_dir) == ["out"] and os.listdir(link_dir) == ["out"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    @pytest.mark.parametrize("mode", [0o600, 0o640, None], ids=["0600", "0640", "new"])
+    def test_permission_bits_are_kept(self, tmp_path, metrics_csv, writer, mode):
+        out = tmp_path / "out"
+        if mode is None:
+            # A new output gets the umask's default, as a plain open would give it.
+            (tmp_path / "plain").touch()
+            mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        else:
+            out.write_bytes(b"old bytes\n")
+            out.chmod(mode)
+        WRITERS[writer](out, metrics_csv)
+        assert out.read_bytes() != b"old bytes\n"
+        assert stat.S_IMODE(out.stat().st_mode) == mode
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("writer", sorted(WRITERS))
