@@ -6,7 +6,8 @@ same shape using the standard unnormalized DFT convention, so Parseval reads
 ``sum |X|^2 = H*W * sum |x|^2`` per channel.
 
 Every 2D transform in this package goes through ``rfft2`` and ``irfft2``
-here, the one place that picks the FFT backend (``scipy.fft``).
+here, the one place that picks the FFT backend (``scipy.fft``), except the
+``np.fft.ifft2`` of ``synthetic.powerlaw_images``.
 """
 
 from __future__ import annotations

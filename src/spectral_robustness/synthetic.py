@@ -13,6 +13,28 @@ from .errors import InvalidInputError
 from .spectral import normalized_radius
 
 
+# The power-law generator fills its output this many values at a time, so the
+# complex temporaries stay a few MB whatever the stack size.
+_CHUNK_VALUES = 1 << 18
+
+
+def _checked_shape(image_shape) -> tuple[int, int, int]:
+    if len(image_shape) != 3 or not all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1 for v in image_shape
+    ):
+        raise InvalidInputError(f"image_shape must be three ints >= 1, got {image_shape!r}")
+    return tuple(int(v) for v in image_shape)
+
+
+def _divide_by_std(images: np.ndarray) -> None:
+    """Scale ``images`` in place to unit std; raise if the data overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = images.std()
+    if not (np.isfinite(std) and std > 0):
+        raise InvalidInputError(f"generated images have std {std}; the arguments leave float64 range")
+    images /= std
+
+
 def make_blobs(
     image_shape: tuple[int, int, int] = (1, 8, 8),
     n_classes: int = 2,
@@ -24,9 +46,11 @@ def make_blobs(
 
     Returns (images, labels) with images of shape (n_classes*n_per_class, C, H, W).
     """
-    c, h, w = image_shape
+    c, h, w = _checked_shape(image_shape)
     if n_classes < 2 or n_per_class < 1:
         raise InvalidInputError("need n_classes >= 2 and n_per_class >= 1")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise InvalidInputError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng([seed, 7])
     ys, xs = np.mgrid[0:h, 0:w]
     templates = []
@@ -48,10 +72,9 @@ def make_blobs(
         )
         labels[lo : lo + n_per_class] = k
 
-    images -= images.mean()
-    std = images.std()
-    if std > 0:
-        images /= std
+    with np.errstate(over="ignore", invalid="ignore"):
+        images -= images.mean()
+    _divide_by_std(images)
     return images, labels
 
 
@@ -61,17 +84,44 @@ def powerlaw_images(
     slope: float = 1.0,
     seed: int = 0,
 ) -> np.ndarray:
-    """Random-phase images whose Fourier amplitude falls off as 1/r^slope."""
-    c, h, w = image_shape
+    """Random-phase images whose Fourier amplitude falls off as 1/r^slope.
+
+    Returns a C-contiguous float64 ``(n, C, H, W)`` stack scaled to unit std.
+    Phases are uniform on [-pi, pi), drawn from one ``default_rng([seed, 11])``
+    stream in image order, so the first m images take the same phases whatever
+    ``n`` is.
+    Images are synthesized a bounded chunk at a time (at least one image) and
+    written into the preallocated output, so peak memory is the output, one
+    full-size temporary of ``np.std``, and one chunk's spectra.
+
+    The random phases make the full spectrum non-Hermitian, and the image is
+    the real part of its inverse transform, which is not ``irfft2`` of its half
+    spectrum; so this generator keeps ``np.fft.ifft2`` and is the one 2-D
+    transform outside ``spectral.rfft2``/``irfft2``.
+    """
+    c, h, w = _checked_shape(image_shape)
     if n < 1:
         raise InvalidInputError("need n >= 1")
-    rng = np.random.default_rng([seed, 11])
+    if h < 2 or w < 2:
+        raise InvalidInputError(f"power-law images need H, W >= 2, got {image_shape!r}")
+    if not np.isfinite(slope):
+        raise InvalidInputError(f"slope must be finite, got {slope}")
     r = normalized_radius(h, w)
     amp = np.zeros_like(r)
     nonzero = r > 0
-    amp[nonzero] = r[nonzero] ** (-slope)
-    phases = rng.uniform(-np.pi, np.pi, size=(n, c, h, w))
-    spectra = amp[None, None] * np.exp(1j * phases)
-    images = np.fft.ifft2(spectra, axes=(-2, -1)).real
-    images /= images.std()
+    with np.errstate(over="ignore"):
+        amp[nonzero] = r[nonzero] ** (-slope)
+    if not np.isfinite(amp).all():
+        raise InvalidInputError(f"slope {slope} overflows the amplitude at {h}x{w}")
+
+    rng = np.random.default_rng([seed, 11])
+    images = np.empty((n, c, h, w))
+    per_chunk = max(1, _CHUNK_VALUES // (c * h * w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, per_chunk):
+            hi = min(lo + per_chunk, n)
+            spectra = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(hi - lo, c, h, w)))
+            spectra *= amp
+            images[lo:hi] = np.fft.ifft2(spectra, axes=(-2, -1)).real
+    _divide_by_std(images)
     return images

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from spectral_robustness import (
     band_fractions,
     class_averaged_shift_psd,
     corrupt_batch,
+    make_blobs,
     paired_shift_psd,
     powerlaw_images,
     psd,
     radial_profile,
 )
 from spectral_robustness.shift_psd import DEFAULT_BAND_EDGES, PROFILE_BIN_WIDTH
+from spectral_robustness.spectral import normalized_radius
 
 
 def normalized_radius_oracle(h, w):
@@ -254,3 +258,91 @@ class TestCorruptionBandOrdering:
         shifted = corrupt_batch(natural_images, CorruptionSpec("impulse_noise", 0.05, seed=2))
         f = band_fractions(paired_shift_psd(natural_images, shifted))
         assert f.high == max(f.low, f.mid, f.high)
+
+
+def reference_powerlaw_images(image_shape, n, slope, seed):
+    """One-shot formula: every phase drawn at once, one full-size inverse FFT."""
+    c, h, w = image_shape
+    rng = np.random.default_rng([seed, 11])
+    r = normalized_radius(h, w)
+    amp = np.zeros_like(r)
+    nonzero = r > 0
+    amp[nonzero] = r[nonzero] ** (-slope)
+    phases = rng.uniform(-np.pi, np.pi, size=(n, c, h, w))
+    spectra = amp[None, None] * np.exp(1j * phases)
+    images = np.fft.ifft2(spectra, axes=(-2, -1)).real
+    images /= images.std()
+    return images
+
+
+class TestPowerlawImages:
+    @pytest.mark.parametrize(
+        "image_shape, n, slope, seed",
+        [
+            ((1, 32, 32), 1, 1.0, 0),  # a single image
+            ((1, 32, 32), 100, 1.0, 3),  # below one chunk
+            ((3, 32, 32), 200, 1.5, 5),  # not a multiple of the chunk
+            ((1, 9, 7), 50, 0.5, 2),  # odd sides
+            ((3, 300, 300), 2, 1.0, 1),  # one image larger than a chunk
+        ],
+    )
+    def test_chunked_stack_matches_one_shot_formula(self, image_shape, n, slope, seed):
+        images = powerlaw_images(image_shape, n, slope, seed)
+        assert np.array_equal(images, reference_powerlaw_images(image_shape, n, slope, seed))
+        assert images.flags.c_contiguous
+        assert images.dtype == np.float64
+
+    def test_peak_memory_follows_the_output(self):
+        tracemalloc.start()
+        try:
+            images = powerlaw_images((1, 32, 32), n=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * images.nbytes
+
+    @pytest.mark.parametrize(
+        "image_shape, slope",
+        [
+            ((0, 8, 8), 1.0),
+            ((1, 0, 8), 1.0),
+            ((1, 1, 8), 1.0),
+            ((1, 8, 1), 1.0),
+            ((8, 8), 1.0),
+            ((1, 8.0, 8), 1.0),
+            ((1, 8, 8), float("nan")),
+            ((1, 8, 8), float("inf")),
+            ((1, 8, 8), -float("inf")),
+            ((1, 8, 8), 400.0),  # the amplitude overflows
+        ],
+    )
+    def test_bad_input_rejected(self, image_shape, slope):
+        with pytest.raises(InvalidInputError):
+            powerlaw_images(image_shape, n=4, slope=slope)
+
+    # Every amplitude is finite, but squaring the pixels (150) or the inverse
+    # FFT itself (186) overflows.
+    @pytest.mark.parametrize("slope", [150.0, 186.0])
+    def test_overflowing_std_rejected(self, slope):
+        with pytest.raises(InvalidInputError, match="std"):
+            powerlaw_images((1, 64, 64), n=2, slope=slope)
+
+
+class TestMakeBlobsInput:
+    @pytest.mark.parametrize(
+        "image_shape, noise",
+        [
+            ((0, 8, 8), 0.25),
+            ((1, 8, 0), 0.25),
+            ((1, 8), 0.25),
+            ((1, True, 8), 0.25),
+            ((1, 8, 8), float("nan")),
+            ((1, 8, 8), float("inf")),
+            ((1, 8, 8), -0.1),
+            ((1, 8, 8), 1e300),  # the std overflows
+            ((1, 8, 8), 1e307),  # the mean overflows
+        ],
+    )
+    def test_bad_input_rejected(self, image_shape, noise):
+        with pytest.raises(InvalidInputError):
+            make_blobs(image_shape, n_per_class=4, noise=noise)
