@@ -33,6 +33,10 @@ CORRUPTION_KINDS = (
     "pixelate",
 )
 
+# Impulse noise draws its flip and salt fields this many pixels at a time, so
+# a chunk's draws stay in cache.
+_CHUNK_PIXELS = 1 << 15
+
 
 @dataclass
 class CorruptionSpec:
@@ -75,14 +79,27 @@ def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
 
     Noise comes from one stream, ``default_rng([seed, 0])`` for gaussian
     noise and ``default_rng([seed, 1])`` for impulse noise; image i takes the
-    i-th consecutive block of its draws.
+    i-th consecutive block of its draws. Arithmetic or noise draws that
+    overflow float64 raise InvalidInputError naming the kind and param; the
+    sums inside scipy's blur filter are not checked.
     """
     return _corrupt(images, spec, "images")
 
 
 def _corrupt(images, spec: CorruptionSpec, name: str) -> np.ndarray:
-    """Corrupt every image of a stack; image i draws the i-th block of the spec's stream."""
+    """Corrupt every image of a stack; reject arithmetic that overflows float64."""
     stack = image_stack(images, name)
+    try:
+        with np.errstate(over="raise"):
+            return _corrupt_stack(stack, spec)
+    except FloatingPointError:
+        raise InvalidInputError(
+            f"{spec.kind} with param {spec.param} takes the images beyond the float64 range"
+        ) from None
+
+
+def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
+    """Corrupt a validated stack; image i draws the i-th block of the spec's stream."""
     n, c, h, w = stack.shape
     kind, param = spec.kind, spec.param
 
@@ -98,16 +115,24 @@ def _corrupt(images, spec: CorruptionSpec, name: str) -> np.ndarray:
 
     if kind == "gaussian_noise":
         noise = np.random.default_rng([spec.seed, 0]).normal(0.0, param, size=stack.shape)
+        # The generator scales its draws without raising a floating-point
+        # error, so a std near the float64 limit gives inf draws silently.
+        if not np.all(np.isfinite(noise)):
+            raise FloatingPointError("noise draws overflow")
         return np.add(stack, noise, out=noise)
 
     if kind == "impulse_noise":
         out = stack.copy()
-        u = np.empty((2, c, h, w))
         rng = np.random.default_rng([spec.seed, 1])
-        for image in out:
-            # One draw of both fields equals drawing flip's, then salt's.
-            rng.random(out=u)
-            np.copyto(image, np.where(u[1] < 0.5, image.max(), image.min()), where=u[0] < param)
+        per_chunk = max(1, _CHUNK_PIXELS // (c * h * w))
+        for lo in range(0, n, per_chunk):
+            block = out[lo : lo + per_chunk]
+            # Image i of the chunk takes the i-th (2, C, H, W) block of the
+            # draw: its flip field, then its salt field.
+            u = rng.random((len(block), 2, c, h, w))
+            salt = block.max(axis=(1, 2, 3), keepdims=True)
+            pepper = block.min(axis=(1, 2, 3), keepdims=True)
+            np.copyto(block, np.where(u[:, 1] < 0.5, salt, pepper), where=u[:, 0] < param)
         return out
 
     if kind == "gaussian_blur":

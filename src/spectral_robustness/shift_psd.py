@@ -39,17 +39,38 @@ class BandFractions:
 def paired_shift_psd(originals: Sequence, corrupted: Sequence) -> PsdMap:
     """PSD of per-pair difference images (corrupted_i - original_i).
 
-    A difference beyond the float64 range raises InvalidInputError from ``psd``.
+    The difference is formed a chunk at a time inside ``psd``. A difference
+    beyond the float64 range raises InvalidInputError from ``psd``.
     """
+    originals, corrupted = _readable_twice(originals), _readable_twice(corrupted)
+    try:
+        return psd(corrupted, minus=originals)
+    except InvalidInputError as error:
+        fault = error
+    # Name the input at fault, in the order the inputs are checked.
     orig = image_stack(originals, "originals")
     corr = image_stack(corrupted, "corrupted")
     if orig.shape != corr.shape:
         raise InvalidInputError(
             f"originals/corrupted shape mismatch: {orig.shape} vs {corr.shape}"
         )
-    with np.errstate(over="ignore"):
-        diff = corr - orig
-    return psd(diff)
+    raise fault
+
+
+def _readable_twice(images):
+    """``images``, as a list if it is no array, so an error path can read it again."""
+    return images if isinstance(images, np.ndarray) else list(images)
+
+
+def _group_psd(images, name: str) -> PsdMap:
+    """``psd(images)``, naming ``name`` when the fault is in the images."""
+    images = _readable_twice(images)
+    try:
+        return psd(images)
+    except InvalidInputError as error:
+        fault = error
+    image_stack(images, name)
+    raise fault
 
 
 def class_averaged_shift_psd(a: Mapping, b: Mapping) -> PsdMap:
@@ -64,8 +85,8 @@ def class_averaged_shift_psd(a: Mapping, b: Mapping) -> PsdMap:
         raise InvalidInputError("no classes given")
     deltas = []
     for key in sorted(keys_a, key=str):
-        psd_a = psd(image_stack(a[key], f"a[{key!r}]"))
-        psd_b = psd(image_stack(b[key], f"b[{key!r}]"))
+        psd_a = _group_psd(a[key], f"a[{key!r}]")
+        psd_b = _group_psd(b[key], f"b[{key!r}]")
         if psd_a.power.shape != psd_b.power.shape:
             raise InvalidInputError(f"image sizes differ between groups for class {key!r}")
         deltas.append(psd_b.power - psd_a.power)

@@ -20,6 +20,10 @@ import scipy.fft
 
 from .errors import InvalidInputError
 
+# ``psd`` transforms its stack this many half-spectrum values at a time (20
+# CIFAR images), so the FFT, squaring and channel mean of a chunk stay in cache.
+_PSD_CHUNK_VALUES = 1 << 15
+
 
 @dataclass
 class FourierDecomposition:
@@ -188,30 +192,52 @@ def image_stack(images, name: str) -> np.ndarray:
     return stack
 
 
-def psd(images: Sequence) -> PsdMap:
+def _differences(stack: np.ndarray, minus: np.ndarray | None, per_chunk: int):
+    """Yield (start, stack[start:stop] - minus[start:stop]) over chunks of ``per_chunk`` images."""
+    for lo in range(0, len(stack), per_chunk):
+        chunk = stack[lo : lo + per_chunk]
+        yield lo, chunk if minus is None else chunk - minus[lo : lo + per_chunk]
+
+
+def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
     """Mean power spectral density |X|^2 / (H*W) over images and channels.
 
     The normalization makes unit-variance white noise flat at expected power 1.
     The power is computed on the real half-spectrum and mirrored through
-    P[u, v] = P[-u, -v], so the map is exactly point-symmetric.
+    P[u, v] = P[-u, -v], so the map is exactly point-symmetric. With
+    ``minus``, a stack of the same shape, the map is the PSD of
+    ``images - minus``, formed a chunk at a time and never in full.
 
     Non-finite input and power beyond the float64 range raise
     InvalidInputError. Finiteness is checked on the map, not the input: the
     DC bin sums every pixel, so a non-finite pixel always reaches the map.
     """
     stack = _stack(images, "psd input")
-    n, _, h, w = stack.shape
-    # The real and imaginary parts, interleaved, squared in place.
-    parts = rfft2(stack).view(np.float64)
+    if minus is not None:
+        minus = _stack(minus, "psd minus")
+        if minus.shape != stack.shape:
+            raise InvalidInputError(
+                f"psd minus must have the input's shape {stack.shape}, got {minus.shape}"
+            )
+    n, c, h, w = stack.shape
+    # Per-image powers, filled one chunk of images at a time.
+    per_image = np.empty((n, h, w // 2 + 1))
+    per_chunk = max(1, _PSD_CHUNK_VALUES // (c * per_image[0].size))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(parts, parts, out=parts)
-        # Channel mean first, then image mean, so repeated identical images
-        # average bit-identically.
-        per_image = np.mean(parts[..., 0::2] + parts[..., 1::2], axis=1) / (h * w)
+        for lo, chunk in _differences(stack, minus, per_chunk):
+            # The real and imaginary parts, interleaved, squared in place.
+            parts = rfft2(chunk).view(np.float64)
+            np.multiply(parts, parts, out=parts)
+            # Channel mean first, then image mean, so repeated identical images
+            # average bit-identically.
+            out = per_image[lo : lo + len(chunk)]
+            np.mean(parts[..., 0::2] + parts[..., 1::2], axis=1, out=out)
+            out /= h * w
         half = np.mean(per_image, axis=0)
     if not np.all(np.isfinite(half)):
-        if not np.all(np.isfinite(stack)):
-            raise InvalidInputError("psd input contains non-finite values")
+        with np.errstate(over="ignore"):
+            if not all(np.all(np.isfinite(x)) for _, x in _differences(stack, minus, per_chunk)):
+                raise InvalidInputError("psd input contains non-finite values")
         raise InvalidInputError("psd power overflows float64: the input is too large")
     power = np.empty((h, w))
     power[:, : w // 2 + 1] = half

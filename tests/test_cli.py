@@ -151,6 +151,22 @@ class TestCorrupt:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "kind, param", [("contrast", "1e300"), ("gaussian_noise", "1e308")]
+    )
+    def test_overflowing_result_fails_before_output(self, tmp_path, capsys, kind, param):
+        images = tmp_path / "big.tnsr"
+        data = np.random.default_rng(0).normal(size=(2, 1, 4, 4)) * 1e38
+        write_tensor(images, data.astype(np.float32))
+        out = tmp_path / "corr.tnsr"
+        rc = main(["corrupt", "--images", str(images), "--kind", kind, "--param", param,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {kind} with param {float(param)} takes the images beyond the float64 range\n"
+        assert not out.exists()
+
+
 class TestPsdShift:
     def test_paired_mode_with_bands_and_pgm(self, tmp_path, blob_files):
         images_path, _ = blob_files

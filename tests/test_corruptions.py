@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from spectral_robustness import CorruptionSpec, InvalidInputError, apply_corruption, corrupt_batch
-from spectral_robustness.corruptions import CORRUPTION_KINDS
+from spectral_robustness.corruptions import _CHUNK_PIXELS, CORRUPTION_KINDS
 
 
 def sample_image(seed=0, shape=(3, 32, 32)):
@@ -290,6 +291,58 @@ class TestGoldenCorruptions:
         given = stacks[layout]
         expected = reference_batch(given.astype(np.float64), kind, param, 29)
         assert np.array_equal(corrupt_batch(given, CorruptionSpec(kind, param, seed=29)), expected)
+
+
+class TestImpulseChunks:
+    """Impulse noise draws a chunk of images at a time, as the per-image loop would."""
+
+    CHUNK = _CHUNK_PIXELS // (3 * 32 * 32)
+
+    @pytest.mark.parametrize("param", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1, 3, 32, 32),
+            (CHUNK - 1, 3, 32, 32),
+            (CHUNK, 3, 32, 32),
+            (CHUNK + 1, 3, 32, 32),
+            (2 * CHUNK + 3, 3, 32, 32),
+            (3, 1, 200, 200),  # one image larger than a chunk
+        ],
+    )
+    def test_matches_per_image_loop(self, shape, param):
+        stack = np.random.default_rng(41).normal(size=shape)
+        expected = reference_batch(stack, "impulse_noise", param, 43)
+        assert np.array_equal(corrupt_batch(stack, CorruptionSpec("impulse_noise", param, seed=43)), expected)
+
+
+def huge(value, shape=(2, 1, 4, 4)):
+    """A stack of normals scaled by ``value``, with every |pixel| well inside float64."""
+    return np.random.default_rng(44).normal(size=shape) * value
+
+
+class TestOverflow:
+    """A corruption whose result leaves the float64 range is rejected, naming kind and param."""
+
+    @pytest.mark.parametrize(
+        "kind, param, stack",
+        [
+            ("brightness", 1e308, np.full((2, 1, 4, 4), 1e308)),
+            ("contrast", 1e300, huge(1e38)),
+            ("contrast", 0.5, np.full((2, 1, 4, 4), 1e308)),  # the channel mean's sum
+            ("pixelate", 2, np.full((2, 1, 4, 4), 1e308)),
+            ("gaussian_noise", 1e308, huge(1.0)),  # the draws themselves are inf
+            ("gaussian_noise", 1e307, np.full((2, 1, 4, 4), 1.7e308)),  # the add overflows
+        ],
+        ids=["brightness", "contrast", "contrast-mean", "pixelate", "noise-draw", "noise-add"],
+    )
+    def test_rejected(self, kind, param, stack):
+        spec = CorruptionSpec(kind, param, seed=3)
+        message = f"^{kind} with param {re.escape(str(param))} takes the images beyond the float64 range$"
+        with pytest.raises(InvalidInputError, match=message):
+            corrupt_batch(stack, spec)
+        with pytest.raises(InvalidInputError, match=message):
+            apply_corruption(stack[0], spec)
 
 
 class TestInputValidation:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from spectral_robustness import (
     CorruptionSpec,
@@ -18,7 +19,7 @@ from spectral_robustness import (
     radial_profile,
 )
 from spectral_robustness.shift_psd import DEFAULT_BAND_EDGES, PROFILE_BIN_WIDTH
-from spectral_robustness.spectral import normalized_radius
+from spectral_robustness.spectral import _PSD_CHUNK_VALUES, normalized_radius
 
 
 def normalized_radius_oracle(h, w):
@@ -151,6 +152,203 @@ class TestClassAveragedShiftPsd:
         b[1][1, 1, 4, 5] = 1e200
         with pytest.raises(InvalidInputError, match="^psd power overflows"):
             class_averaged_shift_psd(a, b)
+
+
+def reference_psd(images):
+    """One-shot formula: the whole stack through one rfft2, squared, then both means."""
+    stack = np.asarray(images, dtype=np.float64)
+    n, _, h, w = stack.shape
+    parts = scipy.fft.rfft2(stack).view(np.float64)
+    np.multiply(parts, parts, out=parts)
+    per_image = np.mean(parts[..., 0::2] + parts[..., 1::2], axis=1) / (h * w)
+    half = np.mean(per_image, axis=0)
+    power = np.empty((h, w))
+    power[:, : w // 2 + 1] = half
+    for u in range(h):
+        for v in range(w // 2 + 1, w):
+            power[u, v] = half[-u % h, w - v]
+    for v in [0] + ([w // 2] if w % 2 == 0 else []):
+        for u in range(1, (h + 1) // 2):
+            power[h - u, v] = power[u, v]
+    return power
+
+
+def images_per_chunk(image_shape):
+    c, h, w = image_shape
+    return max(1, _PSD_CHUNK_VALUES // (c * h * (w // 2 + 1)))
+
+
+LAYOUTS = {
+    "C": lambda x: x,
+    "F": np.asfortranarray,
+    "reversed": lambda x: np.ascontiguousarray(x[::-1, ::-1, ::-1, ::-1])[::-1, ::-1, ::-1, ::-1],
+    "transposed": lambda x: np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+    "float32": lambda x: x.astype(np.float32),
+}
+
+
+class TestChunkedPsdMatchesOneShotFormula:
+    """The chunked maps equal the one-shot formula bit for bit."""
+
+    @pytest.fixture(params=[(3, 32, 32), (1, 9, 7), (2, 2, 2)], ids=str)
+    def image_shape(self, request):
+        return request.param
+
+    @pytest.fixture(params=["1", "chunk-1", "chunk", "chunk+1", "400"])
+    def n(self, request, image_shape):
+        chunk = images_per_chunk(image_shape)
+        return {"1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1, "400": 400}[
+            request.param
+        ]
+
+    @staticmethod
+    def pair(image_shape, n, layout):
+        rng = np.random.default_rng([n, *image_shape])
+        a = rng.normal(size=(n, *image_shape)) * 3.0 + 0.5
+        b = a + rng.normal(0.0, 0.2, size=a.shape)
+        return LAYOUTS[layout](a), LAYOUTS[layout](b)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_psd(self, image_shape, n, layout):
+        a, _ = self.pair(image_shape, n, layout)
+        result = psd(a)
+        assert np.array_equal(result.power, reference_psd(a))
+        assert result.source_count == n
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_paired_shift_psd(self, image_shape, n, layout):
+        a, b = self.pair(image_shape, n, layout)
+        expected = reference_psd(np.asarray(b, dtype=np.float64) - np.asarray(a, dtype=np.float64))
+        assert np.array_equal(paired_shift_psd(a, b).power, expected)
+        assert np.array_equal(psd(b, minus=a).power, expected)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "float32"])
+    def test_class_averaged_shift_psd(self, image_shape, n, layout):
+        a, b = self.pair(image_shape, n, layout)
+        groups_a = {k: a[k::3] for k in range(min(3, n))}
+        groups_b = {k: b[::-1][k::2] for k in range(min(3, n))}
+        deltas = [reference_psd(groups_b[k]) - reference_psd(groups_a[k]) for k in sorted(groups_a)]
+        result = class_averaged_shift_psd(groups_a, groups_b)
+        assert np.array_equal(result.power, np.mean(deltas, axis=0))
+
+
+class TestShiftPsdMessages:
+    """Each fault is named as the per-input checks before the transform named it."""
+
+    @staticmethod
+    def stack(n, image_shape=(3, 8, 8), bad=None):
+        x = np.random.default_rng(n).normal(size=(n, *image_shape))
+        if bad is not None:
+            x[1, 0, 4, 5] = bad
+        return x
+
+    @pytest.mark.parametrize(
+        "originals, corrupted, message",
+        [
+            ("fine", "short", "originals/corrupted shape mismatch: (3, 3, 8, 8) vs (2, 3, 8, 8)"),
+            ("nan", "short", "originals contains non-finite values"),
+            ("fine", "inf-short", "corrupted contains non-finite values"),
+            ("nan", "inf", "originals contains non-finite values"),
+            ("empty", "nan", "originals must be nonempty"),
+            ("fine", "3-d", "corrupted must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
+            ("mixed", "fine", "originals images must share a shape, got [(3, 4, 4), (3, 8, 8)]"),
+            ("fine", "1e200", "psd power overflows float64: the input is too large"),
+            ("1e308", "-1e308", "psd input contains non-finite values"),
+        ],
+    )
+    def test_paired(self, originals, corrupted, message):
+        inputs = {
+            "fine": self.stack(3),
+            "short": self.stack(2),
+            "nan": self.stack(3, bad=np.nan),
+            "inf": self.stack(3, bad=np.inf),
+            "inf-short": self.stack(2, bad=-np.inf),
+            "empty": [],
+            "3-d": np.zeros((3, 8, 8)),
+            "mixed": [np.zeros((3, 8, 8)), np.zeros((3, 4, 4))],
+            "1e200": self.stack(3, bad=1e200),
+            "1e308": self.stack(3, bad=1e308),
+            "-1e308": -self.stack(3, bad=1e308),
+        }
+        with pytest.raises(InvalidInputError) as info:
+            paired_shift_psd(inputs[originals], inputs[corrupted])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "a1, b1, message",
+        [
+            ("nan", "fine", "a[1] contains non-finite values"),
+            ("fine", "inf", "b[1] contains non-finite values"),
+            ("1e200", "nan", "psd power overflows float64: the input is too large"),
+            ("nan", "1e200", "a[1] contains non-finite values"),
+            ("empty", "fine", "a[1] must be nonempty"),
+            ("fine", "3-d", "b[1] must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
+            ("fine", "small", "image sizes differ between groups for class 1"),
+        ],
+    )
+    def test_class_averaged(self, a1, b1, message):
+        inputs = {
+            "fine": self.stack(3),
+            "nan": self.stack(3, bad=np.nan),
+            "inf": self.stack(4, bad=np.inf),
+            "1e200": self.stack(3, bad=1e200),
+            "empty": [],
+            "3-d": np.zeros((3, 8, 8)),
+            "small": self.stack(3, (3, 4, 4)),
+        }
+        a = {0: self.stack(2), 1: inputs[a1]}
+        b = {0: self.stack(5), 1: inputs[b1]}
+        with pytest.raises(InvalidInputError) as info:
+            class_averaged_shift_psd(a, b)
+        assert str(info.value) == message
+
+    def test_one_shot_iterables_named_like_arrays(self):
+        a, b = self.stack(3, bad=np.nan), self.stack(3)
+        with pytest.raises(InvalidInputError, match="^originals contains non-finite values$"):
+            paired_shift_psd(iter(a), iter(b))
+        with pytest.raises(InvalidInputError, match=r"^b\[0\] contains non-finite values$"):
+            class_averaged_shift_psd({0: iter(b)}, {0: iter(a)})
+        c = 2.0 * b[::-1]
+        assert np.array_equal(paired_shift_psd(iter(b), iter(c)).power, paired_shift_psd(b, c).power)
+
+    @pytest.mark.parametrize(
+        "minus, message",
+        [
+            ("short", "psd minus must have the input's shape (3, 3, 8, 8), got (2, 3, 8, 8)"),
+            ("nan", "psd input contains non-finite values"),
+            ("-1e308", "psd input contains non-finite values"),
+            ("3-d", "psd minus must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
+        ],
+    )
+    def test_psd_minus(self, minus, message):
+        inputs = {
+            "short": self.stack(2),
+            "nan": self.stack(3, bad=np.nan),
+            "-1e308": -self.stack(3, bad=1e308),
+            "3-d": np.zeros((3, 8, 8)),
+        }
+        with pytest.raises(InvalidInputError) as info:
+            psd(self.stack(3, bad=1e308), minus=inputs[minus])
+        assert str(info.value) == message
+
+
+class TestPsdMemory:
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(2000, 3, 32, 32))
+        return a, a + rng.normal(0.0, 0.3, size=a.shape)
+
+    @pytest.mark.parametrize("name", ["psd", "paired_shift_psd"])
+    def test_peak_stays_below_a_third_of_one_input(self, pair, name):
+        call = {"psd": lambda: psd(pair[1]), "paired_shift_psd": lambda: paired_shift_psd(*pair)}[name]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * pair[0].nbytes
 
 
 class TestRadialProfile:
