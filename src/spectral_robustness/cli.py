@@ -8,6 +8,8 @@ all outputs are deterministic functions of the inputs.
 from __future__ import annotations
 
 import argparse
+import functools
+import re
 import sys
 from pathlib import Path
 
@@ -21,7 +23,13 @@ from .spectral import image_stack
 _ERRORS = (ValueError, OSError)
 
 
+# The names ``gen-paths`` gives its path files, ``f"path_{i:05d}.tnsr"``.
+_PATH_FILE = re.compile(r"path_(\d{5}|[1-9]\d{5,})\.tnsr")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``specrob`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="specrob",
         description="Fourier interpolation paths, shift PSDs, and robustness statistics",
@@ -152,8 +160,20 @@ def cmd_gen_paths(args) -> int:
     header = ["path_id", "mode", "source_index", "target_index", "class_relation", "cutoff",
               "steps", "seed", "file"]
     tables.write_rows(out_dir / "manifest.csv", header, manifest)
+    _remove_unlisted_paths(out_dir, len(specs))
     print(f"wrote {len(specs)} paths to {out_dir}")
     return 0
+
+
+def _remove_unlisted_paths(out_dir: Path, n_paths: int) -> None:
+    """Delete the path files an earlier run wrote past index ``n_paths - 1``.
+
+    Only names a run writes (``path_NNNNN.tnsr``) are touched; other files stay.
+    """
+    for entry in out_dir.iterdir():
+        match = _PATH_FILE.fullmatch(entry.name)
+        if match and int(match[1]) >= n_paths and entry.is_file():
+            entry.unlink()
 
 
 def cmd_corrupt(args) -> int:

@@ -80,8 +80,8 @@ def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
     Noise comes from one stream, ``default_rng([seed, 0])`` for gaussian
     noise and ``default_rng([seed, 1])`` for impulse noise; image i takes the
     i-th consecutive block of its draws. Arithmetic or noise draws that
-    overflow float64 raise InvalidInputError naming the kind and param; the
-    sums inside scipy's blur filter are not checked.
+    overflow float64 raise InvalidInputError naming the kind and param, and
+    so does a blur whose sums inside scipy's filter overflow.
     """
     return _corrupt(images, spec, "images")
 
@@ -139,9 +139,14 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
         # scipy 'reflect' is symmetric edge padding, which keeps the image
         # mean exactly for a normalized kernel; sigma 0 leaves N and C alone.
         r = math.ceil(3.0 * param)
-        return ndimage.gaussian_filter(
+        out = ndimage.gaussian_filter(
             stack, sigma=(0, 0, param, param), mode="reflect", radius=(0, 0, r, r)
         )
+        # scipy's filter does not consult numpy's errstate, so a sum that
+        # overflows shows only as a non-finite result of finite input.
+        if not np.all(np.isfinite(out)):
+            raise FloatingPointError("blur sums overflow")
+        return out
 
     # pixelate: sum each block row along its pixels, then add the rows in
     # order and divide once. The order is fixed, so unlike numpy's

@@ -17,6 +17,9 @@ from .spectral import normalized_radius
 # complex temporaries stay a few MB whatever the stack size.
 _CHUNK_VALUES = 1 << 18
 
+# Unit-std scaling sums runs of at most this many values at once.
+_STD_LEAF_VALUES = 1 << 15
+
 
 def _checked_shape(image_shape) -> tuple[int, int, int]:
     if len(image_shape) != 3 or not all(
@@ -26,10 +29,41 @@ def _checked_shape(image_shape) -> tuple[int, int, int]:
     return tuple(int(v) for v in image_shape)
 
 
+def _pairwise_sum(flat: np.ndarray, leaf_sum) -> np.float64:
+    """Sum of ``leaf_sum`` over the leaves of numpy's pairwise-summation tree.
+
+    numpy's float64 ``add.reduce`` of a contiguous run of n values splits it
+    at ``n2 = n // 2; n2 -= n2 % 8`` and adds the two halves' sums. Splitting
+    the same way down to runs of at most ``_STD_LEAF_VALUES`` and handing each
+    run to ``leaf_sum``, a ``np.add.reduce`` of that run (or of a function of
+    it), gives the whole-array sum bit for bit.
+    """
+    if len(flat) <= _STD_LEAF_VALUES:
+        return leaf_sum(flat)
+    n2 = len(flat) // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(flat[:n2], leaf_sum) + _pairwise_sum(flat[n2:], leaf_sum)
+
+
 def _divide_by_std(images: np.ndarray) -> None:
-    """Scale ``images`` in place to unit std; raise if the data overflowed."""
+    """Scale a C-contiguous ``images`` in place to unit std; raise if the data overflowed.
+
+    The std is ``images.std()`` bit for bit: the mean and the sum of squared
+    deviations follow numpy's pairwise tree (``_pairwise_sum``), and the
+    deviations are formed one leaf at a time, so no full-size temporary is made.
+    """
+    flat = images.reshape(-1)
+    scratch = np.empty(min(flat.size, _STD_LEAF_VALUES))
+
+    def squared_deviations(run: np.ndarray) -> np.float64:
+        dev = scratch[: len(run)]
+        np.subtract(run, mean, out=dev)
+        np.multiply(dev, dev, out=dev)
+        return np.add.reduce(dev)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        std = images.std()
+        mean = _pairwise_sum(flat, np.add.reduce) / flat.size
+        std = np.sqrt(_pairwise_sum(flat, squared_deviations) / flat.size)
     if not (np.isfinite(std) and std > 0):
         raise InvalidInputError(f"generated images have std {std}; the arguments leave float64 range")
     images /= std
@@ -91,8 +125,9 @@ def powerlaw_images(
     stream in image order, so the first m images take the same phases whatever
     ``n`` is.
     Images are synthesized a bounded chunk at a time (at least one image) and
-    written into the preallocated output, so peak memory is the output, one
-    full-size temporary of ``np.std``, and one chunk's spectra.
+    written into the preallocated output, and the std is summed along numpy's
+    pairwise tree a bounded run at a time, so peak memory is the output and
+    one chunk's spectra.
 
     The random phases make the full spectrum non-Hermitian, and the image is
     the real part of its inverse transform, which is not ``irfft2`` of its half

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from spectral_robustness.cli import main
+from spectral_robustness.cli import build_parser, main
 from spectral_robustness.synthetic import make_blobs
 from spectral_robustness.tables import (
     read_path_metrics,
@@ -25,6 +25,27 @@ def blob_files(tmp_path):
     write_tensor(images_path, images.astype(np.float32))
     write_labels(labels_path, labels)
     return images_path, labels_path
+
+
+class TestParser:
+    def test_usage_error_between_two_runs_changes_nothing(self, tmp_path, capsys, blob_files):
+        images_path, _ = blob_files
+
+        def corrupt(out, *extra):
+            return main(["corrupt", "--images", str(images_path), "--kind", "gaussian_noise",
+                         "--param", "0.3", *extra, "--out", str(out)])
+
+        parser = build_parser()
+        assert corrupt(tmp_path / "first.tnsr") == 0
+        # --seed parses before the bad --param stops the command.
+        with pytest.raises(SystemExit) as info:
+            corrupt(tmp_path / "bad.tnsr", "--seed", "5", "--param", "x")
+        assert info.value.code == 2
+        assert "invalid float value: 'x'" in capsys.readouterr().err
+        assert corrupt(tmp_path / "second.tnsr") == 0
+        assert build_parser() is parser
+        assert not (tmp_path / "bad.tnsr").exists()
+        assert (tmp_path / "first.tnsr").read_bytes() == (tmp_path / "second.tnsr").read_bytes()
 
 
 class TestGenPaths:
@@ -78,7 +99,10 @@ class TestGenPaths:
         images, _ = read_tensor(images_path)
         out = tmp_path / "paths"
         out.mkdir()
-        (out / "notes.txt").write_text("a user's file\n")
+        # A user's files, the last two named like path files but not as a run names them.
+        kept = ["notes.txt", "path_000004.tnsr", "path_00004.tnsr.bak"]
+        for name in kept:
+            (out / name).write_text("a user's file\n")
 
         def gen_paths(seed, n_paths):
             return main(["gen-paths", "--images", str(images_path), "--labels", str(labels_path),
@@ -108,10 +132,12 @@ class TestGenPaths:
             path, _ = read_tensor(out / row["file"])
             assert np.array_equal(path[0], images[int(row["source_index"])])
             assert np.array_equal(path[-1], images[int(row["target_index"])])
-        # Files this run did not write stay, the first run's fourth path among them.
-        assert sorted(os.listdir(out)) == ["manifest.csv", "notes.txt"] + [
-            f"path_0000{i}.tnsr" for i in range(4)
-        ]
+        # The first run's fourth path is gone; files no run writes stay.
+        assert not (out / "path_00003.tnsr").exists()
+        assert (out / "notes.txt").read_text() == "a user's file\n"
+        assert sorted(os.listdir(out)) == sorted(
+            ["manifest.csv"] + kept + [f"path_0000{i}.tnsr" for i in range(3)]
+        )
 
 
 class TestCorrupt:

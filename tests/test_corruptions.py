@@ -333,8 +333,9 @@ class TestOverflow:
             ("pixelate", 2, np.full((2, 1, 4, 4), 1e308)),
             ("gaussian_noise", 1e308, huge(1.0)),  # the draws themselves are inf
             ("gaussian_noise", 1e307, np.full((2, 1, 4, 4), 1.7e308)),  # the add overflows
+            ("gaussian_blur", 1.0, np.full((2, 1, 4, 4), 1.79e308)),  # scipy's sums overflow
         ],
-        ids=["brightness", "contrast", "contrast-mean", "pixelate", "noise-draw", "noise-add"],
+        ids=["brightness", "contrast", "contrast-mean", "pixelate", "noise-draw", "noise-add", "blur"],
     )
     def test_rejected(self, kind, param, stack):
         spec = CorruptionSpec(kind, param, seed=3)
@@ -343,6 +344,12 @@ class TestOverflow:
             corrupt_batch(stack, spec)
         with pytest.raises(InvalidInputError, match=message):
             apply_corruption(stack[0], spec)
+
+    def test_blur_near_the_limit_is_kept(self):
+        # The filter's symmetric pair sums stay below the float64 limit here.
+        out = corrupt_batch(np.full((2, 1, 4, 4), 8e307), CorruptionSpec("gaussian_blur", 1.0))
+        assert np.all(np.isfinite(out))
+        assert np.allclose(out, 8e307, rtol=1e-12, atol=0)
 
 
 class TestInputValidation:

@@ -1,4 +1,5 @@
-import tracemalloc
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spectral_robustness import (
 )
 from spectral_robustness.shift_psd import DEFAULT_BAND_EDGES, PROFILE_BIN_WIDTH
 from spectral_robustness.spectral import _PSD_CHUNK_VALUES, normalized_radius
+from spectral_robustness.synthetic import _STD_LEAF_VALUES, _divide_by_std
 
 
 def normalized_radius_oracle(h, w):
@@ -184,6 +186,7 @@ LAYOUTS = {
     "reversed": lambda x: np.ascontiguousarray(x[::-1, ::-1, ::-1, ::-1])[::-1, ::-1, ::-1, ::-1],
     "transposed": lambda x: np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
     "float32": lambda x: x.astype(np.float32),
+    "float32-F": lambda x: np.asfortranarray(x.astype(np.float32)),
 }
 
 
@@ -221,6 +224,12 @@ class TestChunkedPsdMatchesOneShotFormula:
         expected = reference_psd(np.asarray(b, dtype=np.float64) - np.asarray(a, dtype=np.float64))
         assert np.array_equal(paired_shift_psd(a, b).power, expected)
         assert np.array_equal(psd(b, minus=a).power, expected)
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float64), (np.float64, np.float32)], ids=str)
+    def test_paired_shift_psd_of_mixed_dtypes(self, image_shape, n, dtypes):
+        a, b = (x.astype(dtype) for x, dtype in zip(self.pair(image_shape, n, "C"), dtypes))
+        expected = reference_psd(np.asarray(b, dtype=np.float64) - np.asarray(a, dtype=np.float64))
+        assert np.array_equal(paired_shift_psd(a, b).power, expected)
 
     @pytest.mark.parametrize("layout", ["C", "F", "float32"])
     def test_class_averaged_shift_psd(self, image_shape, n, layout):
@@ -339,16 +348,22 @@ class TestPsdMemory:
         a = rng.normal(size=(2000, 3, 32, 32))
         return a, a + rng.normal(0.0, 0.3, size=a.shape)
 
+    @staticmethod
+    def call(name, pair):
+        return {"psd": lambda: psd(pair[1]), "paired_shift_psd": lambda: paired_shift_psd(*pair)}[name]
+
     @pytest.mark.parametrize("name", ["psd", "paired_shift_psd"])
-    def test_peak_stays_below_a_third_of_one_input(self, pair, name):
-        call = {"psd": lambda: psd(pair[1]), "paired_shift_psd": lambda: paired_shift_psd(*pair)}[name]
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_peak_stays_below_a_third_of_one_input(self, pair, name, traced_peak):
+        _, peak = traced_peak(self.call(name, pair))
         assert peak <= 0.3 * pair[0].nbytes
+
+    @pytest.mark.parametrize("name", ["psd", "paired_shift_psd"])
+    def test_float32_input_is_converted_a_chunk_at_a_time(self, pair, name, traced_peak):
+        # The per-image rows alone are about 0.35x one float32 input; a whole
+        # float64 copy would be 2x.
+        pair32 = tuple(x.astype(np.float32) for x in pair)
+        _, peak = traced_peak(self.call(name, pair32))
+        assert peak <= 0.5 * pair32[0].nbytes
 
 
 class TestRadialProfile:
@@ -490,13 +505,8 @@ class TestPowerlawImages:
         assert images.flags.c_contiguous
         assert images.dtype == np.float64
 
-    def test_peak_memory_follows_the_output(self):
-        tracemalloc.start()
-        try:
-            images = powerlaw_images((1, 32, 32), n=2000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_peak_memory_follows_the_output(self, traced_peak):
+        images, peak = traced_peak(lambda: powerlaw_images((1, 32, 32), n=2000))
         assert peak <= 2.5 * images.nbytes
 
     @pytest.mark.parametrize(
@@ -544,3 +554,90 @@ class TestMakeBlobsInput:
     def test_bad_input_rejected(self, image_shape, noise):
         with pytest.raises(InvalidInputError):
             make_blobs(image_shape, n_per_class=4, noise=noise)
+
+
+def reference_make_blobs(image_shape, n_classes, n_per_class, noise, seed):
+    """One-shot formula: every class built, then one mean and one ``np.std`` of the stack."""
+    c, h, w = image_shape
+    rng = np.random.default_rng([seed, 7])
+    ys, xs = np.mgrid[0:h, 0:w]
+    templates = []
+    for k in range(n_classes):
+        cy = rng.uniform(0.25 * h, 0.75 * h)
+        cx = rng.uniform(0.25 * w, 0.75 * w)
+        width = rng.uniform(0.12, 0.25) * min(h, w)
+        bump = np.exp(-(((ys - cy) ** 2 + (xs - cx) ** 2) / (2.0 * width**2)))
+        templates.append((1.0 if k % 2 == 0 else -1.0) * np.tile(bump, (c, 1, 1)))
+    classes = []
+    for k in range(n_classes):
+        scale = rng.uniform(0.8, 1.2, size=(n_per_class, 1, 1, 1))
+        classes.append(templates[k][None] * scale + rng.normal(0.0, noise, size=(n_per_class, c, h, w)))
+    images = np.concatenate(classes)
+    images -= images.mean()
+    images /= images.std()
+    return images, np.repeat(np.arange(n_classes), n_per_class)
+
+
+class TestMakeBlobs:
+    @pytest.mark.parametrize(
+        "image_shape, n_classes, n_per_class, noise, seed",
+        [
+            ((1, 8, 8), 2, 1, 0.25, 0),  # two images
+            ((1, 8, 8), 2, 100, 0.25, 3),  # the defaults
+            ((3, 32, 32), 10, 120, 6.0, 5),  # several leaves of the std's tree
+            ((2, 9, 7), 3, 11, 0.0, 2),  # odd sides, no noise
+        ],
+    )
+    def test_matches_one_shot_formula(self, image_shape, n_classes, n_per_class, noise, seed):
+        images, labels = make_blobs(image_shape, n_classes, n_per_class, noise, seed)
+        ref_images, ref_labels = reference_make_blobs(image_shape, n_classes, n_per_class, noise, seed)
+        assert np.array_equal(images, ref_images)
+        assert np.array_equal(labels, ref_labels)
+
+    def test_peak_memory_follows_the_output(self, traced_peak):
+        (images, _), peak = traced_peak(lambda: make_blobs((3, 32, 32), 10, 120, noise=6.0, seed=1))
+        assert peak <= 1.3 * images.nbytes
+
+
+class TestDivideByStd:
+    """Unit-std scaling equals ``x / x.std()`` bit for bit at every tree shape."""
+
+    # A split point off by a few values changes the last bit of only some
+    # sums, so each size is tried at several seeds.
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "size",
+        [7, 8, 128, 129, _STD_LEAF_VALUES, _STD_LEAF_VALUES + 1, 3 * _STD_LEAF_VALUES + 5, 1200 * 3072,
+         1200 * 3072 + 13],
+    )
+    def test_matches_numpy_std(self, size, seed):
+        x = np.random.default_rng([size, seed]).normal(2.0, 3.0, size=size)
+        expected = x / x.std()
+        _divide_by_std(x)
+        assert np.array_equal(x, expected)
+
+    def test_single_value_has_std_zero_and_is_rejected(self):
+        x = np.array([2.5])
+        assert x.std() == 0.0
+        with pytest.raises(InvalidInputError, match="std 0.0"):
+            _divide_by_std(x)
+
+    def test_keeps_no_reference_to_the_images(self):
+        # A reference cycle would hold each scaled stack until the cyclic
+        # collector ran, which shows as peak RSS, not as traced memory.
+        x = np.random.default_rng(1).normal(size=3 * _STD_LEAF_VALUES + 5)
+        gc.disable()
+        try:
+            _divide_by_std(x)
+            ref = weakref.ref(x)
+            del x
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
+    def test_non_finite_std_rejected(self, value):
+        x = np.random.default_rng(0).normal(size=3 * _STD_LEAF_VALUES + 5)
+        x[-1] = value
+        with pytest.raises(InvalidInputError, match="^generated images have std"):
+            _divide_by_std(x)

@@ -1,6 +1,5 @@
 import csv
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,7 +201,7 @@ class TestReadTraces:
         else:
             assert traces[0].probs.tolist() == [row, row]
 
-    def test_peak_memory_follows_the_table(self, tmp_path):
+    def test_peak_memory_follows_the_table(self, tmp_path, traced_peak):
         rng = np.random.default_rng(5)
         n_paths, t, k = 200, 100, 10
         path = tmp_path / "t.csv"
@@ -210,12 +209,7 @@ class TestReadTraces:
             path,
             [PredictionTrace(rng.dirichlet(np.ones(k), t), path_id=f"p{i}") for i in range(n_paths)],
         )
-        tracemalloc.start()
-        try:
-            traces = read_traces(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        traces, peak = traced_peak(lambda: read_traces(path))
         assert len(traces) == n_paths
         assert peak <= 5 * n_paths * t * k * 8
 
