@@ -24,7 +24,7 @@ _ERRORS = (ValueError, OSError)
 
 
 # The names ``gen-paths`` gives its path files, ``f"path_{i:05d}.tnsr"``.
-_PATH_FILE = re.compile(r"path_(\d{5}|[1-9]\d{5,})\.tnsr")
+_PATH_FILE = re.compile(r"path_([0-9]{5}|[1-9][0-9]{5,})\.tnsr")
 
 
 @functools.cache

@@ -163,9 +163,9 @@ def half_grid_mirrors(h: int, w: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _stack(images, name: str) -> np.ndarray:
-    """``image_stack`` without its finiteness scan, and with a float32 array kept float32."""
+    """``image_stack`` without its finiteness scan."""
     if isinstance(images, np.ndarray) and images.ndim == 4:
-        stack = images if images.dtype == np.float32 else np.asarray(images, dtype=np.float64)
+        stack = np.asarray(images, dtype=np.float64)
     else:
         items = [np.asarray(im, dtype=np.float64) for im in images]
         if not items:
@@ -189,21 +189,14 @@ def image_stack(images, name: str) -> np.ndarray:
     stack = _stack(images, name)
     if not np.all(np.isfinite(stack)):
         raise InvalidInputError(f"{name} contains non-finite values")
-    return np.asarray(stack, dtype=np.float64)
+    return stack
 
 
 def _differences(stack: np.ndarray, minus: np.ndarray | None, per_chunk: int):
-    """Yield (start, stack[start:stop] - minus[start:stop]) over chunks of ``per_chunk`` images.
-
-    Each chunk is float64: a float32 stack or ``minus`` is converted (exactly)
-    one chunk at a time, and the difference is taken in float64.
-    """
+    """Yield (start, stack[start:stop] - minus[start:stop]) over chunks of ``per_chunk`` images."""
     for lo in range(0, len(stack), per_chunk):
         chunk = stack[lo : lo + per_chunk]
-        if minus is None:
-            yield lo, np.asarray(chunk, dtype=np.float64)
-        else:
-            yield lo, np.subtract(chunk, minus[lo : lo + per_chunk], dtype=np.float64)
+        yield lo, chunk if minus is None else chunk - minus[lo : lo + per_chunk]
 
 
 def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
@@ -213,9 +206,7 @@ def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
     The power is computed on the real half-spectrum and mirrored through
     P[u, v] = P[-u, -v], so the map is exactly point-symmetric. With
     ``minus``, a stack of the same shape, the map is the PSD of
-    ``images - minus``, formed a chunk at a time and never in full. A float32
-    stack (or ``minus``) stays float32 and is converted to float64 a chunk at a
-    time, which gives the map of its float64 copy bit for bit.
+    ``images - minus``, formed a chunk at a time and never in full.
 
     Non-finite input and power beyond the float64 range raise
     InvalidInputError. Finiteness is checked on the map, not the input: the

@@ -99,8 +99,10 @@ class TestGenPaths:
         images, _ = read_tensor(images_path)
         out = tmp_path / "paths"
         out.mkdir()
-        # A user's files, the last two named like path files but not as a run names them.
-        kept = ["notes.txt", "path_000004.tnsr", "path_00004.tnsr.bak"]
+        # A user's files, the last three named like path files but not as a run
+        # names them (the last with Arabic-Indic digits, which int() would read as 7).
+        kept = ["notes.txt", "path_000004.tnsr", "path_00004.tnsr.bak",
+                "path_\u0660\u0660\u0660\u0660\u0667.tnsr"]
         for name in kept:
             (out / name).write_text("a user's file\n")
 
