@@ -27,7 +27,6 @@ from .spectral import (
     RadialMask,
     decompose,
     dft2,
-    idft2_real,
     image_stack,
     normalized_radius,
     psd,
@@ -71,7 +70,6 @@ from .jacobian import (
     fd_directional_derivative,
     fit_mlp,
     train_blob_mlp,
-    vjp_linear_softmax,
 )
 from .regression import (
     AccuracyRecord,

@@ -145,20 +145,6 @@ class _FirstLayerPredictor(Predictor):
         return _sq_row_norms(self._first_layer_cotangents(batch, vs), self._first_weights)
 
 
-def vjp_linear_softmax(weights, bias, x, v, target: str = "probs") -> np.ndarray:
-    """VJP of a linear predictor: W^T v for logits, W^T (diag(p) - p p^T) v for probs."""
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64)
-    k, d = weights.shape
-    if bias.shape != (k,) or x.shape != (d,) or v.shape != (k,):
-        raise InvalidInputError(
-            f"inconsistent shapes: W {weights.shape}, b {bias.shape}, x {x.shape}, v {v.shape}"
-        )
-    return LinearPredictor(weights, bias, target=target).vjp(x, v).ravel()
-
-
 class LinearPredictor(_FirstLayerPredictor):
     """f(x) = W x + b on flattened images, optionally through a softmax head."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .spectral import decompose, half_grid_mirrors, image_stack, irfft2, radial_mask, rfft2
+from .spectral import decompose, image_stack, irfft2, mirror_half_grid, radial_mask, rfft2
 
 PATH_MODES = ("amplitude", "phase", "pixel")
 CLASS_RELATIONS = ("within", "between", "unconstrained")
@@ -75,15 +75,6 @@ def wrap_angle(theta) -> np.ndarray:
     return np.pi - np.mod(np.pi - np.asarray(theta, dtype=np.float64), 2.0 * np.pi)
 
 
-def _self_conjugate_bins(h: int, w: int) -> np.ndarray:
-    """Bins that are their own conjugate mirror: (0 or H/2, 0 or W/2)."""
-    mask = np.zeros((h, w), dtype=bool)
-    for u in [0] + ([h // 2] if h % 2 == 0 else []):
-        for v in [0] + ([w // 2] if w % 2 == 0 else []):
-            mask[u, v] = True
-    return mask
-
-
 def _half_spectra(x0, x1, rho: float):
     """Real-input half spectra (C, H, W//2+1) of both endpoints and the radial mask."""
     h, w = x0.shape[1:]
@@ -119,13 +110,12 @@ def phase_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
     x0, x1 = _check_pair(x0, x1, t)
     h, w = x0.shape[1:]
     s0, s1, mask = _half_spectra(x0, x1, rho)
-    mask &= ~_self_conjugate_bins(h, w)[:, : w // 2 + 1]
     p0 = decompose(s0).phase
     delta = np.where(mask, wrap_angle(decompose(s1).phase - p0), 0.0)
-    # Where the half grid holds both a bin and its mirror, wrap_angle sends
-    # a tie to +pi at both, so mirror the increment by hand.
-    rows, cols = half_grid_mirrors(h, w)
-    delta[:, h - rows, cols] = -delta[:, rows, cols]
+    # The increment must be odd, delta(-k) = -delta(k). Where the half grid
+    # holds both a bin and its mirror, wrap_angle sends a tie to +pi at both;
+    # a bin that is its own mirror gets 0, so it keeps p0.
+    mirror_half_grid(delta, w, -1)
     lambdas = _lambda_grid(t)
     # Only bins with a nonzero increment rotate; elsewhere s0 * exp(0j) == s0.
     # The spectra are bin-major, (bins, T), so each moved bin is one row.

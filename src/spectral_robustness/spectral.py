@@ -79,9 +79,34 @@ def irfft2(spectra, shape) -> np.ndarray:
     return scipy.fft.irfft2(spectra, s=shape)
 
 
-def _mirror_columns(half: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Half-grid values at (-u, -v) for the full-grid columns v = W//2+1 .. W-1, in that order."""
-    return half[..., -np.arange(h) % h, (w - 1) // 2 : 0 : -1]
+def _full_grid(half: np.ndarray, w: int) -> np.ndarray:
+    """The full (..., H, W) grid of an rfft2 half grid.
+
+    The columns past W/2 are the conjugate mirrors ``conj(half[-u, -v])``;
+    on a real map, such as a PSD, the ``conj`` changes nothing.
+    """
+    h = half.shape[-2]
+    full = np.empty(half.shape[:-1] + (w,), dtype=half.dtype)
+    full[..., : w // 2 + 1] = half
+    full[..., w // 2 + 1 :] = np.conj(half[..., -np.arange(h) % h, (w - 1) // 2 : 0 : -1])
+    return full
+
+
+def mirror_half_grid(values: np.ndarray, w: int, sign: int) -> None:
+    """Make columns 0 and W/2 of a half grid obey f(-k) = sign * f(k), in place.
+
+    Those columns hold every row, and there the mirror (-u, -v) of bin (u, v)
+    is (H - u, v): rows 0 < u < H - u are copied, times ``sign``, onto their
+    mirrors. With sign -1 the bins that are their own mirror (rows 0 and
+    H/2) are set to 0, the one value f(k) = -f(k) allows.
+    """
+    h = values.shape[-2]
+    rows = np.arange(1, (h + 1) // 2)[:, None]
+    cols = [0] + ([w // 2] if w % 2 == 0 else [])
+    values[..., h - rows, cols] = sign * values[..., rows, cols]
+    if sign < 0:
+        own_mirror = np.array([0] + ([h // 2] if h % 2 == 0 else []))[:, None]
+        values[..., own_mirror, cols] = 0.0
 
 
 def dft2(image) -> np.ndarray:
@@ -94,26 +119,7 @@ def dft2(image) -> np.ndarray:
     if x.ndim != 3 or x.shape[1] < 2 or x.shape[2] < 2:
         raise InvalidInputError(f"image must have shape (C, H, W) with H, W >= 2, got {x.shape}")
     x = image_stack(x[None], "image")[0]
-    h, w = x.shape[1:]
-    half = rfft2(x)
-    full = np.empty(x.shape, dtype=np.complex128)
-    full[..., : w // 2 + 1] = half
-    full[..., w // 2 + 1 :] = np.conj(_mirror_columns(half, h, w))
-    return full
-
-
-def idft2_real(spectrum) -> np.ndarray:
-    """Inverse 2D DFT per channel, keeping the real component.
-
-    Any imaginary residue from a non-Hermitian spectrum is discarded. The
-    real part of the inverse DFT of X is the inverse DFT of X's Hermitian
-    part (X[u, v] + conj(X[-u, -v])) / 2, which runs on the half grid.
-    """
-    s = _as_spectrum(spectrum)
-    h, w = s.shape[1:]
-    cols = np.arange(w // 2 + 1)
-    mirror = s[:, -np.arange(h)[:, None] % h, -cols % w]
-    return irfft2((s[..., cols] + np.conj(mirror)) / 2, (h, w))
+    return _full_grid(rfft2(x), x.shape[2])
 
 
 def decompose(spectrum) -> FourierDecomposition:
@@ -149,17 +155,6 @@ def radial_mask(h: int, w: int, rho: float) -> RadialMask:
     if not 0.0 <= rho <= 1.0:
         raise InvalidInputError(f"rho must be in [0, 1], got {rho}")
     return RadialMask(included=normalized_radius(h, w) <= rho, rho=float(rho))
-
-
-def half_grid_mirrors(h: int, w: int) -> tuple[np.ndarray, list[int]]:
-    """Rows and columns where the rfft2 half grid holds both a bin and its mirror.
-
-    Columns 0 and W/2 (W even) hold every row; there the mirror (-u, -v) of
-    bin (u, v) is (H - u, v). Returns the rows u with 0 < u < H - u, as an
-    (R, 1) index array, and those columns, so ``x[..., h - rows, cols]``
-    addresses the mirrors of ``x[..., rows, cols]``.
-    """
-    return np.arange(1, (h + 1) // 2)[:, None], [0] + ([w // 2] if w % 2 == 0 else [])
 
 
 def _stack(images, name: str) -> np.ndarray:
@@ -239,10 +234,5 @@ def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
             if not all(np.all(np.isfinite(x)) for _, x in _differences(stack, minus, per_chunk)):
                 raise InvalidInputError("psd input contains non-finite values")
         raise InvalidInputError("psd power overflows float64: the input is too large")
-    power = np.empty((h, w))
-    power[:, : w // 2 + 1] = half
-    rows, cols = half_grid_mirrors(h, w)
-    power[h - rows, cols] = power[rows, cols]
-    # The remaining columns are the mirrors (-u, -v) of half-grid bins.
-    power[:, w // 2 + 1 :] = _mirror_columns(power, h, w)
-    return PsdMap(power=power, source_count=n)
+    mirror_half_grid(half, w, 1)
+    return PsdMap(power=_full_grid(half, w), source_count=n)

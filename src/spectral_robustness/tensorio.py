@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import shutil
 import uuid
@@ -21,36 +22,28 @@ from .errors import InvalidInputError, TensorFormatError
 _HEADER_KEYS = ("dtype", "shape", "order", "byte_order")
 
 
-def write_tensor(path, data, shape=None) -> None:
+def write_tensor(path, data) -> None:
     """Write an array to the container format; fails before touching the file on bad data.
 
-    A shape mismatch or a finite value beyond the float32 range raises
-    TensorFormatError; NaN and +-inf are stored as they are. The file appears
-    under ``path`` only once it is complete.
+    A finite value beyond the float32 range raises TensorFormatError; NaN and
+    +-inf are stored as they are. The file appears under ``path`` only once
+    it is complete.
     """
     path = os.fspath(path)
     arr = np.asarray(data)
-    if shape is None:
-        shape = list(arr.shape)
-    shape = [int(s) for s in shape]
-    count = int(np.prod(shape)) if shape else 1
-    if arr.size != count:
-        raise TensorFormatError(
-            f"data has {arr.size} values but shape {shape} needs {count}"
-        )
     try:
         with np.errstate(over="raise"):
-            payload = np.ascontiguousarray(arr.reshape(-1), dtype="<f4").tobytes()
+            payload = np.ascontiguousarray(arr.reshape(-1), dtype="<f4")
     except FloatingPointError:
         raise TensorFormatError(f"{path}: a finite value overflows float32") from None
     header = json.dumps(
-        {"dtype": "f32", "shape": shape, "order": "row-major", "byte_order": "little"},
+        {"dtype": "f32", "shape": list(arr.shape), "order": "row-major", "byte_order": "little"},
         separators=(",", ":"),
     )
     with atomic_open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
-        fh.write(payload)
+        fh.write(payload.view(np.uint8))  # a bytes-like view: len() counts bytes, no copy
 
 
 @contextlib.contextmanager
@@ -101,9 +94,10 @@ def read_tensor(path) -> tuple[np.ndarray, list[int]]:
         if header["order"] != "row-major" or header["byte_order"] != "little":
             raise TensorFormatError(f"{path}: unsupported layout {header!r}")
         shape = header["shape"]
-        if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
+        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
             raise TensorFormatError(f"{path}: bad shape {shape!r}")
-        count = int(np.prod(shape)) if shape else 1
+        # Python ints: a numpy product of a huge shape wraps around.
+        count = math.prod(shape)
         payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload_bytes != 4 * count:
             raise TensorFormatError(

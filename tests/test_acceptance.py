@@ -31,7 +31,6 @@ from spectral_robustness import (
     grouped_regression,
     hff,
     fit_mlp,
-    idft2_real,
     make_blobs,
     paired_shift_psd,
     powerlaw_images,
@@ -93,7 +92,7 @@ def test_criterion_01_spectral_correctness():
                 energy_image = 64 * np.sum(img[ch] ** 2)
                 energy_spec = np.sum(np.abs(spec[ch]) ** 2)
                 assert abs(energy_spec - energy_image) / energy_image < 1e-5
-            assert np.abs(idft2_real(spec) - img).max() < 1e-5
+            assert np.abs(np.fft.ifft2(spec).real - img).max() < 1e-5
 
 
 def test_criterion_02_path_construction():

@@ -178,6 +178,24 @@ class TestCorrupt:
         assert f"{images} {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "shape, payload",
+        [(b"[4294967296,4294967296]", b""), (b"[true,1,2,2]", b"\x00" * 16)],
+        ids=["int64-wrapping-shape", "bool-in-shape"],
+    )
+    def test_bad_header_shape_fails_before_output(self, tmp_path, capsys, shape, payload):
+        images = tmp_path / "bad.tnsr"
+        images.write_bytes(
+            b'{"dtype":"f32","shape":' + shape + b',"order":"row-major","byte_order":"little"}\n'
+            + payload
+        )
+        out = tmp_path / "corr.tnsr"
+        rc = main(["corrupt", "--images", str(images), "--kind", "brightness", "--param", "0.5",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {images}: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "kind, param", [("contrast", "1e300"), ("gaussian_noise", "1e308")]

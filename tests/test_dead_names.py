@@ -1,8 +1,10 @@
-"""Every module-level function, class and constant of the package is used.
+"""Every module-level function, class and constant of the package and its tests is used.
 
-A name defined at module level in ``src/spectral_robustness/`` must appear
-as a whole word (a maximal run of word characters) somewhere besides its
-definition: in ``src/``, ``tests/``, ``perfbench/`` or README.md. Dead
+A name defined at module level in ``src/spectral_robustness/``, or a helper
+defined at module level in ``tests/`` (anything but ``test_*`` functions,
+``Test*`` classes and ``pytest_*`` hooks, which pytest calls itself), must
+appear as a whole word (a maximal run of word characters) somewhere besides
+its definition: in ``src/``, ``tests/``, ``perfbench/`` or README.md. Dead
 helpers fail here instead of lingering.
 """
 
@@ -38,6 +40,12 @@ def test_every_module_level_name_is_referenced():
         f"{module.stem}.{name}": name
         for module in sorted(PACKAGE.glob("*.py"))
         for name in module_level_names(module.read_text(encoding="utf-8"))
+    }
+    defined |= {
+        f"tests.{module.stem}.{name}": name
+        for module in sorted((ROOT / "tests").glob("*.py"))
+        for name in module_level_names(module.read_text(encoding="utf-8"))
+        if not name.startswith(("test_", "Test", "pytest_"))
     }
     # A name defined in several modules needs more matches than it has definitions.
     definitions = Counter(defined.values())

@@ -13,7 +13,6 @@ from spectral_robustness import (
     fit_mlp,
     make_blobs,
     train_blob_mlp,
-    vjp_linear_softmax,
 )
 from spectral_robustness.jacobian import (
     DEFAULT_FD_EPS,
@@ -32,7 +31,7 @@ def random_linear(seed, k=10, d=50, target="logits"):
     return LinearPredictor(w, b, image_shape=(1, 1, d), target=target)
 
 
-class TestVjpLinearSoftmax:
+class TestLinearPredictorVjp:
     def test_logits_basis_vector_returns_weight_row(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(4, 6))
@@ -41,14 +40,14 @@ class TestVjpLinearSoftmax:
         for k in range(4):
             v = np.zeros(4)
             v[k] = 1.0
-            assert np.allclose(vjp_linear_softmax(w, b, x, v, "logits"), w[k])
+            assert np.allclose(LinearPredictor(w, b, target="logits").vjp(x, v), w[k])
 
     def test_probs_at_uniform_point(self):
         # All logits equal => p = (1/2, 1/2); (diag(p) - p p^T) e_0 = (1/4, -1/4).
         w = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         b = np.zeros(2)
         x = np.zeros(3)
-        out = vjp_linear_softmax(w, b, x, np.array([1.0, 0.0]), "probs")
+        out = LinearPredictor(w, b, target="probs").vjp(x, np.array([1.0, 0.0]))
         assert np.allclose(out, 0.25 * (w[0] - w[1]))
 
     def test_matches_central_difference(self):
@@ -58,7 +57,7 @@ class TestVjpLinearSoftmax:
             b = rng.normal(size=3)
             x = rng.normal(size=5)
             v = rng.normal(size=3)
-            analytic = vjp_linear_softmax(w, b, x, v, target)
+            analytic = LinearPredictor(w, b, target=target).vjp(x, v).ravel()
 
             def f(xx):
                 z = w @ xx + b
@@ -72,9 +71,19 @@ class TestVjpLinearSoftmax:
                 fd[i] = v @ (f(x + e) - f(x - e)) / (2 * eps)
             assert np.abs(analytic - fd).max() < 1e-5
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            vjp_linear_softmax(np.zeros((2, 3)), np.zeros(2), np.zeros(4), np.zeros(2))
+    @pytest.mark.parametrize(
+        "weights, bias, message",
+        [
+            (np.zeros(3), None, r"weights must be \(K, D\), got \(3,\)"),
+            (np.zeros((2, 3, 1)), None, r"weights must be \(K, D\), got \(2, 3, 1\)"),
+            (np.zeros((2, 3)), np.zeros(3), r"bias must have shape \(2,\), got \(3,\)"),
+            (np.zeros((2, 3)), np.zeros((2, 1)), r"bias must have shape \(2,\), got \(2, 1\)"),
+        ],
+        ids=["1-d-weights", "3-d-weights", "long-bias", "2-d-bias"],
+    )
+    def test_bad_weight_shapes_rejected(self, weights, bias, message):
+        with pytest.raises(InvalidInputError, match=message):
+            LinearPredictor(weights, bias)
 
 
 def random_mlp(seed, hidden=7, d=12, k=4, target="probs"):

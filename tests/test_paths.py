@@ -199,8 +199,10 @@ class TestPhasePath:
                 mask[i, j] = False  # self-conjugate
         p0 = decompose(s0).phase
         delta = np.where(mask, wrap_angle(decompose(s1).phase - p0), 0.0)
-        rows, cols = spectral.half_grid_mirrors(h, w)
-        delta[:, h - rows, cols] = -delta[:, rows, cols]
+        # Odd increment: on columns 0 and W/2, row H - u takes -delta of row u.
+        for j in [0] + ([w // 2] if w % 2 == 0 else []):
+            for i in range(1, (h + 1) // 2):
+                delta[:, h - i, j] = -delta[:, i, j]
         lambdas = np.arange(t) / (t - 1)
         expected = spectral.irfft2(s0 * np.exp(1j * lambdas[:, None, None, None] * delta), (h, w))
         assert np.array_equal(phase_path(x0, x1, rho=rho, t=t).images, expected)

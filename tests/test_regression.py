@@ -193,10 +193,6 @@ class TestFitLine:
             fit_line([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
 
-def make_record(model, group, dataset, acc, total=10000):
-    return AccuracyRecord(model, group, dataset, round(acc * total), total)
-
-
 class TestGroupedRegression:
     def test_identity_line_single_group(self):
         # OOD counts equal ID counts, so probit(y) == probit(x) exactly.

@@ -6,10 +6,10 @@ from spectral_robustness import (
     InvalidInputError,
     decompose,
     dft2,
-    idft2_real,
     psd,
     radial_mask,
 )
+from spectral_robustness.spectral import mirror_half_grid
 
 
 def naive_dft2(channel):
@@ -22,19 +22,6 @@ def naive_dft2(channel):
         for v in range(w):
             kernel = np.exp(-2j * np.pi * (u * rows[:, None] / h + v * cols[None, :] / w))
             out[u, v] = np.sum(channel * kernel)
-    return out
-
-
-def naive_idft2(channel):
-    """Direct inverse DFT of one (H, W) spectrum channel."""
-    h, w = channel.shape
-    rows = np.arange(h)
-    cols = np.arange(w)
-    out = np.empty((h, w), dtype=np.complex128)
-    for r in range(h):
-        for c in range(w):
-            kernel = np.exp(2j * np.pi * (rows[:, None] * r / h + cols[None, :] * c / w))
-            out[r, c] = np.sum(channel * kernel) / (h * w)
     return out
 
 
@@ -96,30 +83,25 @@ class TestDft2:
             dft2(np.zeros((1, 1, 4)))
 
 
-class TestIdft2Real:
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        img = rng.normal(size=(3, 32, 32))
-        assert np.abs(idft2_real(dft2(img)) - img).max() < 1e-5
-
-    def test_dc_only_spectrum_gives_constant(self):
-        spec = np.zeros((1, 5, 7), dtype=complex)
-        spec[0, 0, 0] = 35.0
-        assert np.abs(idft2_real(spec) - 1.0).max() < 1e-12
-
-    def test_asymmetric_spectrum_matches_naive_real_part(self):
-        rng = np.random.default_rng(3)
-        spec = dft2(rng.normal(size=(1, 6, 6)))
-        spec[0, 1, 2] += 0.5 + 0.25j  # break Hermitian symmetry
-        ours = idft2_real(spec)
-        oracle = naive_idft2(spec[0]).real
-        assert np.abs(ours[0] - oracle).max() < 1e-10
-
-    def test_rejects_non_finite(self):
-        spec = np.zeros((1, 4, 4), dtype=complex)
-        spec[0, 0, 0] = np.inf
-        with pytest.raises(InvalidInputError):
-            idft2_real(spec)
+class TestMirrorHalfGrid:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("w", [2, 5, 6, 7])
+    @pytest.mark.parametrize("h", [2, 5, 6, 7])
+    def test_half_grid_pairs_obey_sign(self, h, w, sign):
+        before = np.random.default_rng(10 * h + w).normal(size=(2, h, w // 2 + 1))
+        values = before.copy()
+        mirror_half_grid(values, w, sign)
+        for u in range(h):
+            for v in range(w // 2 + 1):
+                mu, mv = -u % h, -v % w
+                if mv > w // 2 or u < mu:
+                    # The mirror is off the half grid, or this bin leads its pair.
+                    assert np.array_equal(values[:, u, v], before[:, u, v])
+                if mv <= w // 2 and u < mu:
+                    assert np.array_equal(values[:, mu, mv], sign * before[:, u, v])
+                if (mu, mv) == (u, v):
+                    expected = before[:, u, v] if sign == 1 else np.zeros(2)
+                    assert np.array_equal(values[:, u, v], expected)
 
 
 class TestDecomposeRecompose:
