@@ -42,7 +42,7 @@ from .paths import (
     sample_path_specs,
     wrap_angle,
 )
-from .corruptions import CorruptionSpec, apply_corruption, corrupt_batch
+from .corruptions import CorruptionSpec, corrupt_batch
 from .shift_psd import (
     BandFractions,
     band_fractions,
@@ -67,7 +67,6 @@ from .jacobian import (
     MlpPredictor,
     Predictor,
     estimate_jacobian_norm,
-    fd_directional_derivative,
     fit_mlp,
     train_blob_mlp,
 )

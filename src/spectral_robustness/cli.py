@@ -1,8 +1,9 @@
 """Command-line surface: gen-paths, corrupt, psd-shift, path-metrics, jacobian,
 regress, report.
 
-Every command validates its inputs fully before writing any output file, and
-all outputs are deterministic functions of the inputs.
+Every command validates its inputs fully, and checks every output target it
+was given, before writing any output file; all outputs are deterministic
+functions of the inputs.
 """
 
 from __future__ import annotations
@@ -125,6 +126,13 @@ def _band_edges(text: str) -> tuple[float, float]:
     return r1, r2
 
 
+def _check_outputs(*targets) -> None:
+    """Check every output target given, so a bad later one fails before the first write."""
+    for target in targets:
+        if target:
+            tensorio.check_output(target)
+
+
 def _load_dataset(path) -> np.ndarray:
     data, _ = tensorio.read_tensor(path)
     return image_stack(data, str(path))
@@ -157,9 +165,7 @@ def cmd_gen_paths(args) -> int:
             [path_id, spec.mode, spec.source_index, spec.target_index, spec.class_relation,
              spec.cutoff, spec.steps, spec.seed, filename]
         )
-    header = ["path_id", "mode", "source_index", "target_index", "class_relation", "cutoff",
-              "steps", "seed", "file"]
-    tables.write_rows(out_dir / "manifest.csv", header, manifest)
+    tables.write_rows(out_dir / "manifest.csv", tables.MANIFEST_COLUMNS, manifest)
     _remove_unlisted_paths(out_dir, len(specs))
     print(f"wrote {len(specs)} paths to {out_dir}")
     return 0
@@ -201,13 +207,14 @@ def cmd_psd_shift(args) -> int:
 
     fractions = shift_psd.band_fractions(psd_map, args.band_edges)
 
+    _check_outputs(args.out, args.pgm, args.bands)
     tensorio.write_tensor(args.out, psd_map.power)
     if args.pgm:
         render.emit_pgm(psd_map, args.pgm)
     if args.bands:
         tables.write_rows(
             args.bands,
-            ["low", "mid", "high", "r1", "r2", "source_count"],
+            tables.BAND_COLUMNS,
             [[fractions.low, fractions.mid, fractions.high, *args.band_edges, psd_map.source_count]],
         )
     print(
@@ -261,11 +268,9 @@ def cmd_jacobian(args) -> int:
             )
     estimate = jacobian.estimate_jacobian_norm(predictor, images[: args.batch], config)
 
-    header = ["frobenius_norm", "ci95_low", "ci95_high", "n_estimates", "n_proj", "batch_size",
-              "target", "method", "predictor", "seed"]
     row = [estimate.frobenius_norm, estimate.ci95_low, estimate.ci95_high, estimate.n_estimates,
            args.nproj, args.batch, estimate.target, estimate.method, args.predictor, args.seed]
-    tables.write_rows(args.out, header, [row])
+    tables.write_rows(args.out, tables.JACOBIAN_COLUMNS, [row])
     print(
         f"jacobian norm {estimate.frobenius_norm:.4f} "
         f"[{estimate.ci95_low:.4f}, {estimate.ci95_high:.4f}] ({estimate.method})"
@@ -284,6 +289,7 @@ def cmd_regress(args) -> int:
         id_dataset=args.id_dataset,
     )
 
+    _check_outputs(args.out, args.svg)
     tables.write_fit(args.out, result)
     if args.svg:
         render.emit_scatter_svg(

@@ -5,12 +5,11 @@ two low-frequency kinds (brightness, contrast), two mid (gaussian_blur,
 pixelate), and two high (gaussian_noise, impulse_noise). Outputs are not
 clamped; images are assumed to be mean/std normalized real values.
 
-One kernel corrupts an image or a whole (N, C, H, W) stack. The
-deterministic kinds run as array operations over the stack. Each stochastic
-call builds one RNG stream from the spec's seed, and image i takes the i-th
-consecutive block of its draws, so the first m images of a stack are
-corrupted exactly as the stack of those m images alone would be; an image on
-its own is a stack of one.
+One kernel corrupts a whole (N, C, H, W) stack. The deterministic kinds run
+as array operations over the stack. Each stochastic call builds one RNG
+stream from the spec's seed, and image i takes the i-th consecutive block of
+its draws, so the first m images of a stack are corrupted exactly as the
+stack of those m images alone would be.
 """
 
 from __future__ import annotations
@@ -66,14 +65,6 @@ class CorruptionSpec:
                 raise InvalidInputError("block factor must be an integer >= 1")
 
 
-def apply_corruption(image, spec: CorruptionSpec) -> np.ndarray:
-    """Apply one corruption to a (C, H, W) image: ``corrupt_batch(image[None], spec)[0]``."""
-    x = np.asarray(image, dtype=np.float64)
-    if x.ndim != 3:
-        raise InvalidInputError(f"image must have shape (C, H, W), got {x.shape}")
-    return _corrupt(x[None], spec, "image")[0]
-
-
 def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
     """Apply a corruption to an (N, C, H, W) stack, bit-reproducible given the seed.
 
@@ -83,12 +74,7 @@ def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
     overflow float64 raise InvalidInputError naming the kind and param, and
     so does a blur whose sums inside scipy's filter overflow.
     """
-    return _corrupt(images, spec, "images")
-
-
-def _corrupt(images, spec: CorruptionSpec, name: str) -> np.ndarray:
-    """Corrupt every image of a stack; reject arithmetic that overflows float64."""
-    stack = image_stack(images, name)
+    stack = image_stack(images, "images")
     try:
         with np.errstate(over="raise"):
             return _corrupt_stack(stack, spec)

@@ -93,6 +93,11 @@ def _probs_cotangents(p: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return p * vs - p * np.sum(vs * p, axis=-1, keepdims=True)
 
 
+def _check_finite(*params) -> None:
+    if not all(np.all(np.isfinite(p)) for p in params):
+        raise InvalidInputError("weights and biases must be finite")
+
+
 def _sq_row_norms(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """||a_i @ w||^2 for every row a_i along the last axis of ``a``, without forming ``a @ w``.
 
@@ -156,6 +161,7 @@ class LinearPredictor(_FirstLayerPredictor):
         self.bias = np.zeros(k) if bias is None else np.asarray(bias, dtype=np.float64)
         if self.bias.shape != (k,):
             raise InvalidInputError(f"bias must have shape ({k},), got {self.bias.shape}")
+        _check_finite(self.weights, self.bias)
         super().__init__(self.weights, k, image_shape, target)
 
     def _forward(self, flat):
@@ -179,6 +185,7 @@ class MlpPredictor(_FirstLayerPredictor):
         k, hidden2 = self.w2.shape
         if hidden != hidden2 or self.b1.shape != (hidden,) or self.b2.shape != (k,):
             raise InvalidInputError("inconsistent MLP weight shapes")
+        _check_finite(self.w1, self.b1, self.w2, self.b2)
         super().__init__(self.w1, k, image_shape, target)
 
     def _forward(self, flat):
@@ -201,34 +208,6 @@ class CallablePredictor(Predictor):
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(batch, dtype=np.float64)), dtype=np.float64)
-
-
-def fd_directional_derivative(predictor: Predictor, x, u, eps: float = DEFAULT_FD_EPS) -> np.ndarray:
-    """Central-difference directional derivative (f(x + eps*u) - f(x - eps*u)) / (2 eps)."""
-    if eps <= 0:
-        raise InvalidInputError("eps must be > 0")
-    x = np.asarray(x, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != x.shape:
-        raise InvalidInputError(f"direction shape {u.shape} != input shape {x.shape}")
-    norm = np.sqrt(np.sum(u * u))
-    if abs(norm - 1.0) > 1e-9:
-        raise InvalidInputError(f"direction must be a unit vector, got norm {norm}")
-    return _central_differences(predictor, x, (eps * u)[None], eps)[0]
-
-
-def _central_differences(predictor: Predictor, x, steps, eps: float) -> np.ndarray:
-    """(P, K) central differences (f(x + d) - f(x - d)) / (2 eps) along P steps d = eps * u.
-
-    One ``predict`` call takes all 2P perturbed images, in a fresh array: a
-    black-box predictor may keep the batch it was given.
-    """
-    p = len(steps)
-    batch = np.empty((2 * p,) + x.shape)
-    np.add(x, steps, out=batch[:p])
-    np.subtract(x, steps, out=batch[p:])
-    out = predictor.predict(batch)
-    return (out[:p] - out[p:]) / (2.0 * eps)
 
 
 def _unit_rows(rng: np.random.Generator, b: int, n: int, dim: int) -> np.ndarray:
@@ -290,12 +269,19 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
     else:
         # eps * u_j = +-step exactly, with step = eps * (1 / sqrt(D)) rounded once.
         step = DEFAULT_FD_EPS * (1.0 / np.sqrt(d))
-        estimates = np.empty((config.batch_size, config.n_proj))
+        p = config.n_proj
+        estimates = np.empty((config.batch_size, p))
         for s, x in enumerate(batch):
-            bits = _sign_bits(rng, config.n_proj, d).reshape((config.n_proj,) + x.shape)
+            bits = _sign_bits(rng, p, d).reshape((p,) + x.shape)
             steps = bits * (-2.0 * step)
             steps += step
-            ju = _central_differences(predictor, x, steps, DEFAULT_FD_EPS)
+            # One predict call takes the sample's 2p perturbed images, in a fresh
+            # array: a black-box predictor may keep the batch it was given.
+            perturbed = np.empty((2 * p,) + x.shape)
+            np.add(x, steps, out=perturbed[:p])
+            np.subtract(x, steps, out=perturbed[p:])
+            out = predictor.predict(perturbed)
+            ju = (out[:p] - out[p:]) / (2.0 * DEFAULT_FD_EPS)
             estimates[s] = d * np.sum(ju * ju, axis=1)
     s = summarize_gaussian(estimates.ravel())
     return JacobianEstimate(
@@ -329,11 +315,16 @@ def pack_mlp_weights(predictor: MlpPredictor) -> np.ndarray:
 
 
 def unpack_mlp_weights(packed, image_shape=None, target: str = "probs") -> MlpPredictor:
-    """Inverse of pack_mlp_weights."""
+    """Inverse of pack_mlp_weights; the three leading dims must be integers >= 1."""
     packed = np.asarray(packed, dtype=np.float64).ravel()
     if packed.size < 3:
         raise InvalidInputError("packed MLP weights must start with [D, hidden, K]")
-    d, hidden, k = (int(v) for v in packed[:3])
+    dims = packed[:3]
+    if not np.all(np.isfinite(dims) & (dims >= 1) & (dims == np.floor(dims))):
+        raise InvalidInputError(
+            f"packed MLP dims [D, hidden, K] must be integers >= 1, got {dims.tolist()}"
+        )
+    d, hidden, k = (int(v) for v in dims)
     expected = 3 + hidden * d + hidden + k * hidden + k
     if packed.size != expected:
         raise InvalidInputError(

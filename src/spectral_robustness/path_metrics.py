@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedMetricError
+from .errors import InvalidInputError
 
 # Of the 50 one-sided bins at T=100, bins above 10 count as high frequency.
 DEFAULT_HFF_THRESHOLD = 10
@@ -86,10 +86,8 @@ def hff(trace: PredictionTrace, threshold_k: int = DEFAULT_HFF_THRESHOLD) -> flo
         return 0.0
     amplitudes = np.abs(np.fft.rfft(trace.probs, axis=0))  # (T//2 + 1, K)
     mean_amp = amplitudes.mean(axis=1)
-    total = mean_amp.sum()
-    if total == 0.0:
-        raise UndefinedMetricError("HFF undefined for an all-zero trace")
-    return float(mean_amp[threshold_k + 1 :].sum() / total)
+    # Rows sum to 1, so the DC bin alone is about T/K and the total is never 0.
+    return float(mean_amp[threshold_k + 1 :].sum() / mean_amp.sum())
 
 
 def consistent_distance(trace: PredictionTrace) -> int:

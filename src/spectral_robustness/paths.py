@@ -157,7 +157,8 @@ def sample_path_specs(
     """Draw n_paths endpoint pairs uniformly at random subject to class_relation.
 
     Pair i is drawn from an RNG stream derived from (seed, i), so individual
-    paths are reproducible independently of how many are requested.
+    paths are reproducible independently of how many are requested. The
+    first ``PathSpec`` rejects an unknown mode or class relation.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -165,10 +166,6 @@ def sample_path_specs(
         raise InvalidInputError(f"n_paths must be >= 1, got {n_paths}")
     if n < 2:
         raise InvalidInputError("dataset must contain at least 2 items")
-    if mode not in PATH_MODES:
-        raise InvalidInputError(f"unknown path mode {mode!r}")
-    if class_relation not in CLASS_RELATIONS:
-        raise InvalidInputError(f"unknown class relation {class_relation!r}")
 
     if class_relation == "within":
         _, counts = np.unique(labels, return_counts=True)

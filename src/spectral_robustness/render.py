@@ -166,8 +166,6 @@ def emit_scatter_svg(
 def emit_pgm(psd_map: PsdMap, out) -> None:
     """Write a DC-centered log-scale heatmap as plain-text PGM (P2, maxval 65535)."""
     power = np.asarray(psd_map.power, dtype=np.float64)
-    if power.ndim != 2:
-        raise InvalidInputError(f"PSD map must be 2D, got shape {power.shape}")
     log_map = np.log10(np.abs(power) + 1e-12)
     lo, hi = log_map.min(), log_map.max()
     if hi > lo:

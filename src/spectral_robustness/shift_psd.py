@@ -96,8 +96,6 @@ def class_averaged_shift_psd(a: Mapping, b: Mapping) -> PsdMap:
 def radial_profile(psd_map: PsdMap) -> list[tuple[float, float]]:
     """Mean power per radius annulus of width 0.05; empty annuli are omitted."""
     power = np.asarray(psd_map.power, dtype=np.float64)
-    if power.ndim != 2:
-        raise InvalidInputError(f"PSD map must be 2D, got shape {power.shape}")
     r = normalized_radius(*power.shape)
     n_bins = int(round(1.0 / PROFILE_BIN_WIDTH))
     idx = np.minimum((r / PROFILE_BIN_WIDTH).astype(int), n_bins - 1)
@@ -119,8 +117,6 @@ def band_fractions(psd_map: PsdMap, edges: tuple[float, float] = DEFAULT_BAND_ED
     if not 0.0 < r1 < r2 < 1.0:
         raise InvalidInputError(f"band edges must satisfy 0 < r1 < r2 < 1, got {edges}")
     power = np.abs(np.asarray(psd_map.power, dtype=np.float64))
-    if power.ndim != 2:
-        raise InvalidInputError(f"PSD map must be 2D, got shape {power.shape}")
     total = power.sum()
     if total == 0.0:
         raise UndefinedMetricError("band fractions are undefined for an all-zero map")

@@ -53,11 +53,15 @@ class PsdMap:
 
     ``power`` is signed only for shift maps (differences of PSDs); a PSD of a
     single dataset is elementwise nonnegative. ``source_count`` records how
-    many items were averaged.
+    many items were averaged. ``power`` must be 2D.
     """
 
     power: np.ndarray
     source_count: int
+
+    def __post_init__(self):
+        if np.ndim(self.power) != 2:
+            raise InvalidInputError(f"PSD map must be 2D, got shape {np.shape(self.power)}")
 
 
 def _as_spectrum(s) -> np.ndarray:
@@ -187,13 +191,6 @@ def image_stack(images, name: str) -> np.ndarray:
     return stack
 
 
-def _differences(stack: np.ndarray, minus: np.ndarray | None, per_chunk: int):
-    """Yield (start, stack[start:stop] - minus[start:stop]) over chunks of ``per_chunk`` images."""
-    for lo in range(0, len(stack), per_chunk):
-        chunk = stack[lo : lo + per_chunk]
-        yield lo, chunk if minus is None else chunk - minus[lo : lo + per_chunk]
-
-
 def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
     """Mean power spectral density |X|^2 / (H*W) over images and channels.
 
@@ -203,9 +200,10 @@ def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
     ``minus``, a stack of the same shape, the map is the PSD of
     ``images - minus``, formed a chunk at a time and never in full.
 
-    Non-finite input and power beyond the float64 range raise
-    InvalidInputError. Finiteness is checked on the map, not the input: the
-    DC bin sums every pixel, so a non-finite pixel always reaches the map.
+    Finiteness is checked on the map, not the input: the DC bin sums every
+    pixel, so a non-finite pixel always reaches the map. A non-finite map
+    raises InvalidInputError naming the input at fault, ``images`` first, or
+    with both finite saying the power overflows float64.
     """
     stack = _stack(images, "psd input")
     if minus is not None:
@@ -219,7 +217,10 @@ def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
     per_image = np.empty((n, h, w // 2 + 1))
     per_chunk = max(1, _PSD_CHUNK_VALUES // (c * per_image[0].size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, chunk in _differences(stack, minus, per_chunk):
+        for lo in range(0, n, per_chunk):
+            chunk = stack[lo : lo + per_chunk]
+            if minus is not None:
+                chunk = chunk - minus[lo : lo + per_chunk]
             # The real and imaginary parts, interleaved, squared in place.
             parts = rfft2(chunk).view(np.float64)
             np.multiply(parts, parts, out=parts)
@@ -230,9 +231,10 @@ def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
             out /= h * w
         half = np.mean(per_image, axis=0)
     if not np.all(np.isfinite(half)):
-        with np.errstate(over="ignore"):
-            if not all(np.all(np.isfinite(x)) for _, x in _differences(stack, minus, per_chunk)):
-                raise InvalidInputError("psd input contains non-finite values")
+        if not np.all(np.isfinite(stack)):
+            raise InvalidInputError("psd input contains non-finite values")
+        if minus is not None and not np.all(np.isfinite(minus)):
+            raise InvalidInputError("psd minus contains non-finite values")
         raise InvalidInputError("psd power overflows float64: the input is too large")
     mirror_half_grid(half, w, 1)
     return PsdMap(power=_full_grid(half, w), source_count=n)

@@ -35,6 +35,15 @@ _BLOCK_CHARS = 1 << 16
 
 # Headers of the row tables; the trace table's depends on its class count.
 LABEL_COLUMNS = ("index", "label")
+MANIFEST_COLUMNS = (
+    "path_id", "mode", "source_index", "target_index", "class_relation", "cutoff", "steps", "seed",
+    "file",
+)
+BAND_COLUMNS = ("low", "mid", "high", "r1", "r2", "source_count")
+JACOBIAN_COLUMNS = (
+    "frobenius_norm", "ci95_low", "ci95_high", "n_estimates", "n_proj", "batch_size", "target",
+    "method", "predictor", "seed",
+)
 ACCURACY_COLUMNS = ("model_id", "group", "dataset_id", "correct", "total")
 METRIC_COLUMNS = ("model_id", "metric_name", "value", "value_kind")
 PATH_METRIC_COLUMNS = ("path_id", "hff", "cd")
@@ -302,18 +311,28 @@ def _reject_duplicate(seen: dict, key, path, line_no: int, names: str) -> None:
         )
 
 
-def read_accuracies(path) -> list[AccuracyRecord]:
-    """Read an accuracy CSV; a repeated (model_id, dataset_id) raises TraceParseError."""
+def _read_records(path, columns, record, types, key_fields) -> list:
+    """``record`` of each row of the table at ``path``, its fields converted by ``types``.
+
+    A field or record that raises ValueError, and a repeat of the fields at
+    ``key_fields``, raise TraceParseError naming the line.
+    """
     records = []
-    seen: dict[tuple[str, str], int] = {}
-    for line_no, (model_id, group, dataset_id, correct, total) in _rows(path, ACCURACY_COLUMNS):
+    seen: dict[tuple[str, ...], int] = {}
+    names = ", ".join(columns[i] for i in key_fields)
+    for line_no, row in _rows(path, columns):
         try:
-            rec = AccuracyRecord(model_id, group, dataset_id, int(correct), int(total))
+            rec = record(*(convert(field) for convert, field in zip(types, row)))
         except ValueError as exc:
             raise TraceParseError(f"{path} line {line_no}: {exc}") from None
-        _reject_duplicate(seen, (model_id, dataset_id), path, line_no, "model_id, dataset_id")
+        _reject_duplicate(seen, tuple(row[i] for i in key_fields), path, line_no, names)
         records.append(rec)
     return records
+
+
+def read_accuracies(path) -> list[AccuracyRecord]:
+    """Read an accuracy CSV; a repeated (model_id, dataset_id) raises TraceParseError."""
+    return _read_records(path, ACCURACY_COLUMNS, AccuracyRecord, (str, str, str, int, int), (0, 2))
 
 
 def write_accuracies(path, records) -> None:
@@ -326,16 +345,7 @@ def write_accuracies(path, records) -> None:
 
 def read_metrics(path) -> list[MetricRecord]:
     """Read a model-metrics CSV; a repeated (model_id, metric_name) raises TraceParseError."""
-    records = []
-    seen: dict[tuple[str, str], int] = {}
-    for line_no, (model_id, metric_name, value, value_kind) in _rows(path, METRIC_COLUMNS):
-        try:
-            rec = MetricRecord(model_id, metric_name, float(value), value_kind)
-        except ValueError as exc:
-            raise TraceParseError(f"{path} line {line_no}: {exc}") from None
-        _reject_duplicate(seen, (model_id, metric_name), path, line_no, "model_id, metric_name")
-        records.append(rec)
-    return records
+    return _read_records(path, METRIC_COLUMNS, MetricRecord, (str, str, float, str), (0, 1))
 
 
 def write_metrics(path, records) -> None:

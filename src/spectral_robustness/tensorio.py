@@ -53,13 +53,11 @@ def atomic_open(path, mode, **open_kwargs):
     Writes a temp file beside ``path``, renamed in on success with an old ``path``'s
     permission bits; on an exception it is removed and an old ``path`` keeps its bytes.
     A symlink is written through; a target that is not a regular file, or has no
-    directory, raises InvalidInputError before any file is made. Hard links are not
-    kept. No fsync: this covers a failed command, not power loss.
+    directory, raises InvalidInputError (from ``check_output``) before any file is made.
+    Hard links are not kept. No fsync: this covers a failed command, not power loss.
     """
-    real = os.path.realpath(path)
+    real = check_output(path)
     head, tail = os.path.split(real)
-    if not os.path.isdir(head) or os.path.exists(real) and not os.path.isfile(real):
-        raise InvalidInputError(f"{path}: output must be a regular file in an existing directory")
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
     fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
     try:
@@ -71,6 +69,19 @@ def atomic_open(path, mode, **open_kwargs):
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def check_output(path) -> str:
+    """The real path ``atomic_open`` writes for ``path``.
+
+    Raises InvalidInputError unless that is a regular file, or no file, in an
+    existing directory.
+    """
+    real = os.path.realpath(path)
+    head = os.path.dirname(real)
+    if not os.path.isdir(head) or os.path.exists(real) and not os.path.isfile(real):
+        raise InvalidInputError(f"{path}: output must be a regular file in an existing directory")
+    return real
 
 
 def read_tensor(path) -> tuple[np.ndarray, list[int]]:

@@ -14,7 +14,8 @@ from spectral_robustness.tables import (
     write_traces,
 )
 from spectral_robustness.tensorio import read_tensor, write_tensor
-from spectral_robustness import AccuracyRecord, MetricRecord, PredictionTrace, tensorio
+from spectral_robustness import AccuracyRecord, MetricRecord, MlpPredictor, PredictionTrace, tensorio
+from spectral_robustness.jacobian import pack_mlp_weights
 
 
 @pytest.fixture()
@@ -306,6 +307,30 @@ class TestPsdShift:
         assert sorted(os.listdir(tmp_path)) == ["a.tnsr", "b.tnsr"]
 
 
+    @pytest.mark.parametrize("late", ["--pgm", "--bands"])
+    @pytest.mark.parametrize("old", [None, b"old bytes"], ids=["no-old-out", "old-out"])
+    def test_missing_directory_for_a_later_output_writes_nothing(self, tmp_path, capsys, late, old):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(4, 1, 8, 8))
+        write_tensor(tmp_path / "a.tnsr", a)
+        write_tensor(tmp_path / "b.tnsr", a + rng.normal(size=a.shape))
+        out = tmp_path / "psd.tnsr"
+        if old is not None:
+            out.write_bytes(old)
+        targets = {"--pgm": tmp_path / "psd.pgm", "--bands": tmp_path / "bands.csv"}
+        targets[late] = tmp_path / "nodir" / "late"
+        rc = main(["psd-shift", "--mode", "paired", "--a", str(tmp_path / "a.tnsr"),
+                   "--b", str(tmp_path / "b.tnsr"), "--out", str(out),
+                   "--pgm", str(targets["--pgm"]), "--bands", str(targets["--bands"])])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {targets[late]}: output must be a regular file in an existing directory"
+        ]
+        assert (out.read_bytes() if out.exists() else None) == old
+        assert sorted(os.listdir(tmp_path)) == sorted(["a.tnsr", "b.tnsr"] + ["psd.tnsr"] * bool(old))
+
+
 class TestPathMetricsCommand:
     def test_metrics_csv(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -429,6 +454,54 @@ class TestJacobianCommand:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {message}"]
+        assert not out.exists()
+
+
+    @staticmethod
+    def write_mlp_weights(path, dims=(16, 3, 2), bad=None):
+        """Packed weights of a small MLP on (1, 4, 4) images, with the ``bad`` (index, value) set."""
+        rng = np.random.default_rng(6)
+        predictor = MlpPredictor(
+            rng.normal(size=(3, 16)), np.zeros(3), rng.normal(size=(2, 3)), np.zeros(2)
+        )
+        packed = pack_mlp_weights(predictor)
+        packed[:3] = dims
+        if bad is not None:
+            packed[bad[0]] = bad[1]
+        write_tensor(path, packed)
+
+    @pytest.mark.parametrize(
+        "predictor, weights, message",
+        [
+            ("linear", "nan-weight", "weights and biases must be finite"),
+            ("mlp", "nan-weight", "weights and biases must be finite"),
+            ("mlp", "fractional-dim",
+             "packed MLP dims [D, hidden, K] must be integers >= 1, got [16.5, 3.0, 2.0]"),
+            ("mlp", "nan-dim",
+             "packed MLP dims [D, hidden, K] must be integers >= 1, got [16.0, nan, 2.0]"),
+        ],
+        ids=["linear-nan-weight", "mlp-nan-weight", "mlp-fractional-dim", "mlp-nan-dim"],
+    )
+    def test_bad_weights_fail_before_output(self, tmp_path, capsys, predictor, weights, message):
+        rng = np.random.default_rng(7)
+        images = tmp_path / "x.tnsr"
+        write_tensor(images, rng.normal(size=(8, 1, 4, 4)))
+        path = tmp_path / "w.tnsr"
+        if predictor == "linear":
+            w = rng.normal(size=(2, 17))
+            w[1, 5] = np.nan
+            write_tensor(path, w)
+        else:
+            self.write_mlp_weights(
+                path,
+                dims=(16.5, 3, 2) if weights == "fractional-dim" else (16, 3, 2),
+                bad={"nan-weight": (10, np.nan), "nan-dim": (1, np.nan)}.get(weights),
+            )
+        out = tmp_path / "jac.csv"
+        rc = main(["jacobian", "--predictor", predictor, "--weights", str(path),
+                   "--images", str(images), "--batch", "8", "--nproj", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
 
@@ -567,6 +640,21 @@ class TestRegressCommand:
             f"error: {met_path} line 12: metric 'amp_hff' must be finite, got {float(value)}\n"
         )
         assert not out.exists() and not svg.exists()
+
+
+    @pytest.mark.parametrize("old", [None, b"old bytes"], ids=["no-old-out", "old-out"])
+    def test_missing_svg_directory_writes_nothing(self, tmp_path, capsys, old):
+        acc_path, met_path = self.make_tables(tmp_path)
+        out = tmp_path / "fit.csv"
+        if old is not None:
+            out.write_bytes(old)
+        svg = tmp_path / "nodir" / "plot.svg"
+        rc = main(["regress", "--accuracies", str(acc_path), "--metrics", str(met_path),
+                   "--x", "ID accuracy", "--ood", "ood-set", "--out", str(out), "--svg", str(svg)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {svg}: output must be a regular file in an existing directory"]
+        assert (out.read_bytes() if out.exists() else None) == old
 
 
 class TestReportCommand:

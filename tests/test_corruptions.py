@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from spectral_robustness import CorruptionSpec, InvalidInputError, apply_corruption, corrupt_batch
+from spectral_robustness import CorruptionSpec, InvalidInputError, corrupt_batch
 from spectral_robustness.corruptions import _CHUNK_PIXELS, CORRUPTION_KINDS
 
 
@@ -13,25 +13,30 @@ def sample_image(seed=0, shape=(3, 32, 32)):
     return np.random.default_rng(seed).normal(size=shape)
 
 
+def corrupt_image(image, spec):
+    """One (C, H, W) image corrupted as a stack of one."""
+    return corrupt_batch(image[None], spec)[0]
+
+
 class TestBrightnessContrast:
     def test_zero_offset_is_identity(self):
         img = sample_image()
-        out = apply_corruption(img, CorruptionSpec("brightness", 0.0))
+        out = corrupt_image(img, CorruptionSpec("brightness", 0.0))
         assert np.array_equal(out, img)
 
     def test_brightness_shifts_every_pixel(self):
         img = sample_image(1)
-        out = apply_corruption(img, CorruptionSpec("brightness", 0.7))
+        out = corrupt_image(img, CorruptionSpec("brightness", 0.7))
         assert np.allclose(out - img, 0.7)
 
     def test_unit_contrast_is_identity(self):
         img = sample_image(2)
-        out = apply_corruption(img, CorruptionSpec("contrast", 1.0))
+        out = corrupt_image(img, CorruptionSpec("contrast", 1.0))
         assert np.abs(out - img).max() < 1e-12
 
     def test_contrast_scales_about_channel_mean(self):
         img = sample_image(3)
-        out = apply_corruption(img, CorruptionSpec("contrast", 0.5))
+        out = corrupt_image(img, CorruptionSpec("contrast", 0.5))
         for c in range(img.shape[0]):
             m = img[c].mean()
             assert np.abs(out[c] - (m + 0.5 * (img[c] - m))).max() < 1e-12
@@ -41,12 +46,12 @@ class TestBrightnessContrast:
         # the analytic composition of the two affine maps.
         img = sample_image(4, shape=(1, 8, 8))
         delta, s = 0.3, 1.4
-        bc = apply_corruption(
-            apply_corruption(img, CorruptionSpec("brightness", delta)),
+        bc = corrupt_image(
+            corrupt_image(img, CorruptionSpec("brightness", delta)),
             CorruptionSpec("contrast", s),
         )
-        cb = apply_corruption(
-            apply_corruption(img, CorruptionSpec("contrast", s)),
+        cb = corrupt_image(
+            corrupt_image(img, CorruptionSpec("contrast", s)),
             CorruptionSpec("brightness", delta),
         )
         # Both orders equal contrast-then-brightness analytically: the channel
@@ -57,18 +62,18 @@ class TestBrightnessContrast:
 class TestNoise:
     def test_gaussian_noise_moment(self):
         img = np.zeros((1, 1024, 1024))
-        out = apply_corruption(img, CorruptionSpec("gaussian_noise", 0.3, seed=5))
+        out = corrupt_image(img, CorruptionSpec("gaussian_noise", 0.3, seed=5))
         measured = (out - img).std()
         assert abs(measured - 0.3) / 0.3 < 0.02
 
     def test_gaussian_noise_reproducible(self):
         img = sample_image(6)
         spec = CorruptionSpec("gaussian_noise", 0.2, seed=11)
-        assert np.array_equal(apply_corruption(img, spec), apply_corruption(img, spec))
+        assert np.array_equal(corrupt_image(img, spec), corrupt_image(img, spec))
 
     def test_impulse_noise_uses_image_extremes(self):
         img = sample_image(7)
-        out = apply_corruption(img, CorruptionSpec("impulse_noise", 0.3, seed=8))
+        out = corrupt_image(img, CorruptionSpec("impulse_noise", 0.3, seed=8))
         changed = out != img
         assert np.all(np.isin(out[changed], [img.min(), img.max()]))
         frac = changed.mean()
@@ -76,34 +81,34 @@ class TestNoise:
 
     def test_impulse_zero_probability_is_identity(self):
         img = sample_image(8)
-        out = apply_corruption(img, CorruptionSpec("impulse_noise", 0.0, seed=9))
+        out = corrupt_image(img, CorruptionSpec("impulse_noise", 0.0, seed=9))
         assert np.array_equal(out, img)
 
     def test_impulse_reproducible(self):
         img = sample_image(9)
         spec = CorruptionSpec("impulse_noise", 0.1, seed=3)
-        assert np.array_equal(apply_corruption(img, spec), apply_corruption(img, spec))
+        assert np.array_equal(corrupt_image(img, spec), corrupt_image(img, spec))
 
 
 class TestBlurPixelate:
     def test_blur_preserves_mean(self):
         img = sample_image(10)
-        out = apply_corruption(img, CorruptionSpec("gaussian_blur", 1.5))
+        out = corrupt_image(img, CorruptionSpec("gaussian_blur", 1.5))
         assert abs(out.mean() - img.mean()) < 1e-5
 
     def test_blur_reduces_variance(self):
         img = sample_image(11)
-        out = apply_corruption(img, CorruptionSpec("gaussian_blur", 2.0))
+        out = corrupt_image(img, CorruptionSpec("gaussian_blur", 2.0))
         assert out.std() < 0.5 * img.std()
 
     def test_blur_of_constant_is_constant(self):
         img = np.full((1, 16, 16), 1.25)
-        out = apply_corruption(img, CorruptionSpec("gaussian_blur", 1.0))
+        out = corrupt_image(img, CorruptionSpec("gaussian_blur", 1.0))
         assert np.abs(out - 1.25).max() < 1e-12
 
     def test_pixelate_blocks_carry_block_means(self):
         img = sample_image(12, shape=(1, 32, 32))
-        out = apply_corruption(img, CorruptionSpec("pixelate", 4))
+        out = corrupt_image(img, CorruptionSpec("pixelate", 4))
         for by in range(8):
             for bx in range(8):
                 block = img[0, 4 * by : 4 * by + 4, 4 * bx : 4 * bx + 4]
@@ -112,7 +117,7 @@ class TestBlurPixelate:
 
     def test_pixelate_factor_one_is_identity(self):
         img = sample_image(13)
-        out = apply_corruption(img, CorruptionSpec("pixelate", 1))
+        out = corrupt_image(img, CorruptionSpec("pixelate", 1))
         assert np.array_equal(out, img)
 
     @pytest.mark.parametrize("factor", [8, 16])
@@ -140,7 +145,7 @@ class TestBlurPixelate:
 
     def test_pixelate_requires_divisible_factor(self):
         with pytest.raises(InvalidInputError):
-            apply_corruption(sample_image(14, shape=(1, 30, 30)), CorruptionSpec("pixelate", 4))
+            corrupt_image(sample_image(14, shape=(1, 30, 30)), CorruptionSpec("pixelate", 4))
 
 
 class TestSpecValidation:
@@ -249,7 +254,7 @@ class TestGoldenCorruptions:
     def test_single_image_matches_formula(self, kind, param):
         img = sample_image(32, shape=(3, 16, 12))
         spec = CorruptionSpec(kind, param, seed=23)
-        assert np.array_equal(apply_corruption(img, spec), reference_corruption(img, kind, param, 23))
+        assert np.array_equal(corrupt_image(img, spec), reference_corruption(img, kind, param, 23))
 
     def test_every_kind_covered(self):
         assert {kind for kind, _ in GOLDEN_PARAMS} == set(CORRUPTION_KINDS)
@@ -343,7 +348,7 @@ class TestOverflow:
         with pytest.raises(InvalidInputError, match=message):
             corrupt_batch(stack, spec)
         with pytest.raises(InvalidInputError, match=message):
-            apply_corruption(stack[0], spec)
+            corrupt_image(stack[0], spec)
 
     def test_blur_near_the_limit_is_kept(self):
         # The filter's symmetric pair sums stay below the float64 limit here.
@@ -362,7 +367,7 @@ class TestInputValidation:
         with pytest.raises(InvalidInputError, match="non-finite"):
             corrupt_batch(stack, spec)
         with pytest.raises(InvalidInputError, match="non-finite"):
-            apply_corruption(stack[1], spec)
+            corrupt_image(stack[1], spec)
 
     @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS[::2])
     @pytest.mark.parametrize("shape", [(0, 1, 8, 8), (2, 0, 8, 8), (2, 1, 0, 8), (8, 8), (2, 1, 8, 8, 1)])
@@ -373,4 +378,4 @@ class TestInputValidation:
     @pytest.mark.parametrize("shape", [(8, 8), (1, 0, 8), (1, 1, 8, 8)])
     def test_bad_image_rejected(self, shape):
         with pytest.raises(InvalidInputError):
-            apply_corruption(np.zeros(shape), CorruptionSpec("brightness", 0.1))
+            corrupt_image(np.zeros(shape), CorruptionSpec("brightness", 0.1))

@@ -6,6 +6,10 @@ defined at module level in ``tests/`` (anything but ``test_*`` functions,
 appear as a whole word (a maximal run of word characters) somewhere besides
 its definition: in ``src/``, ``tests/``, ``perfbench/`` or README.md. Dead
 helpers fail here instead of lingering.
+
+A name the package exports from ``__init__.py`` must also be referenced
+outside ``tests/``: in ``src/`` besides its definition and that import, in
+``perfbench/`` or in README.md. A public function only tests call fails here.
 """
 
 import ast
@@ -28,14 +32,20 @@ def module_level_names(source: str) -> list[str]:
     return names
 
 
-def test_every_module_level_name_is_referenced():
-    searched = [
+def word_counts(paths) -> Counter:
+    return Counter(re.findall(r"\w+", "\n".join(p.read_text(encoding="utf-8") for p in paths)))
+
+
+def outside_tests() -> list[Path]:
+    return [
         *sorted((ROOT / "src").rglob("*.py")),
-        *sorted((ROOT / "tests").rglob("*.py")),
         *sorted(p for p in (ROOT / "perfbench").rglob("*") if p.suffix in (".py", ".md")),
         ROOT / "README.md",
     ]
-    words = Counter(re.findall(r"\w+", "\n".join(p.read_text(encoding="utf-8") for p in searched)))
+
+
+def test_every_module_level_name_is_referenced():
+    words = word_counts([*outside_tests(), *sorted((ROOT / "tests").rglob("*.py"))])
     defined = {
         f"{module.stem}.{name}": name
         for module in sorted(PACKAGE.glob("*.py"))
@@ -51,3 +61,17 @@ def test_every_module_level_name_is_referenced():
     definitions = Counter(defined.values())
     dead = [qualified for qualified, name in defined.items() if words[name] <= definitions[name]]
     assert dead == []
+
+
+def test_every_export_is_referenced_outside_tests():
+    init = PACKAGE / "__init__.py"
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    words = word_counts(p for p in outside_tests() if p != init)
+    # The definition itself is one match.
+    uncalled = [name for name in exported if words[name] <= 1]
+    assert uncalled == []

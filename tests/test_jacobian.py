@@ -9,7 +9,6 @@ from spectral_robustness import (
     MlpPredictor,
     Predictor,
     estimate_jacobian_norm,
-    fd_directional_derivative,
     fit_mlp,
     make_blobs,
     train_blob_mlp,
@@ -85,6 +84,14 @@ class TestLinearPredictorVjp:
         with pytest.raises(InvalidInputError, match=message):
             LinearPredictor(weights, bias)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    def test_non_finite_parameters_rejected(self, part, bad):
+        params = {"weights": np.ones((2, 3)), "bias": np.zeros(2)}
+        params[part][-1, ...] = bad
+        with pytest.raises(InvalidInputError, match="^weights and biases must be finite$"):
+            LinearPredictor(**params)
+
 
 def random_mlp(seed, hidden=7, d=12, k=4, target="probs"):
     rng = np.random.default_rng(seed)
@@ -96,6 +103,13 @@ def random_mlp(seed, hidden=7, d=12, k=4, target="probs"):
         image_shape=(1, 3, d // 3),
         target=target,
     )
+
+
+def central_difference(predictor, x, u, eps):
+    """The oracle (predict(x + eps*u) - predict(x - eps*u)) / (2 eps), one image per call."""
+    plus = predictor.predict((x + eps * u)[None])[0]
+    minus = predictor.predict((x - eps * u)[None])[0]
+    return (plus - minus) / (2.0 * eps)
 
 
 def sign_directions(rng, n, image_shape):
@@ -163,16 +177,14 @@ class TestFiniteDifference:
         x = np.random.default_rng(3).normal(size=(1, 1, 4))
         u = np.zeros((1, 1, 4))
         u[0, 0, 1] = 1.0
-        out = fd_directional_derivative(predictor, x, u, eps=0.37)
+        out = central_difference(predictor, x, u, eps=0.37)
         assert np.abs(out - predictor.weights[:, 1]).max() < 1e-9
 
     def test_componentwise_square(self):
         predictor = CallablePredictor(
             lambda batch: batch.reshape(len(batch), -1) ** 2, 1, (1, 1, 1), target="logits"
         )
-        out = fd_directional_derivative(
-            predictor, np.full((1, 1, 1), 3.0), np.ones((1, 1, 1)), eps=1e-3
-        )
+        out = central_difference(predictor, np.full((1, 1, 1), 3.0), np.ones((1, 1, 1)), eps=1e-3)
         assert abs(out[0] - 6.0) < 1e-6
 
     def test_mlp_matches_analytic_jvp(self):
@@ -194,13 +206,8 @@ class TestFiniteDifference:
         dz = mlp.w2 @ ((1 - h**2) * (mlp.w1 @ u.ravel()))
         jvp = p * dz - p * (p @ dz)
 
-        fd = fd_directional_derivative(mlp, x, u, eps=1e-4)
+        fd = central_difference(mlp, x, u, eps=1e-4)
         assert np.abs(fd - jvp).max() < 1e-4
-
-    def test_requires_unit_direction(self):
-        predictor = random_linear(5, k=2, d=3)
-        with pytest.raises(InvalidInputError):
-            fd_directional_derivative(predictor, np.zeros((1, 1, 3)), np.full((1, 1, 3), 0.5))
 
 
 class TestEstimateJacobianNorm:
@@ -271,7 +278,7 @@ class TestEstimateJacobianNorm:
         rng = np.random.default_rng(42)
         for x in batch:
             for u in sign_directions(rng, 5, x.shape):
-                ju = fd_directional_derivative(predictor, x, u, eps=DEFAULT_FD_EPS)
+                ju = central_difference(predictor, x, u, DEFAULT_FD_EPS)
                 per_direction.append(12 * np.sum(ju * ju))
         assert est.method == "fd"
         assert est.frobenius_norm == pytest.approx(np.sqrt(np.mean(per_direction)), rel=1e-9)
@@ -538,6 +545,21 @@ class TestBuiltinMlp:
         assert np.array_equal(predictor.b1, restored.b1)
         assert np.array_equal(predictor.w2, restored.w2)
         assert np.array_equal(predictor.b2, restored.b2)
+
+    @pytest.mark.parametrize("index", range(4), ids=["w1", "b1", "w2", "b2"])
+    def test_non_finite_parameters_rejected(self, index):
+        predictor = random_mlp(27)
+        params = [p.copy() for p in (predictor.w1, predictor.b1, predictor.w2, predictor.b2)]
+        params[index][0, ...] = np.nan
+        with pytest.raises(InvalidInputError, match="^weights and biases must be finite$"):
+            MlpPredictor(*params)
+
+    @pytest.mark.parametrize("dim", [16.7, np.nan, np.inf, 0.0, -12.0], ids=str)
+    def test_packed_dims_must_be_integers_of_at_least_one(self, dim):
+        packed = pack_mlp_weights(random_mlp(28))
+        packed[0] = dim
+        with pytest.raises(InvalidInputError, match=r"^packed MLP dims \[D, hidden, K\] must be"):
+            unpack_mlp_weights(packed)
 
     def test_mlp_vjp_matches_finite_difference(self):
         predictor, images, _ = train_blob_mlp(seed=25)

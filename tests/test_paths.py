@@ -286,6 +286,17 @@ class TestSamplePathSpecs:
         with pytest.raises(InvalidInputError):
             sample_path_specs(np.array([1, 1, 1]), 5, "pixel", "between", seed=0)
 
+    @pytest.mark.parametrize(
+        "mode, relation, message",
+        [
+            ("warp", "within", "unknown path mode 'warp'"),
+            ("pixel", "inside", "unknown class relation 'inside'"),
+        ],
+    )
+    def test_unknown_mode_or_relation_rejected(self, mode, relation, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            sample_path_specs(self.labels, 5, mode, relation, seed=0)
+
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
             PathSpec("amplitude", 1, 1, "within", 0.4, 100, 0)

@@ -91,7 +91,7 @@ class TestPairedShiftPsd:
     def test_difference_beyond_float64_rejected(self):
         a = np.random.default_rng(9).normal(size=(3, 3, 8, 8))
         a[1, 1, 4, 5] = 1e308
-        with pytest.raises(InvalidInputError, match="^psd input contains non-finite values$"):
+        with pytest.raises(InvalidInputError, match="^psd power overflows float64"):
             paired_shift_psd(a, -a)
 
 
@@ -255,7 +255,7 @@ class TestShiftPsdMessages:
             ("fine", "3-d", "corrupted must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
             ("mixed", "fine", "originals images must share a shape, got [(3, 4, 4), (3, 8, 8)]"),
             ("fine", "1e200", "psd power overflows float64: the input is too large"),
-            ("1e308", "-1e308", "psd input contains non-finite values"),
+            ("1e308", "-1e308", "psd power overflows float64: the input is too large"),
         ],
     )
     def test_paired(self, originals, corrupted, message):
@@ -317,8 +317,8 @@ class TestShiftPsdMessages:
         "minus, message",
         [
             ("short", "psd minus must have the input's shape (3, 3, 8, 8), got (2, 3, 8, 8)"),
-            ("nan", "psd input contains non-finite values"),
-            ("-1e308", "psd input contains non-finite values"),
+            ("nan", "psd minus contains non-finite values"),
+            ("-1e308", "psd power overflows float64: the input is too large"),
             ("3-d", "psd minus must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
         ],
     )
@@ -346,6 +346,13 @@ class TestPsdMemory:
         call = {"psd": lambda: psd(pair[1]), "paired_shift_psd": lambda: paired_shift_psd(*pair)}[name]
         _, peak = traced_peak(call)
         assert peak <= 0.3 * pair[0].nbytes
+
+
+@pytest.mark.parametrize("shape", [(2, 8, 8), (8,)])
+def test_psd_map_must_be_2d(shape):
+    with pytest.raises(InvalidInputError) as info:
+        PsdMap(np.ones(shape), 1)
+    assert str(info.value) == f"PSD map must be 2D, got shape {shape}"
 
 
 class TestRadialProfile:

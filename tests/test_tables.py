@@ -553,16 +553,24 @@ class TestAccuracyMetricTables:
             "model_id,group,dataset_id,correct,total\n"
             "m0,g,id-set,80,100\nm0,g,ood-set,60,100\nm0,h,id-set,81,100\n"
         )
-        with pytest.raises(TraceParseError, match="line 4: duplicate.*first on line 2"):
-            read_accuracies(write_text(tmp_path, content))
+        path = write_text(tmp_path, content)
+        with pytest.raises(TraceParseError) as info:
+            read_accuracies(path)
+        assert str(info.value) == (
+            f"{path} line 4: duplicate (model_id, dataset_id) ('m0', 'id-set'), first on line 2"
+        )
 
     def test_duplicate_metric_rows_rejected_with_both_lines(self, tmp_path):
         content = (
             "model_id,metric_name,value,value_kind\n"
             "m0,amp_hff,0.2,raw\nm1,amp_hff,0.3,raw\nm0,amp_hff,0.25,raw\n"
         )
-        with pytest.raises(TraceParseError, match="line 4: duplicate.*first on line 2"):
-            read_metrics(write_text(tmp_path, content))
+        path = write_text(tmp_path, content)
+        with pytest.raises(TraceParseError) as info:
+            read_metrics(path)
+        assert str(info.value) == (
+            f"{path} line 4: duplicate (model_id, metric_name) ('m0', 'amp_hff'), first on line 2"
+        )
 
 
 class TestPathMetricsTable:
