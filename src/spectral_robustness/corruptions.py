@@ -21,7 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidInputError
-from .spectral import image_stack
+from .spectral import image_stack, run_chunks
 
 CORRUPTION_KINDS = (
     "brightness",
@@ -35,6 +35,10 @@ CORRUPTION_KINDS = (
 # Impulse noise draws its flip and salt fields this many pixels at a time, so
 # a chunk's draws stay in cache.
 _CHUNK_PIXELS = 1 << 15
+
+# Gaussian blur filters blocks of whole images of about this many pixels
+# (42 CIFAR images), one block per thread at a time.
+_BLUR_BLOCK_PIXELS = 1 << 17
 
 
 @dataclass
@@ -72,7 +76,10 @@ def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
     noise and ``default_rng([seed, 1])`` for impulse noise; image i takes the
     i-th consecutive block of its draws. Arithmetic or noise draws that
     overflow float64 raise InvalidInputError naming the kind and param, and
-    so does a blur whose sums inside scipy's filter overflow.
+    so does a blur whose sums inside scipy's filter overflow. The blur
+    filters blocks of whole images through ``spectral.run_chunks``, on one
+    thread per CPU, with the same result as one filter over the stack; the
+    other kinds run in the calling thread.
     """
     stack = image_stack(images, "images")
     try:
@@ -116,18 +123,29 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
             # Image i of the chunk takes the i-th (2, C, H, W) block of the
             # draw: its flip field, then its salt field.
             u = rng.random((len(block), 2, c, h, w))
-            salt = block.max(axis=(1, 2, 3), keepdims=True)
-            pepper = block.min(axis=(1, 2, 3), keepdims=True)
-            np.copyto(block, np.where(u[:, 1] < 0.5, salt, pepper), where=u[:, 0] < param)
+            salt = block.max(axis=(1, 2, 3))
+            pepper = block.min(axis=(1, 2, 3))
+            flipped = np.nonzero(u[:, 0] < param)
+            image = flipped[0]
+            block[flipped] = np.where(u[:, 1][flipped] < 0.5, salt[image], pepper[image])
         return out
 
     if kind == "gaussian_blur":
         # scipy 'reflect' is symmetric edge padding, which keeps the image
-        # mean exactly for a normalized kernel; sigma 0 leaves N and C alone.
+        # mean exactly for a normalized kernel. Sigma 0 leaves N and C alone,
+        # so each image is filtered on its own and blocks of images, filtered
+        # in parallel, give the whole stack's result.
         r = math.ceil(3.0 * param)
-        out = ndimage.gaussian_filter(
-            stack, sigma=(0, 0, param, param), mode="reflect", radius=(0, 0, r, r)
-        )
+        out = np.empty(stack.shape)
+        per_block = max(1, _BLUR_BLOCK_PIXELS // (c * h * w))
+
+        def blur_block(lo: int) -> None:
+            ndimage.gaussian_filter(
+                stack[lo : lo + per_block], sigma=(0, 0, param, param), mode="reflect",
+                radius=(0, 0, r, r), output=out[lo : lo + per_block],
+            )
+
+        run_chunks(blur_block, range(0, n, per_block))
         # scipy's filter does not consult numpy's errstate, so a sum that
         # overflows shows only as a non-finite result of finite input.
         if not np.all(np.isfinite(out)):
@@ -152,4 +170,5 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     for i in range(1, factor):
         means += rows[:, :, :, i]
     means /= factor * factor
-    return means.repeat(factor, axis=2).repeat(factor, axis=3)
+    expanded = np.broadcast_to(means[:, :, :, None, :, None], blocks.shape)
+    return expanded.reshape(n, c, h, w)

@@ -281,8 +281,18 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
             np.add(x, steps, out=perturbed[:p])
             np.subtract(x, steps, out=perturbed[p:])
             out = predictor.predict(perturbed)
+            if out.shape != (2 * p, k):
+                raise InvalidInputError(
+                    f"predict returned shape {out.shape} for sample {s}, expected {(2 * p, k)}"
+                )
             ju = (out[:p] - out[p:]) / (2.0 * DEFAULT_FD_EPS)
             estimates[s] = d * np.sum(ju * ju, axis=1)
+        finite = np.isfinite(estimates).all(axis=1)
+        if not finite.all():
+            raise InvalidInputError(
+                f"predict outputs for sample {int(np.argmin(finite))} give a non-finite "
+                "finite-difference estimate"
+            )
     s = summarize_gaussian(estimates.ravel())
     return JacobianEstimate(
         frobenius_norm=float(np.sqrt(s.mean)),

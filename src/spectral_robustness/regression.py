@@ -117,7 +117,7 @@ def clopper_pearson(correct: int, total: int, alpha: float = 0.05) -> tuple[floa
 def probit(p: float, eps: float = PROBIT_EPS):
     """Inverse standard normal CDF of p clamped into [eps, 1-eps]."""
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0) or np.any(p > 1):
+    if not np.all((p >= 0) & (p <= 1)):
         raise InvalidInputError("probit input must lie in [0, 1]")
     out = special.ndtri(np.clip(p, eps, 1.0 - eps))
     return float(out) if out.ndim == 0 else out
@@ -165,33 +165,36 @@ def grouped_regression(
     probit(value) for accuracy-kind metrics, and the raw value otherwise.
     Groups with fewer than 2 usable models (or a constant predictor) are
     skipped with a warning and excluded from the averages; their models
-    still get points.
+    still get points. Two accuracy records for one (model_id, dataset_id),
+    or two metric records for one (model_id, metric_name), that the fit
+    would read raise InvalidInputError.
     """
-    by_model_ood: dict[str, AccuracyRecord] = {}
-    for rec in accuracies:
-        if rec.dataset_id == ood_dataset:
-            by_model_ood[rec.model_id] = rec
+    by_model_ood = _one_per_model(
+        [rec for rec in accuracies if rec.dataset_id == ood_dataset], "dataset_id", ood_dataset
+    )
     if not by_model_ood:
         raise InvalidInputError(f"no accuracy records for OOD dataset {ood_dataset!r}")
 
     if x_spec == ID_ACCURACY:
         id_dataset = _resolve_id_dataset(accuracies, ood_dataset, id_dataset)
-        x_values = {
-            rec.model_id: probit(rec.accuracy)
-            for rec in accuracies
-            if rec.dataset_id == id_dataset
-        }
+        by_model_id = _one_per_model(
+            [rec for rec in accuracies if rec.dataset_id == id_dataset], "dataset_id", id_dataset
+        )
+        x_values = {model_id: probit(rec.accuracy) for model_id, rec in by_model_id.items()}
         x_transform = "probit"
     else:
-        wanted = [m for m in metrics if m.metric_name == x_spec]
+        wanted = _one_per_model(
+            [m for m in metrics if m.metric_name == x_spec], "metric_name", x_spec
+        )
         if not wanted:
             raise InvalidInputError(f"no metric records named {x_spec!r}")
-        kinds = {m.value_kind for m in wanted}
+        kinds = {m.value_kind for m in wanted.values()}
         if len(kinds) != 1:
             raise InvalidInputError(f"metric {x_spec!r} mixes value kinds {sorted(kinds)}")
         x_transform = "probit" if kinds.pop() == "accuracy" else "raw"
         x_values = {
-            m.model_id: probit(m.value) if x_transform == "probit" else m.value for m in wanted
+            model_id: probit(m.value) if x_transform == "probit" else m.value
+            for model_id, m in wanted.items()
         }
 
     # A group's points stay in accuracy-table order: fit_line's sums depend on it.
@@ -244,9 +247,22 @@ def grouped_regression(
 
 def effective_robustness(id_acc: float, ood_acc: float, slope: float, intercept: float) -> float:
     """Probit-domain residual above the baseline line; positive means above it."""
-    if not (0.0 <= id_acc <= 1.0 and 0.0 <= ood_acc <= 1.0):
-        raise InvalidInputError("accuracies must lie in [0, 1]")
     return float(probit(ood_acc) - (slope * probit(id_acc) + intercept))
+
+
+def _one_per_model(records: list, field_name: str, value: str) -> dict:
+    """``records``, which share ``field_name`` == ``value``, by model_id.
+
+    A second record for one model raises InvalidInputError naming the key.
+    """
+    by_model: dict = {}
+    for rec in records:
+        if rec.model_id in by_model:
+            raise InvalidInputError(
+                f"duplicate (model_id, {field_name}) {(rec.model_id, value)!r}"
+            )
+        by_model[rec.model_id] = rec
+    return by_model
 
 
 def _resolve_id_dataset(accuracies, ood_dataset: str, id_dataset: str | None) -> str:

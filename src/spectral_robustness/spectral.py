@@ -12,8 +12,10 @@ here, the one place that picks the FFT backend (``scipy.fft``), except the
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft
@@ -23,6 +25,10 @@ from .errors import InvalidInputError
 # ``psd`` transforms its stack this many half-spectrum values at a time (20
 # CIFAR images), so the FFT, squaring and channel mean of a chunk stay in cache.
 _PSD_CHUNK_VALUES = 1 << 15
+
+# ``run_chunks`` runs fewer chunks than this in the calling thread: starting
+# threads would cost more than they could save.
+_MIN_THREADED_CHUNKS = 4
 
 
 @dataclass
@@ -191,6 +197,64 @@ def image_stack(images, name: str) -> np.ndarray:
     return stack
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def run_chunks(chunk: Callable[[int], None], starts: Sequence[int]) -> None:
+    """Call ``chunk(lo)`` once for each chunk start ``lo``, one thread per CPU.
+
+    Each chunk must write only its own slice of the output, so the result does
+    not depend on which thread runs it. The calling thread and one new thread
+    per further CPU in the process's affinity mask take the chunks in order;
+    with one CPU or fewer than 4 chunks they all run in the calling thread.
+    Each chunk runs under the caller's ``np.errstate``, which does not follow
+    a call into a new thread. After an exception no chunk is started, and
+    the exception of the first chunk in order that raised one is re-raised.
+    """
+    workers = min(_cpu_count(), len(starts))
+    if workers < 2 or len(starts) < _MIN_THREADED_CHUNKS:
+        for lo in starts:
+            chunk(lo)
+        return
+    state = np.geterr()
+    pending = iter(enumerate(starts))
+    lock = threading.Lock()
+    faults: dict[int, BaseException] = {}
+
+    def work() -> None:
+        with np.errstate(**state):
+            while True:
+                with lock:
+                    index, lo = (None, None) if faults else next(pending, (None, None))
+                if index is None:
+                    return
+                try:
+                    chunk(lo)
+                except BaseException as error:
+                    with lock:
+                        faults[index] = error
+                    return
+
+    # The calling thread takes chunks too, rather than wait for the others.
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if faults:
+        raise faults[min(faults)]
+
+
 def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
     """Mean power spectral density |X|^2 / (H*W) over images and channels.
 
@@ -198,7 +262,10 @@ def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
     The power is computed on the real half-spectrum and mirrored through
     P[u, v] = P[-u, -v], so the map is exactly point-symmetric. With
     ``minus``, a stack of the same shape, the map is the PSD of
-    ``images - minus``, formed a chunk at a time and never in full.
+    ``images - minus``, formed a chunk at a time and never in full. The
+    chunks run through ``run_chunks``, on one thread per CPU; each fills its
+    own images' rows, and the image mean runs after them, so the map is
+    bit-identical for any thread count.
 
     Finiteness is checked on the map, not the input: the DC bin sums every
     pixel, so a non-finite pixel always reaches the map. A non-finite map
@@ -216,19 +283,25 @@ def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
     # Per-image powers, filled one chunk of images at a time.
     per_image = np.empty((n, h, w // 2 + 1))
     per_chunk = max(1, _PSD_CHUNK_VALUES // (c * per_image[0].size))
+
+    def chunk_power(lo: int) -> None:
+        chunk = stack[lo : lo + per_chunk]
+        if minus is not None:
+            chunk = chunk - minus[lo : lo + per_chunk]
+        # The real and imaginary parts, interleaved, squared in place.
+        parts = rfft2(chunk).view(np.float64)
+        np.multiply(parts, parts, out=parts)
+        power = parts[..., 0::2]
+        power += parts[..., 1::2]
+        # Channel mean first, then image mean, so repeated identical images
+        # average bit-identically. This is np.mean's sum and division.
+        out = per_image[lo : lo + len(chunk)]
+        np.add.reduce(power, axis=1, out=out)
+        out /= c
+        out /= h * w
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, per_chunk):
-            chunk = stack[lo : lo + per_chunk]
-            if minus is not None:
-                chunk = chunk - minus[lo : lo + per_chunk]
-            # The real and imaginary parts, interleaved, squared in place.
-            parts = rfft2(chunk).view(np.float64)
-            np.multiply(parts, parts, out=parts)
-            # Channel mean first, then image mean, so repeated identical images
-            # average bit-identically.
-            out = per_image[lo : lo + len(chunk)]
-            np.mean(parts[..., 0::2] + parts[..., 1::2], axis=1, out=out)
-            out /= h * w
+        run_chunks(chunk_power, range(0, n, per_chunk))
         half = np.mean(per_image, axis=0)
     if not np.all(np.isfinite(half)):
         if not np.all(np.isfinite(stack)):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import pytest
@@ -18,3 +19,18 @@ def _traced_peak(fn):
 def traced_peak():
     """``traced_peak(fn) -> (fn(), peak bytes)``, the peak of Python-traced allocations."""
     return _traced_peak
+
+
+@pytest.fixture
+def spawned_threads(monkeypatch):
+    """A list that gets each ``threading.Thread`` made during the test."""
+    spawned = []
+    base = threading.Thread
+
+    class Recorded(base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return spawned

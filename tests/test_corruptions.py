@@ -6,6 +6,7 @@ import pytest
 from scipy import ndimage
 
 from spectral_robustness import CorruptionSpec, InvalidInputError, corrupt_batch
+from spectral_robustness import corruptions, spectral
 from spectral_robustness.corruptions import _CHUNK_PIXELS, CORRUPTION_KINDS
 
 
@@ -319,6 +320,42 @@ class TestImpulseChunks:
         stack = np.random.default_rng(41).normal(size=shape)
         expected = reference_batch(stack, "impulse_noise", param, 43)
         assert np.array_equal(corrupt_batch(stack, CorruptionSpec("impulse_noise", param, seed=43)), expected)
+
+
+class TestThreadedBlur:
+    """Blur blocks on several threads, or forced onto one: every kind gives the per-image loop."""
+
+    @pytest.fixture(params=[1, 4], ids=["1-cpu", "4-cpus"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS)
+    @pytest.mark.parametrize("image_shape", [(2, 9, 7), (1, 8, 12)], ids=str)
+    @pytest.mark.parametrize("n_blocks", [1, 3, 4, 100])
+    def test_matches_per_image_loop(
+        self, cpus, monkeypatch, spawned_threads, kind, param, image_shape, n_blocks
+    ):
+        # Blocks of 3 images; the last block holds two.
+        monkeypatch.setattr(corruptions, "_BLUR_BLOCK_PIXELS", 3 * math.prod(image_shape))
+        stack = np.random.default_rng([n_blocks, 45]).normal(size=(3 * n_blocks - 1, *image_shape))
+        spec = CorruptionSpec(kind, param, seed=46)
+        try:
+            expected = reference_batch(stack, kind, param, 46)
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError, match="must divide"):
+                corrupt_batch(stack, spec)
+            return
+        assert np.array_equal(corrupt_batch(stack, spec), expected)
+        assert bool(spawned_threads) is (kind == "gaussian_blur" and cpus > 1 and n_blocks >= 4)
+
+    def test_overflow_in_one_block_keeps_its_message(self, cpus, monkeypatch):
+        monkeypatch.setattr(corruptions, "_BLUR_BLOCK_PIXELS", 16)
+        stack = huge(1.0, shape=(40, 1, 4, 4))
+        stack[29] = 1.79e308
+        message = "^gaussian_blur with param 1.0 takes the images beyond the float64 range$"
+        with pytest.raises(InvalidInputError, match=message):
+            corrupt_batch(stack, CorruptionSpec("gaussian_blur", 1.0))
 
 
 def huge(value, shape=(2, 1, 4, 4)):

@@ -444,6 +444,31 @@ class TestEstimateJacobianNorm:
         with pytest.raises(InvalidInputError, match="batch contains non-finite values"):
             estimate_jacobian_norm(predictor, batch, JacobianConfig(2, 5, seed=0))
 
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda out: out[:, :2], r"shape \(4, 2\) for sample 3, expected \(4, 3\)$"),
+            (lambda out: out[:-1], r"shape \(3, 3\) for sample 3, expected \(4, 3\)$"),
+            (lambda out: out.ravel(), r"shape \(12,\) for sample 3, expected \(4, 3\)$"),
+            (lambda out: out * np.nan, "^predict outputs for sample 3 give a non-finite finite-diff"),
+        ],
+        ids=["columns", "rows", "flat", "nan"],
+    )
+    def test_bad_black_box_output_rejected(self, spoil, message):
+        mlp = random_mlp(18, hidden=4, d=12, k=3)
+        calls = []
+
+        def fn(batch):
+            calls.append(len(batch))
+            out = mlp.predict(batch)
+            # Samples 3 and 4 get a bad output; the error names sample 3.
+            return spoil(out) if len(calls) >= 4 else out
+
+        predictor = CallablePredictor(fn, 3, (1, 3, 4))
+        batch = np.random.default_rng(19).normal(size=(5, 1, 3, 4))
+        with pytest.raises(InvalidInputError, match=message):
+            estimate_jacobian_norm(predictor, batch, JacobianConfig(2, 5, seed=0))
+
     def test_batch_size_mismatch_rejected(self):
         predictor = random_linear(15, k=2, d=4)
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,8 +144,9 @@ class TestProbit:
         assert probit(0.0) == probit(1e-7)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidInputError):
-            probit(1.2)
+        for p in (1.2, -0.1, np.nan, [0.5, np.nan]):
+            with pytest.raises(InvalidInputError, match=r"probit input must lie in \[0, 1\]"):
+                probit(p)
 
 
 class TestFitLine:
@@ -295,6 +297,33 @@ class TestGroupedRegression:
         result = grouped_regression(accs, [], "ID accuracy", "ood-set", id_dataset="id-b")
         assert len(result.per_group) == 1
 
+    @pytest.mark.parametrize("dataset_id", ["ood-set", "id-set"])
+    def test_repeated_accuracy_record_rejected(self, dataset_id):
+        accs = []
+        for i, correct in enumerate([6000, 7000, 8000]):
+            accs.append(AccuracyRecord(f"m{i}", "g", "id-set", correct, 10000))
+            accs.append(AccuracyRecord(f"m{i}", "g", "ood-set", correct, 10000))
+        accs.append(AccuracyRecord("m1", "g", dataset_id, 2000, 10000))
+        with pytest.raises(
+            InvalidInputError,
+            match=re.escape(f"duplicate (model_id, dataset_id) ('m1', '{dataset_id}')"),
+        ):
+            grouped_regression(accs, [], "ID accuracy", "ood-set")
+
+    def test_repeated_metric_record_rejected(self):
+        accs = [AccuracyRecord(f"m{i}", "g", "ood-set", 6000 + i, 10000) for i in range(2)]
+        mets = [MetricRecord("m0", "hff", 0.1, "raw"), MetricRecord("m1", "hff", 0.2, "raw")]
+        mets.append(MetricRecord("m0", "hff", 0.9, "raw"))
+        # A repeat under another metric name is not read by this fit.
+        mets.append(MetricRecord("m0", "cd", 0.5, "raw"))
+        mets.append(MetricRecord("m0", "cd", 0.6, "raw"))
+        with pytest.raises(
+            InvalidInputError, match=re.escape("duplicate (model_id, metric_name) ('m0', 'hff')")
+        ):
+            grouped_regression(accs, mets, "hff", "ood-set")
+        mets.pop(2)
+        assert grouped_regression(accs, mets, "hff", "ood-set").per_group[0].n_models == 2
+
 
 class TestModelPoints:
     """ProbitRegression.points against a recomputation from the records."""
@@ -365,5 +394,6 @@ class TestEffectiveRobustness:
         assert before == after
 
     def test_range_validation(self):
-        with pytest.raises(InvalidInputError):
-            effective_robustness(1.2, 0.5, 1.0, 0.0)
+        for id_acc, ood_acc in ((1.2, 0.5), (0.5, -0.1), (np.nan, 0.5), (0.5, np.nan)):
+            with pytest.raises(InvalidInputError, match=r"probit input must lie in \[0, 1\]"):
+                effective_robustness(id_acc, ood_acc, 1.0, 0.0)

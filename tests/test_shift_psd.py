@@ -19,6 +19,7 @@ from spectral_robustness import (
     psd,
     radial_profile,
 )
+from spectral_robustness import spectral
 from spectral_robustness.shift_psd import DEFAULT_BAND_EDGES, PROFILE_BIN_WIDTH
 from spectral_robustness.spectral import _PSD_CHUNK_VALUES, normalized_radius
 from spectral_robustness.synthetic import _STD_LEAF_VALUES, _divide_by_std
@@ -232,6 +233,69 @@ class TestChunkedPsdMatchesOneShotFormula:
         deltas = [reference_psd(groups_b[k]) - reference_psd(groups_a[k]) for k in sorted(groups_a)]
         result = class_averaged_shift_psd(groups_a, groups_b)
         assert np.array_equal(result.power, np.mean(deltas, axis=0))
+
+
+class TestThreadedPsd:
+    """With its chunks on several threads, or forced onto one, psd gives the one-shot maps."""
+
+    IMAGE_SHAPE = (2, 9, 7)
+    PER_CHUNK = 3
+
+    @pytest.fixture(params=[1, 4], ids=["1-cpu", "4-cpus"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: request.param)
+        c, h, w = self.IMAGE_SHAPE
+        monkeypatch.setattr(spectral, "_PSD_CHUNK_VALUES", self.PER_CHUNK * c * h * (w // 2 + 1))
+        return request.param
+
+    def stacks(self, n_chunks):
+        # The last chunk holds one image.
+        n = self.PER_CHUNK * n_chunks - 1
+        rng = np.random.default_rng([n, 7])
+        a = rng.normal(size=(n, *self.IMAGE_SHAPE)) * 3.0 + 0.5
+        return a, a + rng.normal(0.0, 0.2, size=a.shape)
+
+    @pytest.mark.parametrize("n_chunks", [1, 3, 4, 100])
+    def test_maps_match_one_shot_formula(self, cpus, n_chunks, spawned_threads):
+        a, b = self.stacks(n_chunks)
+        assert np.array_equal(psd(a).power, reference_psd(a))
+        assert np.array_equal(psd(b, minus=a).power, reference_psd(b - a))
+        assert np.array_equal(paired_shift_psd(a, b).power, reference_psd(b - a))
+        groups_a = {k: a[k::2] for k in range(2)}
+        groups_b = {k: b[::-1][k::2] for k in range(2)}
+        deltas = [reference_psd(groups_b[k]) - reference_psd(groups_a[k]) for k in range(2)]
+        averaged = class_averaged_shift_psd(groups_a, groups_b).power
+        assert np.array_equal(averaged, np.mean(deltas, axis=0))
+        assert bool(spawned_threads) is (cpus > 1 and n_chunks >= 4)
+
+    @pytest.mark.parametrize(
+        "bad, in_minus, message",
+        [
+            (np.nan, False, "psd input contains non-finite values"),
+            (np.inf, True, "psd minus contains non-finite values"),
+            (1e200, False, "psd power overflows float64: the input is too large"),
+        ],
+    )
+    def test_fault_in_one_chunk_keeps_its_message(self, cpus, bad, in_minus, message):
+        a, b = self.stacks(100)
+        (a if in_minus else b)[151, 1, 4, 5] = bad
+        with pytest.raises(InvalidInputError) as info:
+            psd(b, minus=a)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "corrupted contains non-finite values"),
+            (1e200, "psd power overflows float64: the input is too large"),
+        ],
+    )
+    def test_fault_in_one_chunk_named_by_paired_shift_psd(self, cpus, bad, message):
+        a, b = self.stacks(100)
+        b[151, 1, 4, 5] = bad
+        with pytest.raises(InvalidInputError) as info:
+            paired_shift_psd(a, b)
+        assert str(info.value) == message
 
 
 class TestShiftPsdMessages:

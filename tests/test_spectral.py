@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -9,7 +13,8 @@ from spectral_robustness import (
     psd,
     radial_mask,
 )
-from spectral_robustness.spectral import mirror_half_grid
+from spectral_robustness import spectral
+from spectral_robustness.spectral import mirror_half_grid, run_chunks
 
 
 def naive_dft2(channel):
@@ -280,3 +285,102 @@ class TestPsdLayoutsAndFiniteness:
             stack[1, 1, 4, 5] = 1e200
         with pytest.raises(InvalidInputError, match="^psd power overflows"):
             psd(stack)
+
+
+class TestRunChunks:
+    """The chunk runner: every chunk once, on a pool only when it can pay, faults in order."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def force(count):
+            monkeypatch.setattr(spectral, "_cpu_count", lambda: count)
+
+        return force
+
+    @pytest.mark.parametrize("cpus_given, n_chunks, threads", [
+        (1, 100, 0), (2, 3, 0), (2, 4, 1), (4, 100, 3), (8, 5, 4),
+    ])
+    def test_each_chunk_runs_once(self, cpus, spawned_threads, cpus_given, n_chunks, threads):
+        cpus(cpus_given)
+        ran = []
+        run_chunks(ran.append, range(0, 3 * n_chunks, 3))
+        assert sorted(ran) == list(range(0, 3 * n_chunks, 3))
+        assert len(spawned_threads) == threads
+        assert not any(thread.is_alive() for thread in spawned_threads)
+        if not threads:
+            assert ran == list(range(0, 3 * n_chunks, 3))
+
+    def test_no_chunk_lost_or_repeated_under_fast_switching(self, cpus):
+        cpus(8)
+        counts = np.zeros(3000, dtype=int)
+
+        def chunk(lo):
+            counts[lo] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run_chunks, args=(chunk, range(len(counts))))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert np.all(counts == 1)
+
+    def test_chunks_run_at_once(self, cpus):
+        cpus(2)
+        # Two chunks meet at the barrier only if they run at the same time.
+        barrier = threading.Barrier(2, timeout=10)
+        run_chunks(lambda lo: barrier.wait(), range(4))
+
+    @pytest.mark.parametrize("cpus_given", [1, 2])
+    def test_chunks_run_under_the_callers_errstate(self, cpus, cpus_given):
+        cpus(cpus_given)
+        big = np.full(3, 1e300)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                run_chunks(lambda lo: big * big, range(4))
+        squares = np.empty((4, 3))
+
+        def square(lo):
+            squares[lo] = big * big
+
+        with np.errstate(over="ignore"):
+            run_chunks(square, range(4))
+        assert np.all(squares == np.inf)
+
+    @pytest.mark.parametrize("cpus_given", [1, 2])
+    def test_first_fault_in_chunk_order_is_raised(self, cpus, cpus_given):
+        cpus(cpus_given)
+
+        def chunk(lo):
+            if lo == 1:
+                time.sleep(0.05)
+            if lo in (1, 3):
+                raise ValueError(f"chunk {lo}")
+
+        with pytest.raises(ValueError, match="^chunk 1$"):
+            run_chunks(chunk, range(6))
+
+    def test_fault_cancels_chunks_not_started(self, cpus):
+        cpus(2)
+        ran = []
+
+        def chunk(lo):
+            if lo == 0:
+                raise ValueError("chunk 0")
+            time.sleep(0.02)
+            ran.append(lo)
+
+        with pytest.raises(ValueError, match="^chunk 0$"):
+            run_chunks(chunk, range(50))
+        # Only chunks taken before chunk 0 raised have run.
+        assert len(ran) <= 10
+
+    def test_cpu_count_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert spectral._cpu_count() == 3
+        monkeypatch.delattr(spectral.os, "sched_getaffinity")
+        monkeypatch.setattr(spectral.os, "cpu_count", lambda: None)
+        assert spectral._cpu_count() == 1
