@@ -77,8 +77,8 @@ def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
     i-th consecutive block of its draws. Arithmetic or noise draws that
     overflow float64 raise InvalidInputError naming the kind and param, and
     so does a blur whose sums inside scipy's filter overflow. The blur
-    filters blocks of whole images through ``spectral.run_chunks``, on one
-    thread per CPU, with the same result as one filter over the stack; the
+    filters blocks of whole images through ``spectral.run_chunks``, on up to
+    one thread per CPU, with the same result as one filter over the stack; the
     other kinds run in the calling thread.
     """
     stack = image_stack(images, "images")
@@ -170,5 +170,6 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     for i in range(1, factor):
         means += rows[:, :, :, i]
     means /= factor * factor
-    expanded = np.broadcast_to(means[:, :, :, None, :, None], blocks.shape)
-    return expanded.reshape(n, c, h, w)
+    out = np.empty(stack.shape)
+    out.reshape(blocks.shape)[...] = means[:, :, :, None, :, None]
+    return out

@@ -285,8 +285,11 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
                 raise InvalidInputError(
                     f"predict returned shape {out.shape} for sample {s}, expected {(2 * p, k)}"
                 )
-            ju = (out[:p] - out[p:]) / (2.0 * DEFAULT_FD_EPS)
-            estimates[s] = d * np.sum(ju * ju, axis=1)
+            # Outputs that are not finite, or too large to square, are
+            # rejected after the loop by the estimates' finiteness check.
+            with np.errstate(over="ignore", invalid="ignore"):
+                ju = (out[:p] - out[p:]) / (2.0 * DEFAULT_FD_EPS)
+                estimates[s] = d * np.sum(ju * ju, axis=1)
         finite = np.isfinite(estimates).all(axis=1)
         if not finite.all():
             raise InvalidInputError(

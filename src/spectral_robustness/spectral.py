@@ -26,9 +26,14 @@ from .errors import InvalidInputError
 # CIFAR images), so the FFT, squaring and channel mean of a chunk stay in cache.
 _PSD_CHUNK_VALUES = 1 << 15
 
-# ``run_chunks`` runs fewer chunks than this in the calling thread: starting
-# threads would cost more than they could save.
+# ``run_chunks`` runs fewer chunks than this in the calling thread. On two
+# CPUs, psd's 20-image chunks ran slower on two threads at 3 chunks and no
+# faster at 2, and faster from 4 chunks on.
 _MIN_THREADED_CHUNKS = 4
+
+# ``run_chunks`` runs at most this many chunks at once, so a kernel's
+# temporaries in flight stay a fixed size however many CPUs there are.
+_MAX_THREADS = 4
 
 
 @dataclass
@@ -210,17 +215,15 @@ def run_chunks(chunk: Callable[[int], None], starts: Sequence[int]) -> None:
 
     Each chunk must write only its own slice of the output, so the result does
     not depend on which thread runs it. The calling thread and one new thread
-    per further CPU in the process's affinity mask take the chunks in order;
-    with one CPU or fewer than 4 chunks they all run in the calling thread.
-    Each chunk runs under the caller's ``np.errstate``, which does not follow
-    a call into a new thread. After an exception no chunk is started, and
-    the exception of the first chunk in order that raised one is re-raised.
+    per further CPU in the process's affinity mask, up to 4 threads in all,
+    take the chunks in order; with one CPU or fewer than 4 chunks the calling
+    thread takes them all. Each chunk runs under the caller's
+    ``np.errstate``, which does not follow a call into a new thread. After an
+    exception no chunk is started, and the exception of the first chunk in
+    order that raised one is re-raised.
     """
-    workers = min(_cpu_count(), len(starts))
-    if workers < 2 or len(starts) < _MIN_THREADED_CHUNKS:
-        for lo in starts:
-            chunk(lo)
-        return
+    threaded = len(starts) >= _MIN_THREADED_CHUNKS
+    workers = min(_cpu_count(), _MAX_THREADS, len(starts)) if threaded else 1
     state = np.geterr()
     pending = iter(enumerate(starts))
     lock = threading.Lock()
@@ -263,9 +266,9 @@ def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
     P[u, v] = P[-u, -v], so the map is exactly point-symmetric. With
     ``minus``, a stack of the same shape, the map is the PSD of
     ``images - minus``, formed a chunk at a time and never in full. The
-    chunks run through ``run_chunks``, on one thread per CPU; each fills its
-    own images' rows, and the image mean runs after them, so the map is
-    bit-identical for any thread count.
+    chunks run through ``run_chunks``, on up to one thread per CPU; each
+    fills its own images' rows, and the image mean runs after them, so the
+    map is bit-identical for any thread count.
 
     Finiteness is checked on the map, not the input: the DC bin sums every
     pixel, so a non-finite pixel always reaches the map. A non-finite map

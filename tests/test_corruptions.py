@@ -261,6 +261,14 @@ class TestGoldenCorruptions:
         assert {kind for kind, _ in GOLDEN_PARAMS} == set(CORRUPTION_KINDS)
 
     @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS)
+    def test_output_is_a_fresh_writable_array(self, kind, param):
+        stack = np.random.default_rng(27).normal(size=(3, 2, 8, 12))
+        out = corrupt_batch(stack, CorruptionSpec(kind, param, seed=28))
+        assert out.flags.writeable
+        assert not np.shares_memory(out, stack)
+        out += 1.0
+
+    @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS)
     @pytest.mark.parametrize("m", [1, 5])
     def test_prefix_of_a_stack_is_corrupted_as_that_prefix(self, kind, param, m):
         stack = np.random.default_rng(24).normal(size=(6, 2, 8, 12))

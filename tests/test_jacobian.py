@@ -451,8 +451,10 @@ class TestEstimateJacobianNorm:
             (lambda out: out[:-1], r"shape \(3, 3\) for sample 3, expected \(4, 3\)$"),
             (lambda out: out.ravel(), r"shape \(12,\) for sample 3, expected \(4, 3\)$"),
             (lambda out: out * np.nan, "^predict outputs for sample 3 give a non-finite finite-diff"),
+            (lambda out: out + np.inf, "^predict outputs for sample 3 give a non-finite finite-diff"),
+            (lambda out: out * 1e200, "^predict outputs for sample 3 give a non-finite finite-diff"),
         ],
-        ids=["columns", "rows", "flat", "nan"],
+        ids=["columns", "rows", "flat", "nan", "inf", "1e200"],
     )
     def test_bad_black_box_output_rejected(self, spoil, message):
         mlp = random_mlp(18, hidden=4, d=12, k=3)

@@ -406,7 +406,9 @@ class TestPsdMemory:
         return a, a + rng.normal(0.0, 0.3, size=a.shape)
 
     @pytest.mark.parametrize("name", ["psd", "paired_shift_psd"])
-    def test_peak_stays_below_a_third_of_one_input(self, pair, name, traced_peak):
+    def test_peak_stays_below_a_third_of_one_input(self, pair, name, traced_peak, monkeypatch):
+        # More CPUs than run_chunks uses threads, so the bound holds on any host.
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 64)
         call = {"psd": lambda: psd(pair[1]), "paired_shift_psd": lambda: paired_shift_psd(*pair)}[name]
         _, peak = traced_peak(call)
         assert peak <= 0.3 * pair[0].nbytes

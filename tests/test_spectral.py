@@ -298,7 +298,7 @@ class TestRunChunks:
         return force
 
     @pytest.mark.parametrize("cpus_given, n_chunks, threads", [
-        (1, 100, 0), (2, 3, 0), (2, 4, 1), (4, 100, 3), (8, 5, 4),
+        (1, 100, 0), (2, 3, 0), (2, 4, 1), (4, 100, 3), (8, 5, 3), (64, 100, 3),
     ])
     def test_each_chunk_runs_once(self, cpus, spawned_threads, cpus_given, n_chunks, threads):
         cpus(cpus_given)
