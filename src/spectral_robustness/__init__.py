@@ -3,10 +3,10 @@
 Submodules:
 
 - ``spectral``: 2D DFT, amplitude/phase decomposition, radial masks, the
-  image-stack validator, PSDs
+  image-stack validator, PSDs and the paired and class-averaged shift maps
 - ``paths``: Fourier amplitude/phase and pixel interpolation paths
 - ``corruptions``: synthetic corruption families
-- ``shift_psd``: distribution-shift PSDs, radial profiles, band fractions
+- ``shift_psd``: shift-map summaries: radial profiles, band fractions
 - ``path_metrics``: high frequency fraction, consistent distance, summaries
 - ``jacobian``: random-projection Jacobian norm estimation, built-in predictors
 - ``regression``: Clopper-Pearson, probit, grouped probit-domain regression
@@ -25,10 +25,12 @@ from .spectral import (
     FourierDecomposition,
     PsdMap,
     RadialMask,
+    class_averaged_shift_psd,
     decompose,
     dft2,
     image_stack,
     normalized_radius,
+    paired_shift_psd,
     psd,
     radial_mask,
 )
@@ -43,13 +45,7 @@ from .paths import (
     wrap_angle,
 )
 from .corruptions import CorruptionSpec, corrupt_batch
-from .shift_psd import (
-    BandFractions,
-    band_fractions,
-    class_averaged_shift_psd,
-    paired_shift_psd,
-    radial_profile,
-)
+from .shift_psd import BandFractions, band_fractions, radial_profile
 from .path_metrics import (
     MetricSummary,
     PathMetrics,

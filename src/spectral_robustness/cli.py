@@ -18,7 +18,7 @@ import numpy as np
 
 from . import corruptions, jacobian, paths, path_metrics, regression, render, shift_psd, tables, tensorio
 from .errors import InvalidInputError
-from .spectral import image_stack
+from .spectral import class_averaged_shift_psd, image_stack, paired_shift_psd
 
 # All toolkit errors subclass ValueError; OSError covers file-system failures.
 _ERRORS = (ValueError, OSError)
@@ -195,7 +195,7 @@ def cmd_psd_shift(args) -> int:
     a = _load_dataset(args.a)
     b = _load_dataset(args.b)
     if args.mode == "paired":
-        psd_map = shift_psd.paired_shift_psd(a, b)
+        psd_map = paired_shift_psd(a, b)
     else:
         if not (args.labels_a and args.labels_b):
             raise InvalidInputError("class-averaged mode needs --labels-a and --labels-b")
@@ -203,7 +203,7 @@ def cmd_psd_shift(args) -> int:
         lb = tables.read_labels(args.labels_b, n_items=len(b))
         groups_a = {int(k): a[la == k] for k in np.unique(la)}
         groups_b = {int(k): b[lb == k] for k in np.unique(lb)}
-        psd_map = shift_psd.class_averaged_shift_psd(groups_a, groups_b)
+        psd_map = class_averaged_shift_psd(groups_a, groups_b)
 
     fractions = shift_psd.band_fractions(psd_map, args.band_edges)
 

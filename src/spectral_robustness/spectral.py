@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.fft
@@ -133,7 +133,7 @@ def dft2(image) -> np.ndarray:
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] < 2 or x.shape[2] < 2:
         raise InvalidInputError(f"image must have shape (C, H, W) with H, W >= 2, got {x.shape}")
-    x = image_stack(x[None], "image")[0]
+    _name_non_finite({"image": x})
     return _full_grid(rfft2(x), x.shape[2])
 
 
@@ -197,9 +197,15 @@ def image_stack(images, name: str) -> np.ndarray:
     raise InvalidInputError naming ``name``.
     """
     stack = _stack(images, name)
-    if not np.all(np.isfinite(stack)):
-        raise InvalidInputError(f"{name} contains non-finite values")
+    _name_non_finite({name: stack})
     return stack
+
+
+def _name_non_finite(stacks: dict[str, np.ndarray]) -> None:
+    """Raise InvalidInputError naming the first of ``stacks``, in order, with a non-finite value."""
+    for name, stack in stacks.items():
+        if not np.all(np.isfinite(stack)):
+            raise InvalidInputError(f"{name} contains non-finite values")
 
 
 def _cpu_count() -> int:
@@ -276,12 +282,67 @@ def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
     with both finite saying the power overflows float64.
     """
     stack = _stack(images, "psd input")
+    stacks = {"psd input": stack}
     if minus is not None:
-        minus = _stack(minus, "psd minus")
+        minus = stacks["psd minus"] = _stack(minus, "psd minus")
         if minus.shape != stack.shape:
             raise InvalidInputError(
                 f"psd minus must have the input's shape {stack.shape}, got {minus.shape}"
             )
+    return _psd_map(stacks)
+
+
+def paired_shift_psd(originals: Sequence, corrupted: Sequence) -> PsdMap:
+    """PSD of per-pair difference images (corrupted_i - original_i).
+
+    It is formed as the PSD of originals - corrupted, the same power bit for
+    bit since negation is exact, so faults name ``originals`` first.
+    """
+    orig, corr = _stack(originals, "originals"), _stack(corrupted, "corrupted")
+    stacks = {"originals": orig, "corrupted": corr}
+    if orig.shape != corr.shape:
+        _name_non_finite(stacks)
+        raise InvalidInputError(f"originals/corrupted shape mismatch: {orig.shape} vs {corr.shape}")
+    return _psd_map(stacks)
+
+
+def class_averaged_shift_psd(a: Mapping, b: Mapping) -> PsdMap:
+    """Mean over classes of psd(b_class) - psd(a_class); values may be signed.
+
+    Every group must have the (C, H, W) of the first class's ``a`` group.
+    """
+    keys_a, keys_b = set(a.keys()), set(b.keys())
+    if keys_a != keys_b:
+        raise InvalidInputError(
+            f"class keys differ: only in a {sorted(keys_a - keys_b)}, "
+            f"only in b {sorted(keys_b - keys_a)}"
+        )
+    if not keys_a:
+        raise InvalidInputError("no classes given")
+
+    def group_psd(name: str, images) -> tuple[tuple, np.ndarray]:
+        stack = _stack(images, name)
+        return stack.shape[1:], _psd_map({name: stack}).power
+
+    deltas = []
+    image_shape = None
+    for key in sorted(keys_a, key=str):
+        shape_a, power_a = group_psd(f"a[{key!r}]", a[key])
+        shape_b, power_b = group_psd(f"b[{key!r}]", b[key])
+        image_shape = image_shape or shape_a
+        if not shape_a == shape_b == image_shape:
+            raise InvalidInputError(f"image sizes differ between groups for class {key!r}")
+        deltas.append(power_b - power_a)
+    return PsdMap(power=np.mean(deltas, axis=0), source_count=len(deltas))
+
+
+def _psd_map(stacks: dict[str, np.ndarray]) -> PsdMap:
+    """``psd`` of the first of ``stacks`` (name -> ``_stack`` output), less the second if given.
+
+    A non-finite map names the first stack holding a non-finite value.
+    """
+    stack, *rest = stacks.values()
+    minus = rest[0] if rest else None
     n, c, h, w = stack.shape
     # Per-image powers, filled one chunk of images at a time.
     per_image = np.empty((n, h, w // 2 + 1))
@@ -307,10 +368,7 @@ def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
         run_chunks(chunk_power, range(0, n, per_chunk))
         half = np.mean(per_image, axis=0)
     if not np.all(np.isfinite(half)):
-        if not np.all(np.isfinite(stack)):
-            raise InvalidInputError("psd input contains non-finite values")
-        if minus is not None and not np.all(np.isfinite(minus)):
-            raise InvalidInputError("psd minus contains non-finite values")
+        _name_non_finite(stacks)
         raise InvalidInputError("psd power overflows float64: the input is too large")
     mirror_half_grid(half, w, 1)
     return PsdMap(power=_full_grid(half, w), source_count=n)
