@@ -147,7 +147,10 @@ class _FirstLayerPredictor(Predictor):
         return (g[0, 0] @ self._first_weights).reshape(self.image_shape)
 
     def sq_vjp_norms(self, batch, vs):
-        return _sq_row_norms(self._first_layer_cotangents(batch, vs), self._first_weights)
+        # Norms beyond the float64 range come out inf or nan, and
+        # estimate_jacobian_norm rejects them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _sq_row_norms(self._first_layer_cotangents(batch, vs), self._first_weights)
 
 
 class LinearPredictor(_FirstLayerPredictor):
@@ -250,6 +253,10 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
     they share J(x). Measured on the blob MLP of the tests at seeds
     2000-2399, it covered the exact norm in 377/400 (K=2) and 383/400 (K=4)
     runs by finite differences, and in 397/400 and 388/400 by VJP.
+
+    A sample whose estimates are not finite raises InvalidInputError naming
+    the sample, on either route; so does a mean or CI bound of the squared
+    norms beyond the float64 range.
     """
     batch = image_stack(batch, "batch")
     if len(batch) != config.batch_size:
@@ -265,7 +272,9 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
     rng = np.random.default_rng(config.seed)
     if method == "vjp":
         vs = _unit_rows(rng, config.batch_size, config.n_proj, k)
-        estimates = k * predictor.sq_vjp_norms(batch, vs)
+        sq_norms = predictor.sq_vjp_norms(batch, vs)
+        with np.errstate(over="ignore"):
+            estimates = k * sq_norms
     else:
         # eps * u_j = +-step exactly, with step = eps * (1 / sqrt(D)) rounded once.
         step = DEFAULT_FD_EPS * (1.0 / np.sqrt(d))
@@ -286,17 +295,22 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
                     f"predict returned shape {out.shape} for sample {s}, expected {(2 * p, k)}"
                 )
             # Outputs that are not finite, or too large to square, are
-            # rejected after the loop by the estimates' finiteness check.
+            # rejected after the loop by the per-sample finiteness check.
             with np.errstate(over="ignore", invalid="ignore"):
                 ju = (out[:p] - out[p:]) / (2.0 * DEFAULT_FD_EPS)
                 estimates[s] = d * np.sum(ju * ju, axis=1)
-        finite = np.isfinite(estimates).all(axis=1)
-        if not finite.all():
-            raise InvalidInputError(
-                f"predict outputs for sample {int(np.argmin(finite))} give a non-finite "
-                "finite-difference estimate"
-            )
-    s = summarize_gaussian(estimates.ravel())
+    finite = np.isfinite(estimates).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise InvalidInputError(
+            f"sq_vjp_norms gives a non-finite squared norm for sample {bad}"
+            if method == "vjp"
+            else f"predict outputs for sample {bad} give a non-finite finite-difference estimate"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = summarize_gaussian(estimates.ravel())
+    if not np.all(np.isfinite([s.mean, s.ci95_low, s.ci95_high])):
+        raise InvalidInputError("the squared norm estimates overflow float64 in their mean or 95% CI")
     return JacobianEstimate(
         frobenius_norm=float(np.sqrt(s.mean)),
         ci95_low=float(np.sqrt(max(s.ci95_low, 0.0))),

@@ -471,6 +471,28 @@ class TestEstimateJacobianNorm:
         with pytest.raises(InvalidInputError, match=message):
             estimate_jacobian_norm(predictor, batch, JacobianConfig(2, 5, seed=0))
 
+    @pytest.mark.parametrize(
+        "weight, black_box, message",
+        [
+            (1e160, False, "sq_vjp_norms gives a non-finite squared norm for sample 0"),
+            (1e153, False, "the squared norm estimates overflow float64 in their mean or 95% CI"),
+            (1e153, True, "predict outputs for sample 0 give a non-finite finite-difference estimate"),
+            (1e152, False, "the squared norm estimates overflow float64 in their mean or 95% CI"),
+            (1e152, True, "the squared norm estimates overflow float64 in their mean or 95% CI"),
+        ],
+        ids=["vjp-1e160", "vjp-1e153", "fd-1e153", "vjp-1e152", "fd-1e152"],
+    )
+    def test_norms_beyond_float64_rejected(self, weight, black_box, message):
+        # Equal weights give every sample one Jacobian, of squared norm
+        # K * D * weight**2 = 48 * weight**2: beyond float64 at 1e160, the sum of
+        # the 20 estimates beyond it at 1e153, and their squared deviations at 1e152.
+        linear = LinearPredictor(np.full((3, 16), weight), image_shape=(1, 4, 4), target="logits")
+        predictor = CallablePredictor(linear.predict, 3, (1, 4, 4), "logits") if black_box else linear
+        batch = np.random.default_rng(20).normal(size=(5, 1, 4, 4))
+        with pytest.raises(InvalidInputError) as info:
+            estimate_jacobian_norm(predictor, batch, JacobianConfig(4, 5, seed=0))
+        assert str(info.value) == message
+
     def test_batch_size_mismatch_rejected(self):
         predictor = random_linear(15, k=2, d=4)
         with pytest.raises(InvalidInputError):

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -268,6 +269,14 @@ class TestThreadedPsd:
         assert np.array_equal(averaged, np.mean(deltas, axis=0))
         assert bool(spawned_threads) is (cpus > 1 and n_chunks >= 4)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
+    @pytest.mark.parametrize("n_chunks", [1, 4])
+    def test_paired_map_is_psd_of_the_difference_bit_for_bit(self, cpus, scale, n_chunks):
+        # paired_shift_psd forms originals - corrupted, psd(minus=) the negation.
+        a, b = self.stacks(n_chunks)
+        a, b = a * scale, b * scale
+        assert paired_shift_psd(a, b).power.tobytes() == psd(b, minus=a).power.tobytes()
+
     @pytest.mark.parametrize(
         "bad, in_minus, message",
         [
@@ -317,6 +326,8 @@ class TestShiftPsdMessages:
             ("nan", "inf", "originals contains non-finite values"),
             ("empty", "nan", "originals must be nonempty"),
             ("fine", "3-d", "corrupted must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
+            # Both inputs' structure is checked before either's values.
+            ("nan", "3-d", "corrupted must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
             ("mixed", "fine", "originals images must share a shape, got [(3, 4, 4), (3, 8, 8)]"),
             ("fine", "1e200", "psd power overflows float64: the input is too large"),
             ("1e308", "-1e308", "psd power overflows float64: the input is too large"),
@@ -350,11 +361,17 @@ class TestShiftPsdMessages:
             ("empty", "fine", "a[1] must be nonempty"),
             ("fine", "3-d", "b[1] must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
             ("fine", "small", "image sizes differ between groups for class 1"),
+            # Every group must have the (C, H, W) of a[0], (3, 8, 8).
+            ("16x16", "16x16", "image sizes differ between groups for class 1"),
+            ("fine", "1-channel", "image sizes differ between groups for class 1"),
+            ("1-channel", "1-channel", "image sizes differ between groups for class 1"),
         ],
     )
     def test_class_averaged(self, a1, b1, message):
         inputs = {
             "fine": self.stack(3),
+            "16x16": self.stack(3, (3, 16, 16)),
+            "1-channel": self.stack(3, (1, 8, 8)),
             "nan": self.stack(3, bad=np.nan),
             "inf": self.stack(4, bad=np.inf),
             "1e200": self.stack(3, bad=1e200),
@@ -367,6 +384,35 @@ class TestShiftPsdMessages:
         with pytest.raises(InvalidInputError) as info:
             class_averaged_shift_psd(a, b)
         assert str(info.value) == message
+
+    def test_first_class_channels_differ(self):
+        a = {0: self.stack(3), 1: self.stack(2)}
+        b = {0: self.stack(4, (1, 8, 8)), 1: self.stack(5)}
+        with pytest.raises(InvalidInputError) as info:
+            class_averaged_shift_psd(a, b)
+        assert str(info.value) == "image sizes differ between groups for class 0"
+
+    @pytest.mark.parametrize("bad", [None, np.nan, 1e200])
+    def test_generators_are_iterated_once(self, bad):
+        yielded = Counter()
+
+        def images(name, stack):
+            for image in stack:
+                yielded[name] += 1
+                yield image
+
+        fine, other = self.stack(3), self.stack(3, bad=bad)
+        calls = [
+            lambda: paired_shift_psd(images("originals", fine), images("corrupted", other)),
+            lambda: class_averaged_shift_psd({0: images("a", fine)}, {0: images("b", other)}),
+        ]
+        for call in calls:
+            if bad is None:
+                call()
+            else:
+                with pytest.raises(InvalidInputError):
+                    call()
+        assert yielded == {"originals": 3, "corrupted": 3, "a": 3, "b": 3}
 
     def test_one_shot_iterables_named_like_arrays(self):
         a, b = self.stack(3, bad=np.nan), self.stack(3)
