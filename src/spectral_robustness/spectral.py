@@ -309,7 +309,8 @@ def paired_shift_psd(originals: Sequence, corrupted: Sequence) -> PsdMap:
 def class_averaged_shift_psd(a: Mapping, b: Mapping) -> PsdMap:
     """Mean over classes of psd(b_class) - psd(a_class); values may be signed.
 
-    Every group must have the (C, H, W) of the first class's ``a`` group.
+    Classes run in order of ``str(key)``, and every group must have the
+    (C, H, W) of the first class's ``a`` group.
     """
     keys_a, keys_b = set(a.keys()), set(b.keys())
     if keys_a != keys_b:
