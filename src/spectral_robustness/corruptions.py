@@ -5,11 +5,16 @@ two low-frequency kinds (brightness, contrast), two mid (gaussian_blur,
 pixelate), and two high (gaussian_noise, impulse_noise). Outputs are not
 clamped; images are assumed to be mean/std normalized real values.
 
-One kernel corrupts a whole (N, C, H, W) stack. The deterministic kinds run
-as array operations over the stack. Each stochastic call builds one RNG
-stream from the spec's seed, and image i takes the i-th consecutive block of
-its draws, so the first m images of a stack are corrupted exactly as the
-stack of those m images alone would be.
+One kernel corrupts a whole (N, C, H, W) stack, in blocks of whole images
+run through ``spectral.run_chunks`` on up to one thread per CPU. Each kind's
+arithmetic stays within an image, so the blocks give the whole stack's
+result. Each stochastic call builds one RNG stream from the spec's seed, and
+image i takes the i-th consecutive block of its draws, so the first m images
+of a stack are corrupted exactly as the stack of those m images alone would
+be. Impulse noise takes exactly 2 * C * H * W 64-bit outputs per image, so
+each block draws from a copy of the stream advanced to its first image;
+gaussian noise draws a varying number of outputs per value, so its stream is
+drawn whole, in order, before the blocks add it.
 """
 
 from __future__ import annotations
@@ -32,13 +37,13 @@ CORRUPTION_KINDS = (
     "pixelate",
 )
 
-# Impulse noise draws its flip and salt fields this many pixels at a time, so
-# a chunk's draws stay in cache.
-_CHUNK_PIXELS = 1 << 15
+# Every kind corrupts blocks of whole images of about this many pixels (42
+# CIFAR images), one block per thread at a time.
+_BLOCK_PIXELS = 1 << 17
 
-# Gaussian blur filters blocks of whole images of about this many pixels
-# (42 CIFAR images), one block per thread at a time.
-_BLUR_BLOCK_PIXELS = 1 << 17
+# Impulse noise draws its flip and salt fields this many pixels at a time, so
+# a sub-chunk's draws stay in cache.
+_CHUNK_PIXELS = 1 << 15
 
 
 @dataclass
@@ -76,10 +81,12 @@ def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
     noise and ``default_rng([seed, 1])`` for impulse noise; image i takes the
     i-th consecutive block of its draws. Arithmetic or noise draws that
     overflow float64 raise InvalidInputError naming the kind and param, and
-    so does a blur whose sums inside scipy's filter overflow. The blur
-    filters blocks of whole images through ``spectral.run_chunks``, on up to
-    one thread per CPU, with the same result as one filter over the stack; the
-    other kinds run in the calling thread.
+    so does a blur whose sums inside scipy's filter overflow. Every kind
+    works on blocks of whole images through ``spectral.run_chunks``, on up to
+    one thread per CPU, and the result is bit-identical for any thread count:
+    each block's arithmetic stays within its own images, and an impulse-noise
+    block draws from a copy of the stream advanced to its first image's
+    draws. Gaussian noise is drawn whole first, in the calling thread.
     """
     stack = image_stack(images, "images")
     try:
@@ -92,77 +99,94 @@ def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
 
 
 def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
-    """Corrupt a validated stack; image i draws the i-th block of the spec's stream."""
+    """Corrupt a validated stack, a block of whole images at a time."""
     n, c, h, w = stack.shape
     kind, param = spec.kind, spec.param
-
-    if kind == "brightness":
-        return stack + param
-
-    if kind == "contrast":
-        mean_c = stack.mean(axis=(2, 3), keepdims=True)
-        out = stack - mean_c
-        out *= param
-        out += mean_c
-        return out
-
+    if kind == "pixelate" and (h % int(param) or w % int(param)):
+        raise InvalidInputError(f"block factor {int(param)} must divide H={h} and W={w}")
     if kind == "gaussian_noise":
-        noise = np.random.default_rng([spec.seed, 0]).normal(0.0, param, size=stack.shape)
-        # The generator scales its draws without raising a floating-point
-        # error, so a std near the float64 limit gives inf draws silently.
-        if not np.all(np.isfinite(noise)):
-            raise FloatingPointError("noise draws overflow")
-        return np.add(stack, noise, out=noise)
-
-    if kind == "impulse_noise":
-        out = stack.copy()
-        rng = np.random.default_rng([spec.seed, 1])
-        per_chunk = max(1, _CHUNK_PIXELS // (c * h * w))
-        for lo in range(0, n, per_chunk):
-            block = out[lo : lo + per_chunk]
-            # Image i of the chunk takes the i-th (2, C, H, W) block of the
-            # draw: its flip field, then its salt field.
-            u = rng.random((len(block), 2, c, h, w))
-            salt = block.max(axis=(1, 2, 3))
-            pepper = block.min(axis=(1, 2, 3))
-            flipped = np.nonzero(u[:, 0] < param)
-            image = flipped[0]
-            block[flipped] = np.where(u[:, 1][flipped] < 0.5, salt[image], pepper[image])
-        return out
-
-    if kind == "gaussian_blur":
-        # scipy 'reflect' is symmetric edge padding, which keeps the image
-        # mean exactly for a normalized kernel. Sigma 0 leaves N and C alone,
-        # so each image is filtered on its own and blocks of images, filtered
-        # in parallel, give the whole stack's result.
-        r = math.ceil(3.0 * param)
+        # The ziggurat takes a varying number of outputs per draw, so a block
+        # cannot know where its draws start: the stream is drawn whole.
+        out = np.random.default_rng([spec.seed, 0]).normal(0.0, param, size=stack.shape)
+    else:
         out = np.empty(stack.shape)
-        per_block = max(1, _BLUR_BLOCK_PIXELS // (c * h * w))
+    if kind == "impulse_noise":
+        stream = np.random.default_rng([spec.seed, 1]).bit_generator.state
+    per_block = max(1, _BLOCK_PIXELS // (c * h * w))
 
-        def blur_block(lo: int) -> None:
+    def corrupt_block(lo: int) -> None:
+        x, y = stack[lo : lo + per_block], out[lo : lo + per_block]
+        if kind == "brightness":
+            np.add(x, param, out=y)
+        elif kind == "contrast":
+            mean_c = x.mean(axis=(2, 3), keepdims=True)
+            np.subtract(x, mean_c, out=y)
+            y *= param
+            y += mean_c
+        elif kind == "gaussian_noise":
+            # The generator scales its draws without raising a floating-point
+            # error, so a std near the float64 limit gives inf draws silently.
+            if not np.all(np.isfinite(y)):
+                raise FloatingPointError("noise draws overflow")
+            np.add(x, y, out=y)
+        elif kind == "impulse_noise":
+            _impulse_block(x, y, param, stream, lo)
+        elif kind == "gaussian_blur":
+            # scipy 'reflect' is symmetric edge padding, which keeps the image
+            # mean exactly for a normalized kernel. Sigma 0 leaves N and C
+            # alone, so each image is filtered on its own.
+            r = math.ceil(3.0 * param)
             ndimage.gaussian_filter(
-                stack[lo : lo + per_block], sigma=(0, 0, param, param), mode="reflect",
-                radius=(0, 0, r, r), output=out[lo : lo + per_block],
+                x, sigma=(0, 0, param, param), mode="reflect", radius=(0, 0, r, r), output=y
             )
+            # scipy's filter does not consult numpy's errstate, so a sum that
+            # overflows shows only as a non-finite result of finite input.
+            if not np.all(np.isfinite(y)):
+                raise FloatingPointError("blur sums overflow")
+        else:
+            _pixelate_block(x, y, int(param))
 
-        run_chunks(blur_block, range(0, n, per_block))
-        # scipy's filter does not consult numpy's errstate, so a sum that
-        # overflows shows only as a non-finite result of finite input.
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("blur sums overflow")
-        return out
+    run_chunks(corrupt_block, range(0, n, per_block))
+    return out
 
-    # pixelate: sum each block row along its pixels, then add the rows in
-    # order and divide once. The order is fixed, so unlike numpy's
-    # blocks.mean(axis=(3, 5)) the result does not depend on the stack's
-    # memory layout. On C-ordered stacks it equals that mean bit for bit at
-    # factors 1, 2 and 4; from factor 8 numpy sums pairwise, and the two
-    # differ by at most 3 units in the last place of the largest |pixel|
-    # (measured on 200 random stacks at factors 8 and 16).
-    factor = int(param)
-    if h % factor or w % factor:
-        raise InvalidInputError(f"block factor {factor} must divide H={h} and W={w}")
-    blocks = stack.reshape(n, c, h // factor, factor, w // factor, factor)
+
+def _impulse_block(x: np.ndarray, y: np.ndarray, param: float, stream: dict, lo: int) -> None:
+    """Impulse noise on images ``lo, lo + 1, ...`` of a stack: ``x`` in, ``y`` out.
+
+    Image i of the stack takes the i-th (2, C, H, W) block of the stream's
+    draws, its flip field, then its salt field. ``random()`` takes one 64-bit
+    output per float64, so this block's draws start ``lo * 2 * C * H * W``
+    outputs into the stream, where a copy of its PCG64 ``stream`` state is
+    advanced to.
+    """
+    bits = np.random.PCG64()
+    bits.state = stream
+    rng = np.random.Generator(bits.advance(2 * x[0].size * lo))
+    y[...] = x
+    per_chunk = max(1, _CHUNK_PIXELS // x[0].size)
+    for start in range(0, len(y), per_chunk):
+        chunk = y[start : start + per_chunk]
+        u = rng.random((len(chunk), 2, *chunk.shape[1:]))
+        salt = chunk.max(axis=(1, 2, 3))
+        pepper = chunk.min(axis=(1, 2, 3))
+        flipped = np.nonzero(u[:, 0] < param)
+        image = flipped[0]
+        chunk[flipped] = np.where(u[:, 1][flipped] < 0.5, salt[image], pepper[image])
+
+
+def _pixelate_block(x: np.ndarray, y: np.ndarray, factor: int) -> None:
+    """Pixelate the images ``x`` into ``y``.
+
+    Each block row is summed along its pixels, then the rows are added in
+    order and divided once. The order is fixed, so unlike numpy's
+    blocks.mean(axis=(3, 5)) the result does not depend on the stack's
+    memory layout. On C-ordered stacks it equals that mean bit for bit at
+    factors 1, 2 and 4; from factor 8 numpy sums pairwise, and the two
+    differ by at most 3 units in the last place of the largest |pixel|
+    (measured on 200 random stacks at factors 8 and 16).
+    """
+    m, c, h, w = x.shape
+    blocks = x.reshape(m, c, h // factor, factor, w // factor, factor)
     rows = blocks[..., 0].copy()
     for j in range(1, factor):
         rows += blocks[..., j]
@@ -170,6 +194,4 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     for i in range(1, factor):
         means += rows[:, :, :, i]
     means /= factor * factor
-    out = np.empty(stack.shape)
-    out.reshape(blocks.shape)[...] = means[:, :, :, None, :, None]
-    return out
+    y.reshape(blocks.shape)[...] = means[:, :, :, None, :, None]

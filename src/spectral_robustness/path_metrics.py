@@ -115,7 +115,11 @@ def summarize_gaussian(values) -> MetricSummary:
     """Mean, sample std (n-1 denominator, 0 when n = 1), and Gaussian 95% CI.
 
     An array is read directly, flattened in C order; any other iterable is
-    collected into a list first.
+    collected into a list first. The statistics are taken on the values
+    divided by a power of two that brings their largest magnitude into
+    [1, 2), then scaled back, so squared deviations cannot overflow while the
+    results fit float64. Power-of-two scaling is exact, so the results are
+    those of the unscaled formulas wherever nothing is subnormal once scaled.
     """
     if not isinstance(values, np.ndarray):
         values = list(values)
@@ -123,9 +127,17 @@ def summarize_gaussian(values) -> MetricSummary:
     if values.size == 0:
         raise InvalidInputError("cannot summarize an empty sequence")
     n = values.size
-    mean = float(values.mean())
-    std = float(values.std(ddof=1)) if n > 1 else 0.0
+    # frexp puts the magnitude in [0.5, 1) times 2**e; 2**(e - 1) stays
+    # finite up to the float64 maximum.
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(values)))[1] - 1)
+    scaled = values / scale
+    mean = scaled.mean()
+    std = scaled.std(ddof=1) if n > 1 else 0.0
     half = 1.96 * std / np.sqrt(n)
     return MetricSummary(
-        mean=mean, sample_std=std, n=int(n), ci95_low=mean - half, ci95_high=mean + half
+        mean=float(mean * scale),
+        sample_std=float(std * scale),
+        n=int(n),
+        ci95_low=float((mean - half) * scale),
+        ci95_high=float((mean + half) * scale),
     )

@@ -289,7 +289,7 @@ def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
             raise InvalidInputError(
                 f"psd minus must have the input's shape {stack.shape}, got {minus.shape}"
             )
-    return _psd_map(stacks)
+    return _psd_map([stacks])[0]
 
 
 def paired_shift_psd(originals: Sequence, corrupted: Sequence) -> PsdMap:
@@ -303,14 +303,20 @@ def paired_shift_psd(originals: Sequence, corrupted: Sequence) -> PsdMap:
     if orig.shape != corr.shape:
         _name_non_finite(stacks)
         raise InvalidInputError(f"originals/corrupted shape mismatch: {orig.shape} vs {corr.shape}")
-    return _psd_map(stacks)
+    return _psd_map([stacks])[0]
 
 
 def class_averaged_shift_psd(a: Mapping, b: Mapping) -> PsdMap:
     """Mean over classes of psd(b_class) - psd(a_class); values may be signed.
 
     Classes run in order of ``str(key)``, and every group must have the
-    (C, H, W) of the first class's ``a`` group.
+    (C, H, W) of the first class's ``a`` group. The chunks of every group run
+    through one ``run_chunks`` call, so the classes share the CPUs; the map
+    is bit-identical for any thread count. A fault is the one the groups
+    would raise read and mapped one at a time, in the order a[k], b[k], then
+    class k's size check: a structure fault in a later group yields to a
+    non-finite or overflowing map of an earlier one, and groups after the
+    first structure fault are not read.
     """
     keys_a, keys_b = set(a.keys()), set(b.keys())
     if keys_a != keys_b:
@@ -321,38 +327,55 @@ def class_averaged_shift_psd(a: Mapping, b: Mapping) -> PsdMap:
     if not keys_a:
         raise InvalidInputError("no classes given")
 
-    def group_psd(name: str, images) -> tuple[tuple, np.ndarray]:
-        stack = _stack(images, name)
-        return stack.shape[1:], _psd_map({name: stack}).power
-
-    deltas = []
+    groups = []
     image_shape = None
-    for key in sorted(keys_a, key=str):
-        shape_a, power_a = group_psd(f"a[{key!r}]", a[key])
-        shape_b, power_b = group_psd(f"b[{key!r}]", b[key])
-        image_shape = image_shape or shape_a
-        if not shape_a == shape_b == image_shape:
-            raise InvalidInputError(f"image sizes differ between groups for class {key!r}")
-        deltas.append(power_b - power_a)
+    fault = None
+    try:
+        for key in sorted(keys_a, key=str):
+            name_a, name_b = f"a[{key!r}]", f"b[{key!r}]"
+            stack_a = _stack(a[key], name_a)
+            groups.append({name_a: stack_a})
+            stack_b = _stack(b[key], name_b)
+            groups.append({name_b: stack_b})
+            image_shape = image_shape or stack_a.shape[1:]
+            if not stack_a.shape[1:] == stack_b.shape[1:] == image_shape:
+                raise InvalidInputError(f"image sizes differ between groups for class {key!r}")
+    except InvalidInputError as error:
+        fault = error
+    # The groups read before a structure fault are mapped first: a value
+    # fault among them comes earlier in the one-at-a-time order.
+    maps = _psd_map(groups)
+    if fault is not None:
+        raise fault
+    deltas = [map_b.power - map_a.power for map_a, map_b in zip(maps[0::2], maps[1::2])]
     return PsdMap(power=np.mean(deltas, axis=0), source_count=len(deltas))
 
 
-def _psd_map(stacks: dict[str, np.ndarray]) -> PsdMap:
-    """``psd`` of the first of ``stacks`` (name -> ``_stack`` output), less the second if given.
+def _psd_map(groups: Sequence[dict[str, np.ndarray]]) -> list[PsdMap]:
+    """``psd`` of each group's first stack (name -> ``_stack`` output), less its second if given.
 
-    A non-finite map names the first stack holding a non-finite value.
+    The chunks of all groups run through one ``run_chunks`` call. The maps
+    are checked in group order, and a non-finite one names the first stack
+    of its group holding a non-finite value.
     """
-    stack, *rest = stacks.values()
-    minus = rest[0] if rest else None
-    n, c, h, w = stack.shape
-    # Per-image powers, filled one chunk of images at a time.
-    per_image = np.empty((n, h, w // 2 + 1))
-    per_chunk = max(1, _PSD_CHUNK_VALUES // (c * per_image[0].size))
+    # Per-image powers of each group, filled one chunk of images at a time.
+    filled = []
+    chunks = []
+    for stacks in groups:
+        stack, *rest = stacks.values()
+        minus = rest[0] if rest else None
+        n, c, h, w = stack.shape
+        per_image = np.empty((n, h, w // 2 + 1))
+        per_chunk = max(1, _PSD_CHUNK_VALUES // (c * per_image[0].size))
+        filled.append((stacks, per_image, w))
+        chunks += [(stack, minus, per_image, lo, lo + per_chunk) for lo in range(0, n, per_chunk)]
 
-    def chunk_power(lo: int) -> None:
-        chunk = stack[lo : lo + per_chunk]
+    def chunk_power(index: int) -> None:
+        stack, minus, per_image, lo, hi = chunks[index]
+        _, c, h, w = stack.shape
+        chunk = stack[lo:hi]
         if minus is not None:
-            chunk = chunk - minus[lo : lo + per_chunk]
+            chunk = chunk - minus[lo:hi]
         # The real and imaginary parts, interleaved, squared in place.
         parts = rfft2(chunk).view(np.float64)
         np.multiply(parts, parts, out=parts)
@@ -360,16 +383,19 @@ def _psd_map(stacks: dict[str, np.ndarray]) -> PsdMap:
         power += parts[..., 1::2]
         # Channel mean first, then image mean, so repeated identical images
         # average bit-identically. This is np.mean's sum and division.
-        out = per_image[lo : lo + len(chunk)]
+        out = per_image[lo:hi]
         np.add.reduce(power, axis=1, out=out)
         out /= c
         out /= h * w
 
     with np.errstate(over="ignore", invalid="ignore"):
-        run_chunks(chunk_power, range(0, n, per_chunk))
-        half = np.mean(per_image, axis=0)
-    if not np.all(np.isfinite(half)):
-        _name_non_finite(stacks)
-        raise InvalidInputError("psd power overflows float64: the input is too large")
-    mirror_half_grid(half, w, 1)
-    return PsdMap(power=_full_grid(half, w), source_count=n)
+        run_chunks(chunk_power, range(len(chunks)))
+        halves = [np.mean(per_image, axis=0) for _, per_image, _ in filled]
+    maps = []
+    for (stacks, per_image, w), half in zip(filled, halves):
+        if not np.all(np.isfinite(half)):
+            _name_non_finite(stacks)
+            raise InvalidInputError("psd power overflows float64: the input is too large")
+        mirror_half_grid(half, w, 1)
+        maps.append(PsdMap(power=_full_grid(half, w), source_count=len(per_image)))
+    return maps

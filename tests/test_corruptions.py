@@ -330,8 +330,8 @@ class TestImpulseChunks:
         assert np.array_equal(corrupt_batch(stack, CorruptionSpec("impulse_noise", param, seed=43)), expected)
 
 
-class TestThreadedBlur:
-    """Blur blocks on several threads, or forced onto one: every kind gives the per-image loop."""
+class TestThreadedBlocks:
+    """Blocks of images on several threads, or forced onto one: every kind gives the per-image loop."""
 
     @pytest.fixture(params=[1, 4], ids=["1-cpu", "4-cpus"])
     def cpus(self, request, monkeypatch):
@@ -345,7 +345,7 @@ class TestThreadedBlur:
         self, cpus, monkeypatch, spawned_threads, kind, param, image_shape, n_blocks
     ):
         # Blocks of 3 images; the last block holds two.
-        monkeypatch.setattr(corruptions, "_BLUR_BLOCK_PIXELS", 3 * math.prod(image_shape))
+        monkeypatch.setattr(corruptions, "_BLOCK_PIXELS", 3 * math.prod(image_shape))
         stack = np.random.default_rng([n_blocks, 45]).normal(size=(3 * n_blocks - 1, *image_shape))
         spec = CorruptionSpec(kind, param, seed=46)
         try:
@@ -355,15 +355,44 @@ class TestThreadedBlur:
                 corrupt_batch(stack, spec)
             return
         assert np.array_equal(corrupt_batch(stack, spec), expected)
-        assert bool(spawned_threads) is (kind == "gaussian_blur" and cpus > 1 and n_blocks >= 4)
+        assert bool(spawned_threads) is (cpus > 1 and n_blocks >= 4)
 
-    def test_overflow_in_one_block_keeps_its_message(self, cpus, monkeypatch):
-        monkeypatch.setattr(corruptions, "_BLUR_BLOCK_PIXELS", 16)
+    @pytest.mark.parametrize("param", [0.0, 0.05, 0.6, 1.0])
+    @pytest.mark.parametrize("image_shape", [(1, 7, 9), (3, 5, 3)], ids=str)
+    @pytest.mark.parametrize(
+        "per_block, per_chunk, n",
+        [(5, 2, 23), (5, 5, 21), (4, 3, 4), (7, 1, 30), (2, 9, 11)],
+        ids=["5/2", "5/5", "one-block", "7/1", "chunk>block"],
+    )
+    def test_impulse_streams_split_at_any_block(
+        self, cpus, monkeypatch, param, image_shape, per_block, per_chunk, n
+    ):
+        # Each block advances a copy of the stream to its first image's draws.
+        pixels = math.prod(image_shape)
+        monkeypatch.setattr(corruptions, "_BLOCK_PIXELS", per_block * pixels)
+        monkeypatch.setattr(corruptions, "_CHUNK_PIXELS", per_chunk * pixels)
+        stack = np.random.default_rng([n, 47]).normal(size=(n, *image_shape))
+        expected = reference_batch(stack, "impulse_noise", param, 48)
+        assert np.array_equal(corrupt_batch(stack, CorruptionSpec("impulse_noise", param, seed=48)), expected)
+
+    @pytest.mark.parametrize(
+        "kind, param, value",
+        [
+            ("gaussian_blur", 1.0, 1.79e308),
+            ("brightness", 1e308, 1e308),
+            ("contrast", 0.5, 1e308),
+            ("pixelate", 2, 1e308),
+            ("gaussian_noise", 1e307, 1.7e308),
+        ],
+        ids=["blur", "brightness", "contrast", "pixelate", "noise-add"],
+    )
+    def test_overflow_in_one_block_keeps_its_message(self, cpus, monkeypatch, kind, param, value):
+        monkeypatch.setattr(corruptions, "_BLOCK_PIXELS", 16)
         stack = huge(1.0, shape=(40, 1, 4, 4))
-        stack[29] = 1.79e308
-        message = "^gaussian_blur with param 1.0 takes the images beyond the float64 range$"
+        stack[29] = value
+        message = f"^{kind} with param {re.escape(str(param))} takes the images beyond the float64 range$"
         with pytest.raises(InvalidInputError, match=message):
-            corrupt_batch(stack, CorruptionSpec("gaussian_blur", 1.0))
+            corrupt_batch(stack, CorruptionSpec(kind, param))
 
 
 def huge(value, shape=(2, 1, 4, 4)):

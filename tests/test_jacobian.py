@@ -475,23 +475,54 @@ class TestEstimateJacobianNorm:
         "weight, black_box, message",
         [
             (1e160, False, "sq_vjp_norms gives a non-finite squared norm for sample 0"),
-            (1e153, False, "the squared norm estimates overflow float64 in their mean or 95% CI"),
+            (1.2e153, False, "sq_vjp_norms gives a non-finite squared norm for sample 1"),
             (1e153, True, "predict outputs for sample 0 give a non-finite finite-difference estimate"),
-            (1e152, False, "the squared norm estimates overflow float64 in their mean or 95% CI"),
-            (1e152, True, "the squared norm estimates overflow float64 in their mean or 95% CI"),
         ],
-        ids=["vjp-1e160", "vjp-1e153", "fd-1e153", "vjp-1e152", "fd-1e152"],
+        ids=["vjp-1e160", "vjp-1.2e153", "fd-1e153"],
     )
     def test_norms_beyond_float64_rejected(self, weight, black_box, message):
         # Equal weights give every sample one Jacobian, of squared norm
-        # K * D * weight**2 = 48 * weight**2: beyond float64 at 1e160, the sum of
-        # the 20 estimates beyond it at 1e153, and their squared deviations at 1e152.
+        # K * D * weight**2 = 48 * weight**2: beyond float64 at 1e160, and one
+        # sample's estimate beyond it at 1.2e153.
         linear = LinearPredictor(np.full((3, 16), weight), image_shape=(1, 4, 4), target="logits")
         predictor = CallablePredictor(linear.predict, 3, (1, 4, 4), "logits") if black_box else linear
         batch = np.random.default_rng(20).normal(size=(5, 1, 4, 4))
         with pytest.raises(InvalidInputError) as info:
             estimate_jacobian_norm(predictor, batch, JacobianConfig(4, 5, seed=0))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "weight, black_box",
+        [(1e150, False), (1e150, True), (1e152, False), (1e152, True), (1.1e153, False)],
+        ids=["vjp-1e150", "fd-1e150", "vjp-1e152", "fd-1e152", "vjp-1.1e153"],
+    )
+    def test_norms_up_to_the_float64_range_returned(self, weight, black_box):
+        # The squared estimates reach 1e308 at 1.1e153; their squared
+        # deviations would overflow from about 1e154.
+        def estimate(w):
+            linear = LinearPredictor(np.full((3, 16), w), image_shape=(1, 4, 4), target="logits")
+            predictor = CallablePredictor(linear.predict, 3, (1, 4, 4), "logits") if black_box else linear
+            batch = np.random.default_rng(20).normal(size=(5, 1, 4, 4))
+            return estimate_jacobian_norm(predictor, batch, JacobianConfig(4, 5, seed=0))
+
+        big, unit = estimate(weight), estimate(1.0)
+        assert 0 < big.ci95_low <= big.frobenius_norm <= big.ci95_high < np.inf
+        # The finite-difference steps round differently at every weight.
+        rtol = 1e-6 if black_box else 1e-12
+        for got, expected in [(big.frobenius_norm, unit.frobenius_norm), (big.ci95_high, unit.ci95_high)]:
+            assert got / weight == pytest.approx(expected, rel=rtol)
+
+    def test_ci_beyond_float64_rejected(self):
+        class Fixed(Predictor):
+            target, n_outputs, has_vjp = "logits", 1, True
+
+            def sq_vjp_norms(self, batch, vs):
+                return np.array([[1.7e308, 0.0]])
+
+        # Mean 8.5e307, std 1.2e308: the upper CI bound is about 2.5e308.
+        with pytest.raises(InvalidInputError) as info:
+            estimate_jacobian_norm(Fixed(), np.zeros((1, 1, 2, 2)), JacobianConfig(2, 1, seed=0))
+        assert str(info.value) == "the squared norm estimates overflow float64 in their mean or 95% CI"
 
     def test_batch_size_mismatch_rejected(self):
         predictor = random_linear(15, k=2, d=4)

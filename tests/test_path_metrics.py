@@ -199,6 +199,28 @@ class TestSummarizeGaussian:
         assert summarize_gaussian(values) == as_list
         assert summarize_gaussian(float(v) for v in np.asarray(values).ravel()) == as_list
 
+    def test_scaled_statistics_equal_the_unscaled_formulas(self):
+        # Below the old limit (squared deviations beyond float64 from about
+        # 1e154) the power-of-two scaling changes no bit.
+        rng = np.random.default_rng(10)
+        for trial in range(400):
+            n = int(rng.choice([1, 2, 3, 7, 100, 4000]))
+            draw = [rng.normal, rng.exponential, lambda size: rng.lognormal(0.0, 4.0, size)][trial % 3]
+            values = draw(size=n) * 10.0 ** rng.uniform(-150, 150)
+            mean = float(values.mean())
+            std = float(values.std(ddof=1)) if n > 1 else 0.0
+            half = 1.96 * std / np.sqrt(n)
+            expected = (mean, std, mean - half, mean + half)
+            s = summarize_gaussian(values)
+            got = (s.mean, s.sample_std, s.ci95_low, s.ci95_high)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    def test_values_near_the_float64_maximum(self):
+        s = summarize_gaussian([1.7e308, 1.7e308, 1.6e308])
+        assert s.mean == pytest.approx(1.6666666666666667e308, rel=1e-15)
+        assert s.sample_std == pytest.approx(np.sqrt(1 / 3) * 1e307, rel=1e-15)
+        assert s.ci95_high == pytest.approx(s.mean + 1.96 * s.sample_std / np.sqrt(3), rel=1e-15)
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             summarize_gaussian([])

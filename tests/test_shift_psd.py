@@ -262,12 +262,41 @@ class TestThreadedPsd:
         assert np.array_equal(psd(a).power, reference_psd(a))
         assert np.array_equal(psd(b, minus=a).power, reference_psd(b - a))
         assert np.array_equal(paired_shift_psd(a, b).power, reference_psd(b - a))
-        groups_a = {k: a[k::2] for k in range(2)}
-        groups_b = {k: b[::-1][k::2] for k in range(2)}
-        deltas = [reference_psd(groups_b[k]) - reference_psd(groups_a[k]) for k in range(2)]
+        assert bool(spawned_threads) is (cpus > 1 and n_chunks >= 4)
+
+    @pytest.mark.parametrize("n_classes", [1, 2])
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3, 4, 100])
+    def test_class_averaged_map_matches_one_shot_formula(
+        self, cpus, n_classes, n_chunks, spawned_threads
+    ):
+        # The groups' chunks run together: threads from 4 chunks in all.
+        a, b = self.stacks(n_chunks)
+        groups_a = {k: a[k::n_classes] for k in range(n_classes)}
+        groups_b = {k: b[::-1][k::n_classes] for k in range(n_classes)}
+        deltas = [reference_psd(groups_b[k]) - reference_psd(groups_a[k]) for k in range(n_classes)]
         averaged = class_averaged_shift_psd(groups_a, groups_b).power
         assert np.array_equal(averaged, np.mean(deltas, axis=0))
-        assert bool(spawned_threads) is (cpus > 1 and n_chunks >= 4)
+        total = sum(-(-len(g) // self.PER_CHUNK) for g in [*groups_a.values(), *groups_b.values()])
+        assert bool(spawned_threads) is (cpus > 1 and total >= 4)
+
+    @pytest.mark.parametrize(
+        "a1, b1, message",
+        [
+            ("nan", "fine", "a[1] contains non-finite values"),
+            ("fine", "1e200", "psd power overflows float64: the input is too large"),
+            ("fine", "1-channel", "image sizes differ between groups for class 1"),
+        ],
+    )
+    def test_fault_in_one_group_keeps_its_message(self, cpus, a1, b1, message):
+        a, b = self.stacks(100)
+        inputs = {"fine": a[:40], "1-channel": a[:40, :1], "nan": a[:40].copy(), "1e200": a[:40].copy()}
+        inputs["nan"][31, 1, 4, 5] = np.nan
+        inputs["1e200"][31, 1, 4, 5] = 1e200
+        groups_a = {0: a[40:], 1: inputs[a1], 2: a}
+        groups_b = {0: b[40:], 1: inputs[b1], 2: b}
+        with pytest.raises(InvalidInputError) as info:
+            class_averaged_shift_psd(groups_a, groups_b)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
     @pytest.mark.parametrize("n_chunks", [1, 4])
@@ -352,22 +381,34 @@ class TestShiftPsdMessages:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
-        "a1, b1, message",
+        "a0, b0, a1, b1, message",
         [
-            ("nan", "fine", "a[1] contains non-finite values"),
-            ("fine", "inf", "b[1] contains non-finite values"),
-            ("1e200", "nan", "psd power overflows float64: the input is too large"),
-            ("nan", "1e200", "a[1] contains non-finite values"),
-            ("empty", "fine", "a[1] must be nonempty"),
-            ("fine", "3-d", "b[1] must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
-            ("fine", "small", "image sizes differ between groups for class 1"),
+            ("fine", "fine", "nan", "fine", "a[1] contains non-finite values"),
+            ("fine", "fine", "fine", "inf", "b[1] contains non-finite values"),
+            ("fine", "fine", "1e200", "nan", "psd power overflows float64: the input is too large"),
+            ("fine", "fine", "nan", "1e200", "a[1] contains non-finite values"),
+            ("fine", "fine", "empty", "fine", "a[1] must be nonempty"),
+            ("fine", "fine", "fine", "3-d", "b[1] must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
+            ("fine", "fine", "fine", "small", "image sizes differ between groups for class 1"),
             # Every group must have the (C, H, W) of a[0], (3, 8, 8).
-            ("16x16", "16x16", "image sizes differ between groups for class 1"),
-            ("fine", "1-channel", "image sizes differ between groups for class 1"),
-            ("1-channel", "1-channel", "image sizes differ between groups for class 1"),
+            ("fine", "fine", "16x16", "16x16", "image sizes differ between groups for class 1"),
+            ("fine", "fine", "fine", "1-channel", "image sizes differ between groups for class 1"),
+            ("fine", "fine", "1-channel", "1-channel", "image sizes differ between groups for class 1"),
+            ("fine", "1-channel", "fine", "fine", "image sizes differ between groups for class 0"),
+            # Groups are read and mapped in the order a[0], b[0], a[1], b[1],
+            # and class k's sizes are checked after b[k]'s map: the first
+            # fault in that order is raised, whatever its kind.
+            ("nan", "fine", "fine", "3-d", "a[0] contains non-finite values"),
+            ("fine", "inf", "empty", "fine", "b[0] contains non-finite values"),
+            ("1e200", "fine", "mixed", "fine", "psd power overflows float64: the input is too large"),
+            ("fine", "nan", "fine", "1-channel", "b[0] contains non-finite values"),
+            ("fine", "small", "nan", "fine", "image sizes differ between groups for class 0"),
+            ("fine", "3-d", "nan", "fine", "b[0] must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
+            ("fine", "fine", "nan", "3-d", "a[1] contains non-finite values"),
+            ("fine", "fine", "fine", "small-nan", "b[1] contains non-finite values"),
         ],
     )
-    def test_class_averaged(self, a1, b1, message):
+    def test_class_averaged(self, a0, b0, a1, b1, message):
         inputs = {
             "fine": self.stack(3),
             "16x16": self.stack(3, (3, 16, 16)),
@@ -377,10 +418,12 @@ class TestShiftPsdMessages:
             "1e200": self.stack(3, bad=1e200),
             "empty": [],
             "3-d": np.zeros((3, 8, 8)),
+            "mixed": [np.zeros((3, 8, 8)), np.zeros((3, 4, 4))],
             "small": self.stack(3, (3, 4, 4)),
+            "small-nan": np.full((3, 3, 4, 4), np.nan),
         }
-        a = {0: self.stack(2), 1: inputs[a1]}
-        b = {0: self.stack(5), 1: inputs[b1]}
+        a = {0: inputs[a0], 1: inputs[a1]}
+        b = {0: inputs[b0], 1: inputs[b1]}
         with pytest.raises(InvalidInputError) as info:
             class_averaged_shift_psd(a, b)
         assert str(info.value) == message
@@ -451,6 +494,15 @@ class TestPsdMemory:
         call = {"psd": lambda: psd(pair[1]), "paired_shift_psd": lambda: paired_shift_psd(*pair)}[name]
         _, peak = traced_peak(call)
         assert peak <= 0.3 * pair[0].nbytes
+
+    def test_class_averaged_peak_stays_below_a_third_of_the_groups(self, pair, traced_peak, monkeypatch):
+        # Every group's per-image powers are held until the last chunk, and
+        # each is 17/96 of its float64 (3, 32, 32) images.
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 64)
+        a = {k: pair[0][400 * k : 400 * (k + 1)] for k in range(5)}
+        b = {k: pair[1][k::5] for k in range(5)}
+        _, peak = traced_peak(lambda: class_averaged_shift_psd(a, b))
+        assert peak <= 0.3 * (pair[0].nbytes + pair[1].nbytes)
 
 
 @pytest.mark.parametrize("shape", [(2, 8, 8), (8,)])
