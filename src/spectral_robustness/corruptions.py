@@ -12,9 +12,9 @@ result. Each stochastic call builds one RNG stream from the spec's seed, and
 image i takes the i-th consecutive block of its draws, so the first m images
 of a stack are corrupted exactly as the stack of those m images alone would
 be. Impulse noise takes exactly 2 * C * H * W 64-bit outputs per image, so
-each block draws from a copy of the stream advanced to its first image;
-gaussian noise draws a varying number of outputs per value, so its stream is
-drawn whole, in order, before the blocks add it.
+each block draws from a copy of the stream advanced to its first image
+(``spectral.stream_at``); gaussian noise draws a varying number of outputs
+per value, so its stream is drawn whole, in order, before the blocks add it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidInputError
-from .spectral import image_stack, run_chunks
+from .spectral import image_stack, run_chunks, stream_at
 
 CORRUPTION_KINDS = (
     "brightness",
@@ -156,12 +156,10 @@ def _impulse_block(x: np.ndarray, y: np.ndarray, param: float, stream: dict, lo:
     Image i of the stack takes the i-th (2, C, H, W) block of the stream's
     draws, its flip field, then its salt field. ``random()`` takes one 64-bit
     output per float64, so this block's draws start ``lo * 2 * C * H * W``
-    outputs into the stream, where a copy of its PCG64 ``stream`` state is
-    advanced to.
+    outputs into the stream, where ``stream_at`` advances a copy of its PCG64
+    ``stream`` state to.
     """
-    bits = np.random.PCG64()
-    bits.state = stream
-    rng = np.random.Generator(bits.advance(2 * x[0].size * lo))
+    rng = stream_at(stream, 2 * x[0].size * lo)
     y[...] = x
     per_chunk = max(1, _CHUNK_PIXELS // x[0].size)
     for start in range(0, len(y), per_chunk):

@@ -264,6 +264,18 @@ def run_chunks(chunk: Callable[[int], None], starts: Sequence[int]) -> None:
         raise faults[min(faults)]
 
 
+def stream_at(state: Mapping, outputs: int) -> np.random.Generator:
+    """A generator on a copy of PCG64 ``state``, advanced by ``outputs`` 64-bit outputs.
+
+    A chunk whose draws take a fixed number of outputs per value (one per
+    float64 of ``random()`` or ``uniform()``) starts ``outputs`` into the one
+    stream of its call, so every chunk draws what a sequential pass would.
+    """
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits.advance(outputs))
+
+
 def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
     """Mean power spectral density |X|^2 / (H*W) over images and channels.
 

@@ -2,7 +2,10 @@
 
 Blob images give a trivially learnable classification task for the built-in
 predictors; power-law images mimic natural-image spectral statistics (Fourier
-amplitude falling off as 1/r^slope) for shift-PSD experiments.
+amplitude falling off as 1/r^slope) for shift-PSD experiments. Power-law
+images are synthesized in chunks on up to one thread per CPU (at most 4),
+each chunk drawing from a copy of the one phase stream advanced to its first
+image, so the output does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -10,23 +13,32 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .spectral import normalized_radius
+from .spectral import normalized_radius, run_chunks, stream_at
 
 
-# The power-law generator fills its output this many values at a time, so the
-# complex temporaries stay a few MB whatever the stack size.
-_CHUNK_VALUES = 1 << 18
+# The power-law generator fills its output this many values at a time (10
+# CIFAR images), so the complex temporaries of the up to 4 chunks in flight
+# stay about 1 MB each whatever the stack size.
+_CHUNK_VALUES = 1 << 15
 
 # Unit-std scaling sums runs of at most this many values at once.
 _STD_LEAF_VALUES = 1 << 15
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _checked_shape(image_shape) -> tuple[int, int, int]:
-    if len(image_shape) != 3 or not all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1 for v in image_shape
-    ):
+    if len(image_shape) != 3 or not all(_is_int(v) and v >= 1 for v in image_shape):
         raise InvalidInputError(f"image_shape must be three ints >= 1, got {image_shape!r}")
     return tuple(int(v) for v in image_shape)
+
+
+def _checked_count(name: str, value, least: int) -> int:
+    if not (_is_int(value) and value >= least):
+        raise InvalidInputError(f"{name} must be an int >= {least}, got {value!r}")
+    return int(value)
 
 
 def _pairwise_sum(flat: np.ndarray, leaf_sum) -> np.float64:
@@ -76,13 +88,13 @@ def make_blobs(
     noise: float = 0.25,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-bump class templates plus pixel noise, normalized to zero mean.
+    """Gaussian-bump class templates plus pixel noise, scaled to zero mean and unit std.
 
     Returns (images, labels) with images of shape (n_classes*n_per_class, C, H, W).
     """
     c, h, w = _checked_shape(image_shape)
-    if n_classes < 2 or n_per_class < 1:
-        raise InvalidInputError("need n_classes >= 2 and n_per_class >= 1")
+    n_classes = _checked_count("n_classes", n_classes, 2)
+    n_per_class = _checked_count("n_per_class", n_per_class, 1)
     if not (np.isfinite(noise) and noise >= 0):
         raise InvalidInputError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng([seed, 7])
@@ -124,10 +136,14 @@ def powerlaw_images(
     Phases are uniform on [-pi, pi), drawn from one ``default_rng([seed, 11])``
     stream in image order, so the first m images take the same phases whatever
     ``n`` is.
-    Images are synthesized a bounded chunk at a time (at least one image) and
-    written into the preallocated output, and the std is summed along numpy's
-    pairwise tree a bounded run at a time, so peak memory is the output and
-    one chunk's spectra.
+    Images are synthesized a bounded chunk at a time (at least one image)
+    through ``spectral.run_chunks``, on up to 4 threads, each chunk writing
+    only its own rows of the preallocated output. ``uniform`` takes one 64-bit
+    output per value, so a chunk draws its phases from a copy of the stream
+    advanced to its first image (``spectral.stream_at``), and the stack is
+    bit-identical for any thread count and chunk size. The std is then summed
+    along numpy's pairwise tree a bounded run at a time, so peak memory is the
+    output and the spectra of up to 4 chunks in flight.
 
     The random phases make the full spectrum non-Hermitian, and the image is
     the real part of its inverse transform, which is not ``irfft2`` of its half
@@ -135,8 +151,7 @@ def powerlaw_images(
     transform outside ``spectral.rfft2``/``irfft2``.
     """
     c, h, w = _checked_shape(image_shape)
-    if n < 1:
-        raise InvalidInputError("need n >= 1")
+    n = _checked_count("n", n, 1)
     if h < 2 or w < 2:
         raise InvalidInputError(f"power-law images need H, W >= 2, got {image_shape!r}")
     if not np.isfinite(slope):
@@ -149,14 +164,18 @@ def powerlaw_images(
     if not np.isfinite(amp).all():
         raise InvalidInputError(f"slope {slope} overflows the amplitude at {h}x{w}")
 
-    rng = np.random.default_rng([seed, 11])
+    stream = np.random.default_rng([seed, 11]).bit_generator.state
     images = np.empty((n, c, h, w))
     per_chunk = max(1, _CHUNK_VALUES // (c * h * w))
+
+    def synthesize(lo: int) -> None:
+        out = images[lo : lo + per_chunk]
+        spectra = 1j * stream_at(stream, lo * c * h * w).uniform(-np.pi, np.pi, size=out.shape)
+        np.exp(spectra, out=spectra)
+        spectra *= amp
+        out[...] = np.fft.ifft2(spectra, axes=(-2, -1)).real
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, per_chunk):
-            hi = min(lo + per_chunk, n)
-            spectra = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(hi - lo, c, h, w)))
-            spectra *= amp
-            images[lo:hi] = np.fft.ifft2(spectra, axes=(-2, -1)).real
+        run_chunks(synthesize, range(0, n, per_chunk))
     _divide_by_std(images)
     return images

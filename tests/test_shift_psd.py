@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from collections import Counter
 
@@ -20,7 +21,7 @@ from spectral_robustness import (
     psd,
     radial_profile,
 )
-from spectral_robustness import spectral
+from spectral_robustness import spectral, synthetic
 from spectral_robustness.shift_psd import DEFAULT_BAND_EDGES, PROFILE_BIN_WIDTH
 from spectral_robustness.spectral import _PSD_CHUNK_VALUES, normalized_radius
 from spectral_robustness.synthetic import _STD_LEAF_VALUES, _divide_by_std
@@ -635,44 +636,66 @@ def reference_powerlaw_images(image_shape, n, slope, seed):
 
 
 class TestPowerlawImages:
+    # Each chunk draws from a copy of the phase stream advanced to its first
+    # image, so neither the thread count nor the chunk size moves a bit.
+    @pytest.mark.parametrize("cpus", [1, 2, 4, 7], ids=lambda cpus: f"{cpus}-cpus")
+    @pytest.mark.parametrize(
+        "chunk_images", [None, 1, 3, 0.5], ids=["default-chunk", "1-image", "3-images", "half-image"]
+    )
     @pytest.mark.parametrize(
         "image_shape, n, slope, seed",
         [
             ((1, 32, 32), 1, 1.0, 0),  # a single image
-            ((1, 32, 32), 100, 1.0, 3),  # below one chunk
-            ((3, 32, 32), 200, 1.5, 5),  # not a multiple of the chunk
+            ((1, 32, 32), 100, 1.0, 3),  # 4 default chunks, the last of 4 images
+            ((3, 32, 32), 200, 1.5, 5),  # not a multiple of the default chunk
             ((1, 9, 7), 50, 0.5, 2),  # odd sides
             ((3, 300, 300), 2, 1.0, 1),  # one image larger than a chunk
         ],
     )
-    def test_chunked_stack_matches_one_shot_formula(self, image_shape, n, slope, seed):
+    def test_chunked_stack_matches_one_shot_formula(
+        self, monkeypatch, spawned_threads, cpus, chunk_images, image_shape, n, slope, seed
+    ):
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        values = math.prod(image_shape)
+        if chunk_images is not None:
+            monkeypatch.setattr(synthetic, "_CHUNK_VALUES", int(chunk_images * values))
         images = powerlaw_images(image_shape, n, slope, seed)
         assert np.array_equal(images, reference_powerlaw_images(image_shape, n, slope, seed))
         assert images.flags.c_contiguous
         assert images.dtype == np.float64
+        n_chunks = -(-n // max(1, synthetic._CHUNK_VALUES // values))
+        assert bool(spawned_threads) is (cpus > 1 and n_chunks >= 4)
 
-    def test_peak_memory_follows_the_output(self, traced_peak):
+    # More CPUs than run_chunks uses threads, so the bound holds on any host.
+    @pytest.mark.parametrize("cpus", [None, 64], ids=["host-cpus", "64-cpus"])
+    def test_peak_memory_follows_the_output(self, traced_peak, monkeypatch, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
         images, peak = traced_peak(lambda: powerlaw_images((1, 32, 32), n=2000))
         assert peak <= 2.5 * images.nbytes
 
     @pytest.mark.parametrize(
-        "image_shape, slope",
+        "image_shape, n, slope",
         [
-            ((0, 8, 8), 1.0),
-            ((1, 0, 8), 1.0),
-            ((1, 1, 8), 1.0),
-            ((1, 8, 1), 1.0),
-            ((8, 8), 1.0),
-            ((1, 8.0, 8), 1.0),
-            ((1, 8, 8), float("nan")),
-            ((1, 8, 8), float("inf")),
-            ((1, 8, 8), -float("inf")),
-            ((1, 8, 8), 400.0),  # the amplitude overflows
+            ((0, 8, 8), 4, 1.0),
+            ((1, 0, 8), 4, 1.0),
+            ((1, 1, 8), 4, 1.0),
+            ((1, 8, 1), 4, 1.0),
+            ((8, 8), 4, 1.0),
+            ((1, 8.0, 8), 4, 1.0),
+            ((1, 8, 8), 0, 1.0),
+            ((1, 8, 8), 2.5, 1.0),
+            ((1, 8, 8), 2.0, 1.0),
+            ((1, 8, 8), True, 1.0),
+            ((1, 8, 8), 4, float("nan")),
+            ((1, 8, 8), 4, float("inf")),
+            ((1, 8, 8), 4, -float("inf")),
+            ((1, 8, 8), 4, 400.0),  # the amplitude overflows
         ],
     )
-    def test_bad_input_rejected(self, image_shape, slope):
+    def test_bad_input_rejected(self, image_shape, n, slope):
         with pytest.raises(InvalidInputError):
-            powerlaw_images(image_shape, n=4, slope=slope)
+            powerlaw_images(image_shape, n=n, slope=slope)
 
     # Every amplitude is finite, but squaring the pixels (150) or the inverse
     # FFT itself (186) overflows.
@@ -684,22 +707,28 @@ class TestPowerlawImages:
 
 class TestMakeBlobsInput:
     @pytest.mark.parametrize(
-        "image_shape, noise",
+        "image_shape, n_classes, n_per_class, noise",
         [
-            ((0, 8, 8), 0.25),
-            ((1, 8, 0), 0.25),
-            ((1, 8), 0.25),
-            ((1, True, 8), 0.25),
-            ((1, 8, 8), float("nan")),
-            ((1, 8, 8), float("inf")),
-            ((1, 8, 8), -0.1),
-            ((1, 8, 8), 1e300),  # the std overflows
-            ((1, 8, 8), 1e307),  # the mean overflows
+            ((0, 8, 8), 2, 4, 0.25),
+            ((1, 8, 0), 2, 4, 0.25),
+            ((1, 8), 2, 4, 0.25),
+            ((1, True, 8), 2, 4, 0.25),
+            ((1, 8, 8), 1, 4, 0.25),
+            ((1, 8, 8), 2.0, 4, 0.25),
+            ((1, 8, 8), True, 4, 0.25),
+            ((1, 8, 8), 2, 0, 0.25),
+            ((1, 8, 8), 2, 2.5, 0.25),
+            ((1, 8, 8), 2, True, 0.25),
+            ((1, 8, 8), 2, 4, float("nan")),
+            ((1, 8, 8), 2, 4, float("inf")),
+            ((1, 8, 8), 2, 4, -0.1),
+            ((1, 8, 8), 2, 4, 1e300),  # the std overflows
+            ((1, 8, 8), 2, 4, 1e307),  # the mean overflows
         ],
     )
-    def test_bad_input_rejected(self, image_shape, noise):
+    def test_bad_input_rejected(self, image_shape, n_classes, n_per_class, noise):
         with pytest.raises(InvalidInputError):
-            make_blobs(image_shape, n_per_class=4, noise=noise)
+            make_blobs(image_shape, n_classes=n_classes, n_per_class=n_per_class, noise=noise)
 
 
 def reference_make_blobs(image_shape, n_classes, n_per_class, noise, seed):
