@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one rule for count arguments."""
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -19,3 +21,10 @@ class TraceParseError(ValueError):
 
 class TensorFormatError(ValueError):
     """A tensor container file is malformed or uses an unsupported layout."""
+
+
+def checked_count(name: str, value, least: int) -> int:
+    """``value`` as an int if it is a Python or numpy integer >= ``least``, not a bool; else raise."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
+        raise InvalidInputError(f"{name} must be an int >= {least}, got {value!r}")
+    return int(value)

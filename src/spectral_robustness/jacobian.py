@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_count
 from .path_metrics import summarize_gaussian
 from .spectral import image_stack
 from .synthetic import make_blobs
@@ -41,8 +41,8 @@ class JacobianConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_proj < 1 or self.batch_size < 1:
-            raise InvalidInputError("n_proj and batch_size must be >= 1")
+        self.n_proj = checked_count("n_proj", self.n_proj, 1)
+        self.batch_size = checked_count("batch_size", self.batch_size, 1)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_count
 
 # Of the 50 one-sided bins at T=100, bins above 10 count as high frequency.
 DEFAULT_HFF_THRESHOLD = 10
@@ -21,9 +21,31 @@ DEFAULT_HFF_THRESHOLD = 10
 ROW_SUM_TOLERANCE = 1e-4
 
 
+def first_bad_row(probs: np.ndarray) -> tuple[int, str] | None:
+    """(index, reason) of the first bad row of a (rows, K) float64 table, or None if all pass.
+
+    A row fails on a negative value, then a sum more than ``ROW_SUM_TOLERANCE``
+    from 1, then a non-finite value. A valid table costs two whole-table
+    reductions: a non-finite value makes its row's sum fail the tolerance.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = probs.sum(axis=1)
+        off = np.abs(sums - 1.0)
+        if probs.min(initial=0.0) >= 0 and off.max(initial=0.0) <= ROW_SUM_TOLERANCE:
+            return None
+        faults = [(probs < 0).any(axis=1), off > ROW_SUM_TOLERANCE, ~np.isfinite(probs).all(axis=1)]
+    row = int(np.flatnonzero(np.logical_or.reduce(faults))[0])
+    reasons = [
+        "has a negative probability",
+        f"probabilities sum to {sums[row]:.6f}, not 1",
+        "has a non-finite probability",
+    ]
+    return row, reasons[next(j for j, fault in enumerate(faults) if fault[row])]
+
+
 @dataclass
 class PredictionTrace:
-    """Row-stochastic (T, K) probability matrix for one path."""
+    """Row-stochastic (T, K) probability matrix for one path; a bad row is named 0-based."""
 
     probs: np.ndarray
     path_id: str = ""
@@ -35,16 +57,10 @@ class PredictionTrace:
         t, k = probs.shape
         if t < 2 or k < 2:
             raise InvalidInputError(f"trace needs T >= 2 and K >= 2, got {probs.shape}")
-        if not np.all(np.isfinite(probs)):
-            raise InvalidInputError(f"trace {self.path_id!r} contains non-finite values")
-        if np.any(probs < 0):
-            raise InvalidInputError(f"trace {self.path_id!r} contains negative probabilities")
-        sums = probs.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE)[0]
-        if bad.size:
-            raise InvalidInputError(
-                f"trace {self.path_id!r}: row {bad[0]} sums to {sums[bad[0]]:.6f}, not 1"
-            )
+        bad = first_bad_row(probs)
+        if bad is not None:
+            row, reason = bad
+            raise InvalidInputError(f"trace {self.path_id!r} row {row} {reason}")
         self.probs = probs
 
 
@@ -77,7 +93,7 @@ def hff(trace: PredictionTrace, threshold_k: int = DEFAULT_HFF_THRESHOLD) -> flo
     A constant trace therefore scores exactly 0.
     """
     t = trace.probs.shape[0]
-    if not 1 <= threshold_k <= t // 2:
+    if checked_count("threshold_k", threshold_k, 1) > t // 2:
         raise InvalidInputError(
             f"threshold_k must be in [1, {t // 2}] for T={t}, got {threshold_k}"
         )
@@ -120,12 +136,15 @@ def summarize_gaussian(values) -> MetricSummary:
     [1, 2), then scaled back, so squared deviations cannot overflow while the
     results fit float64. Power-of-two scaling is exact, so the results are
     those of the unscaled formulas wherever nothing is subnormal once scaled.
+    Empty input and NaN or +-inf values raise InvalidInputError.
     """
     if not isinstance(values, np.ndarray):
         values = list(values)
     values = np.ravel(np.asarray(values, dtype=np.float64))
     if values.size == 0:
         raise InvalidInputError("cannot summarize an empty sequence")
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("cannot summarize non-finite values")
     n = values.size
     # frexp puts the magnitude in [0.5, 1) times 2**e; 2**(e - 1) stays
     # finite up to the float64 maximum.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_count
 from .spectral import decompose, image_stack, irfft2, mirror_half_grid, radial_mask, rfft2
 
 PATH_MODES = ("amplitude", "phase", "pixel")
@@ -45,8 +45,7 @@ class PathSpec:
             raise InvalidInputError(f"unknown class relation {self.class_relation!r}")
         if self.source_index == self.target_index:
             raise InvalidInputError("source and target must differ")
-        if self.steps < 2:
-            raise InvalidInputError(f"steps must be >= 2, got {self.steps}")
+        self.steps = checked_count("steps", self.steps, 2)
         if not 0.0 <= self.cutoff <= 1.0:
             raise InvalidInputError(f"cutoff must be in [0, 1], got {self.cutoff}")
 
@@ -60,8 +59,7 @@ class InterpolationPath:
 
 
 def _check_pair(x0, x1, t: int) -> tuple[np.ndarray, np.ndarray]:
-    if t < 2:
-        raise InvalidInputError(f"T must be >= 2, got {t}")
+    checked_count("T", t, 2)
     x0, x1 = image_stack([x0, x1], "path endpoints")
     return x0, x1
 
@@ -158,12 +156,12 @@ def sample_path_specs(
 
     Pair i is drawn from an RNG stream derived from (seed, i), so individual
     paths are reproducible independently of how many are requested. The
-    first ``PathSpec`` rejects an unknown mode or class relation.
+    first ``PathSpec`` rejects an unknown mode or class relation, and a ``t``
+    that is not an int >= 2.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    if n_paths < 1:
-        raise InvalidInputError(f"n_paths must be >= 1, got {n_paths}")
+    n_paths = checked_count("n_paths", n_paths, 1)
     if n < 2:
         raise InvalidInputError("dataset must contain at least 2 items")
 
@@ -192,7 +190,7 @@ def sample_path_specs(
                 target_index=int(dst),
                 class_relation=class_relation,
                 cutoff=float(rho),
-                steps=int(t),
+                steps=t,
                 seed=int(seed),
             )
         )

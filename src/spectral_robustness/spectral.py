@@ -276,39 +276,31 @@ def stream_at(state: Mapping, outputs: int) -> np.random.Generator:
     return np.random.Generator(bits.advance(outputs))
 
 
-def psd(images: Sequence, minus: Sequence | None = None) -> PsdMap:
+def psd(images: Sequence) -> PsdMap:
     """Mean power spectral density |X|^2 / (H*W) over images and channels.
 
     The normalization makes unit-variance white noise flat at expected power 1.
     The power is computed on the real half-spectrum and mirrored through
-    P[u, v] = P[-u, -v], so the map is exactly point-symmetric. With
-    ``minus``, a stack of the same shape, the map is the PSD of
-    ``images - minus``, formed a chunk at a time and never in full. The
-    chunks run through ``run_chunks``, on up to one thread per CPU; each
-    fills its own images' rows, and the image mean runs after them, so the
-    map is bit-identical for any thread count.
+    P[u, v] = P[-u, -v], so the map is exactly point-symmetric. The chunks
+    run through ``run_chunks``, on up to one thread per CPU; each fills its
+    own images' rows, and the image mean runs after them, so the map is
+    bit-identical for any thread count. ``paired_shift_psd`` is the PSD of a
+    difference of two stacks, formed the same way a chunk at a time.
 
     Finiteness is checked on the map, not the input: the DC bin sums every
     pixel, so a non-finite pixel always reaches the map. A non-finite map
-    raises InvalidInputError naming the input at fault, ``images`` first, or
-    with both finite saying the power overflows float64.
+    raises InvalidInputError saying the psd input contains non-finite
+    values, or with the input finite that the power overflows float64.
     """
-    stack = _stack(images, "psd input")
-    stacks = {"psd input": stack}
-    if minus is not None:
-        minus = stacks["psd minus"] = _stack(minus, "psd minus")
-        if minus.shape != stack.shape:
-            raise InvalidInputError(
-                f"psd minus must have the input's shape {stack.shape}, got {minus.shape}"
-            )
-    return _psd_map([stacks])[0]
+    return _psd_map([{"psd input": _stack(images, "psd input")}])[0]
 
 
 def paired_shift_psd(originals: Sequence, corrupted: Sequence) -> PsdMap:
     """PSD of per-pair difference images (corrupted_i - original_i).
 
-    It is formed as the PSD of originals - corrupted, the same power bit for
-    bit since negation is exact, so faults name ``originals`` first.
+    It is formed as the PSD of originals - corrupted, a chunk at a time and
+    never in full, the same power bit for bit as ``psd(corrupted - originals)``
+    since negation is exact; faults name ``originals`` first.
     """
     orig, corr = _stack(originals, "originals"), _stack(corrupted, "corrupted")
     stacks = {"originals": orig, "corrupted": corr}

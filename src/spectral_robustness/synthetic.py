@@ -2,7 +2,7 @@
 
 Blob images give a trivially learnable classification task for the built-in
 predictors; power-law images mimic natural-image spectral statistics (Fourier
-amplitude falling off as 1/r^slope) for shift-PSD experiments. Power-law
+amplitude falling off as 1/r^slope in expectation) for shift-PSD experiments. Power-law
 images are synthesized in chunks on up to one thread per CPU (at most 4),
 each chunk drawing from a copy of the one phase stream advanced to its first
 image, so the output does not depend on the thread count.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_count
 from .spectral import normalized_radius, run_chunks, stream_at
 
 
@@ -25,20 +25,10 @@ _CHUNK_VALUES = 1 << 15
 _STD_LEAF_VALUES = 1 << 15
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _checked_shape(image_shape) -> tuple[int, int, int]:
-    if len(image_shape) != 3 or not all(_is_int(v) and v >= 1 for v in image_shape):
+    if len(image_shape) != 3:
         raise InvalidInputError(f"image_shape must be three ints >= 1, got {image_shape!r}")
-    return tuple(int(v) for v in image_shape)
-
-
-def _checked_count(name: str, value, least: int) -> int:
-    if not (_is_int(value) and value >= least):
-        raise InvalidInputError(f"{name} must be an int >= {least}, got {value!r}")
-    return int(value)
+    return tuple(checked_count(f"image_shape[{i}]", v, 1) for i, v in enumerate(image_shape))
 
 
 def _pairwise_sum(flat: np.ndarray, leaf_sum) -> np.float64:
@@ -93,8 +83,8 @@ def make_blobs(
     Returns (images, labels) with images of shape (n_classes*n_per_class, C, H, W).
     """
     c, h, w = _checked_shape(image_shape)
-    n_classes = _checked_count("n_classes", n_classes, 2)
-    n_per_class = _checked_count("n_per_class", n_per_class, 1)
+    n_classes = checked_count("n_classes", n_classes, 2)
+    n_per_class = checked_count("n_per_class", n_per_class, 1)
     if not (np.isfinite(noise) and noise >= 0):
         raise InvalidInputError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng([seed, 7])
@@ -130,7 +120,7 @@ def powerlaw_images(
     slope: float = 1.0,
     seed: int = 0,
 ) -> np.ndarray:
-    """Random-phase images whose Fourier amplitude falls off as 1/r^slope.
+    """Random-phase images whose expected Fourier amplitude falls off as 1/r^slope.
 
     Returns a C-contiguous float64 ``(n, C, H, W)`` stack scaled to unit std.
     Phases are uniform on [-pi, pi), drawn from one ``default_rng([seed, 11])``
@@ -148,10 +138,11 @@ def powerlaw_images(
     The random phases make the full spectrum non-Hermitian, and the image is
     the real part of its inverse transform, which is not ``irfft2`` of its half
     spectrum; so this generator keeps ``np.fft.ifft2`` and is the one 2-D
-    transform outside ``spectral.rfft2``/``irfft2``.
+    transform outside ``spectral.rfft2``/``irfft2``. A bin's amplitude is
+    amp * |cos(phi)| for a uniform phi, so 1/r^slope holds in expectation.
     """
     c, h, w = _checked_shape(image_shape)
-    n = _checked_count("n", n, 1)
+    n = checked_count("n", n, 1)
     if h < 2 or w < 2:
         raise InvalidInputError(f"power-law images need H, W >= 2, got {image_shape!r}")
     if not np.isfinite(slope):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import InvalidInputError, TraceParseError
-from .path_metrics import ROW_SUM_TOLERANCE, MetricSummary, PathMetrics, PredictionTrace
+from .path_metrics import MetricSummary, PathMetrics, PredictionTrace, first_bad_row
 from .regression import AccuracyRecord, MetricRecord, ProbitRegression
 
 
@@ -88,10 +88,10 @@ def read_traces(path) -> list[PredictionTrace]:
 
     Rows of one path may be interleaved with other paths' rows; traces come
     back in order of each path's first row. Steps must be contiguous from 1
-    within each path; every probability must be finite and nonnegative and
-    every row must sum to 1 within 1e-4. The first offending line in file
-    order raises TraceParseError naming it; within a line the checks run in
-    the order field count, parse, step, sign, row sum, finiteness.
+    within each path, and every row must pass ``path_metrics.first_bad_row``.
+    The first offending line in file order raises TraceParseError naming it;
+    within a line the checks run in the order field count, parse, step, then
+    ``first_bad_row``'s sign, row sum, finiteness.
     """
     with _csv_reader(path) as reader:
         try:
@@ -134,24 +134,11 @@ def read_traces(path) -> list[PredictionTrace]:
 
     # The row that ended the scan may have left some of its values in ``flat``.
     table = np.frombuffer(flat, count=len(lines) * k).reshape(len(lines), k)
-    with np.errstate(invalid="ignore", over="ignore"):
-        sums = table.sum(axis=1)
-    faults = [
-        (table < 0).any(axis=1),
-        np.abs(sums - 1.0) > ROW_SUM_TOLERANCE,
-        ~np.isfinite(table).all(axis=1),
-    ]
-    bad = np.flatnonzero(np.logical_or.reduce(faults))
-    if bad.size:
-        i = int(bad[0])
+    bad = first_bad_row(table)
+    if bad is not None:
+        i, reason = bad
         path_id = next(path_id for path_id, path_rows in rows.items() if i in path_rows)
-        messages = [
-            f"path {path_id!r} has a negative probability",
-            f"path {path_id!r} probabilities sum to {sums[i]:.6f}, not 1",
-            f"path {path_id!r} has a non-finite probability",
-        ]
-        kind = next(j for j, check in enumerate(faults) if check[i])
-        raise TraceParseError(f"{path} line {lines[i]}: {messages[kind]}")
+        raise TraceParseError(f"{path} line {lines[i]}: path {path_id!r} {reason}")
     if fault is not None:
         raise fault
     for path_id, path_rows in rows.items():
@@ -282,15 +269,15 @@ def _csv_prefix(field) -> str:
 
 
 def read_labels(path, n_items: int | None = None) -> np.ndarray:
-    """Read an ``index,label`` CSV covering indices 0..N-1 exactly once."""
+    """Read an ``index,label`` CSV covering indices 0..N-1 exactly once (``01`` repeats ``1``)."""
     entries: dict[int, int] = {}
+    seen: dict[int, int] = {}
     for line_no, row in _rows(path, LABEL_COLUMNS):
         try:
             idx, label = int(row[0]), int(row[1])
         except ValueError:
             raise TraceParseError(f"{path} line {line_no}: bad row {row!r}") from None
-        if idx in entries:
-            raise TraceParseError(f"{path} line {line_no}: duplicate index {idx}")
+        _reject_duplicate(seen, idx, path, line_no, "index")
         entries[idx] = label
     n = n_items if n_items is not None else len(entries)
     if sorted(entries) != list(range(n)):

@@ -434,7 +434,7 @@ class TestJacobianCommand:
         "flags, message",
         [
             (["--batch", "17"], "need at least 17 images for batch size 17, got 16"),
-            (["--batch", "8", "--nproj", "0"], "n_proj and batch_size must be >= 1"),
+            (["--batch", "8", "--nproj", "0"], "n_proj must be an int >= 1, got 0"),
         ],
         ids=["batch-over-image-count", "nproj-0"],
     )

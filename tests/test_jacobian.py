@@ -661,8 +661,21 @@ class TestBuiltinMlp:
 
 
 class TestConfigValidation:
-    def test_bad_config_rejected(self):
-        with pytest.raises(InvalidInputError):
-            JacobianConfig(n_proj=0, batch_size=10)
-        with pytest.raises(InvalidInputError):
-            JacobianConfig(n_proj=1, batch_size=0)
+    @pytest.mark.parametrize(
+        "n_proj, batch_size, message",
+        [
+            (0, 10, "n_proj must be an int >= 1, got 0"),
+            (1, 0, "batch_size must be an int >= 1, got 0"),
+            (2.5, 10, "n_proj must be an int >= 1, got 2.5"),
+            (True, 10, "n_proj must be an int >= 1, got True"),
+            (1, 10.0, "batch_size must be an int >= 1, got 10.0"),
+        ],
+    )
+    def test_bad_config_rejected(self, n_proj, batch_size, message):
+        with pytest.raises(InvalidInputError) as info:
+            JacobianConfig(n_proj=n_proj, batch_size=batch_size)
+        assert str(info.value) == message
+
+    def test_numpy_int_config_accepted(self):
+        config = JacobianConfig(np.int64(3), np.int32(10))
+        assert (config.n_proj, config.batch_size) == (3, 10)

@@ -50,13 +50,25 @@ def cd_oracle(probs):
 
 
 class TestTraceValidation:
-    def test_rejects_bad_row_sum(self):
-        with pytest.raises(InvalidInputError):
-            PredictionTrace(np.array([[0.5, 0.3], [0.5, 0.5]]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidInputError):
-            PredictionTrace(np.array([[1.2, -0.2], [0.5, 0.5]]))
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([[0.5, 0.5], [0.5, 0.3]], "row 1 probabilities sum to 0.800000, not 1"),
+            ([[1.2, -0.2], [0.5, 0.5]], "row 0 has a negative probability"),
+            ([[0.5, 0.5], [np.nan, 0.5]], "row 1 has a non-finite probability"),
+            ([[0.5, 0.5], [np.inf, 0.5]], "row 1 probabilities sum to inf, not 1"),
+            ([[0.5, 0.5], [-np.inf, np.inf]], "row 1 has a negative probability"),
+            # The row sum overflows: no RuntimeWarning, the row is named.
+            ([[1e308, 1e308], [0.5, 0.5]], "row 0 probabilities sum to inf, not 1"),
+            # Rows are checked in order; within a row, sign before sum before finiteness.
+            ([[0.5, 0.5], [0.5, np.nan], [-1.0, 2.0]], "row 1 has a non-finite probability"),
+            ([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [-0.5, 0.5]], "row 3 has a negative probability"),
+        ],
+    )
+    def test_bad_row_named(self, probs, message):
+        with pytest.raises(InvalidInputError) as info:
+            PredictionTrace(np.array(probs), path_id="p0")
+        assert str(info.value) == f"trace 'p0' {message}"
 
     def test_rejects_single_step_or_class(self):
         with pytest.raises(InvalidInputError):
@@ -103,12 +115,24 @@ class TestHff:
         reversed_trace = PredictionTrace(trace.probs[::-1])
         assert hff(reversed_trace, 4) == pytest.approx(hff(trace, 4), abs=1e-12)
 
-    def test_threshold_bounds_enforced(self):
+    @pytest.mark.parametrize(
+        "threshold, message",
+        [
+            (0, "threshold_k must be an int >= 1, got 0"),
+            (11, "threshold_k must be in [1, 10] for T=20, got 11"),
+            (2.5, "threshold_k must be an int >= 1, got 2.5"),
+            (True, "threshold_k must be an int >= 1, got True"),
+        ],
+    )
+    def test_threshold_bounds_enforced(self, threshold, message):
         trace = random_trace(np.random.default_rng(4), t=20)
-        with pytest.raises(InvalidInputError):
-            hff(trace, 0)
-        with pytest.raises(InvalidInputError):
-            hff(trace, 11)
+        with pytest.raises(InvalidInputError) as info:
+            hff(trace, threshold)
+        assert str(info.value) == message
+
+    def test_numpy_int_threshold_accepted(self):
+        trace = random_trace(np.random.default_rng(4), t=20)
+        assert hff(trace, np.int64(10)) == hff(trace, 10)
 
 
 class TestConsistentDistance:
@@ -221,11 +245,20 @@ class TestSummarizeGaussian:
         assert s.sample_std == pytest.approx(np.sqrt(1 / 3) * 1e307, rel=1e-15)
         assert s.ci95_high == pytest.approx(s.mean + 1.96 * s.sample_std / np.sqrt(3), rel=1e-15)
 
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            summarize_gaussian([])
-        with pytest.raises(InvalidInputError):
-            summarize_gaussian(np.zeros((3, 0)))
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([], "cannot summarize an empty sequence"),
+            (np.zeros((3, 0)), "cannot summarize an empty sequence"),
+            ([1.0, np.nan], "cannot summarize non-finite values"),
+            ([1.0, np.inf], "cannot summarize non-finite values"),
+            (np.array([-np.inf, 2.0]), "cannot summarize non-finite values"),
+        ],
+    )
+    def test_empty_or_non_finite_rejected(self, values, message):
+        with pytest.raises(InvalidInputError) as info:
+            summarize_gaussian(values)
+        assert str(info.value) == message
 
 
 @settings(max_examples=60, deadline=None)

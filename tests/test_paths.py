@@ -297,13 +297,40 @@ class TestSamplePathSpecs:
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             sample_path_specs(self.labels, 5, mode, relation, seed=0)
 
-    def test_spec_validation(self):
-        with pytest.raises(InvalidInputError):
-            PathSpec("amplitude", 1, 1, "within", 0.4, 100, 0)
-        with pytest.raises(InvalidInputError):
-            PathSpec("amplitude", 0, 1, "within", 0.4, 1, 0)
-        with pytest.raises(InvalidInputError):
-            PathSpec("warp", 0, 1, "within", 0.4, 100, 0)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_paths": 0}, "n_paths must be an int >= 1, got 0"),
+            ({"n_paths": 2.5}, "n_paths must be an int >= 1, got 2.5"),
+            ({"n_paths": True}, "n_paths must be an int >= 1, got True"),
+            ({"t": 1}, "steps must be an int >= 2, got 1"),
+            ({"t": 2.5}, "steps must be an int >= 2, got 2.5"),
+        ],
+    )
+    def test_bad_count_rejected(self, kwargs, message):
+        with pytest.raises(InvalidInputError) as info:
+            sample_path_specs(self.labels, **{"n_paths": 5, "mode": "pixel", **kwargs})
+        assert str(info.value) == message
+
+    def test_numpy_int_counts_accepted(self):
+        specs = sample_path_specs(self.labels, np.int64(3), "pixel", t=np.int32(4), seed=5)
+        assert specs == sample_path_specs(self.labels, 3, "pixel", t=4, seed=5)
+        assert type(specs[0].steps) is int
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("amplitude", 1, 1, "within", 0.4, 100, 0), "source and target must differ"),
+            (("amplitude", 0, 1, "within", 0.4, 1, 0), "steps must be an int >= 2, got 1"),
+            (("amplitude", 0, 1, "within", 0.4, 2.5, 0), "steps must be an int >= 2, got 2.5"),
+            (("amplitude", 0, 1, "within", 0.4, True, 0), "steps must be an int >= 2, got True"),
+            (("warp", 0, 1, "within", 0.4, 100, 0), "unknown path mode 'warp'"),
+        ],
+    )
+    def test_spec_validation(self, args, message):
+        with pytest.raises(InvalidInputError) as info:
+            PathSpec(*args)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -321,3 +348,20 @@ def test_bad_endpoints_rejected(build):
         build(x0, np.full((1, 8, 8), np.nan))
     with pytest.raises(InvalidInputError):
         build(x0[0], x0[0])
+
+
+@pytest.mark.parametrize("t", [1, 2.5, True, np.float64(3.0)], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a, b, t: amplitude_path(a, b, 0.4, t),
+        lambda a, b, t: phase_path(a, b, 0.4, t),
+        lambda a, b, t: pixel_path(a, b, t),
+    ],
+    ids=["amplitude", "phase", "pixel"],
+)
+def test_bad_step_count_rejected(build, t):
+    x0, x1 = random_pair((1, 8, 8), 3)
+    with pytest.raises(InvalidInputError) as info:
+        build(x0, x1, t)
+    assert str(info.value) == f"T must be an int >= 2, got {t!r}"

@@ -225,7 +225,6 @@ class TestChunkedPsdMatchesOneShotFormula:
         a, b = self.pair(image_shape, n, layout)
         expected = reference_psd(np.asarray(b, dtype=np.float64) - np.asarray(a, dtype=np.float64))
         assert np.array_equal(paired_shift_psd(a, b).power, expected)
-        assert np.array_equal(psd(b, minus=a).power, expected)
 
     @pytest.mark.parametrize("layout", ["C", "F", "float32"])
     def test_class_averaged_shift_psd(self, image_shape, n, layout):
@@ -261,7 +260,6 @@ class TestThreadedPsd:
     def test_maps_match_one_shot_formula(self, cpus, n_chunks, spawned_threads):
         a, b = self.stacks(n_chunks)
         assert np.array_equal(psd(a).power, reference_psd(a))
-        assert np.array_equal(psd(b, minus=a).power, reference_psd(b - a))
         assert np.array_equal(paired_shift_psd(a, b).power, reference_psd(b - a))
         assert bool(spawned_threads) is (cpus > 1 and n_chunks >= 4)
 
@@ -302,24 +300,23 @@ class TestThreadedPsd:
     @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
     @pytest.mark.parametrize("n_chunks", [1, 4])
     def test_paired_map_is_psd_of_the_difference_bit_for_bit(self, cpus, scale, n_chunks):
-        # paired_shift_psd forms originals - corrupted, psd(minus=) the negation.
+        # paired_shift_psd forms originals - corrupted, the negation of b - a.
         a, b = self.stacks(n_chunks)
         a, b = a * scale, b * scale
-        assert paired_shift_psd(a, b).power.tobytes() == psd(b, minus=a).power.tobytes()
+        assert paired_shift_psd(a, b).power.tobytes() == psd(b - a).power.tobytes()
 
     @pytest.mark.parametrize(
-        "bad, in_minus, message",
+        "bad, message",
         [
-            (np.nan, False, "psd input contains non-finite values"),
-            (np.inf, True, "psd minus contains non-finite values"),
-            (1e200, False, "psd power overflows float64: the input is too large"),
+            (np.nan, "psd input contains non-finite values"),
+            (1e200, "psd power overflows float64: the input is too large"),
         ],
     )
-    def test_fault_in_one_chunk_keeps_its_message(self, cpus, bad, in_minus, message):
-        a, b = self.stacks(100)
-        (a if in_minus else b)[151, 1, 4, 5] = bad
+    def test_fault_in_one_chunk_keeps_its_message(self, cpus, bad, message):
+        _, b = self.stacks(100)
+        b[151, 1, 4, 5] = bad
         with pytest.raises(InvalidInputError) as info:
-            psd(b, minus=a)
+            psd(b)
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
@@ -361,6 +358,10 @@ class TestShiftPsdMessages:
             ("mixed", "fine", "originals images must share a shape, got [(3, 4, 4), (3, 8, 8)]"),
             ("fine", "1e200", "psd power overflows float64: the input is too large"),
             ("1e308", "-1e308", "psd power overflows float64: the input is too large"),
+            ("-1e308", "1e308", "psd power overflows float64: the input is too large"),
+            ("short", "1e308", "originals/corrupted shape mismatch: (2, 3, 8, 8) vs (3, 3, 8, 8)"),
+            ("nan", "1e308", "originals contains non-finite values"),
+            ("3-d", "1e308", "originals must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
         ],
     )
     def test_paired(self, originals, corrupted, message):
@@ -459,26 +460,6 @@ class TestShiftPsdMessages:
             class_averaged_shift_psd({0: iter(b)}, {0: iter(a)})
         c = 2.0 * b[::-1]
         assert np.array_equal(paired_shift_psd(iter(b), iter(c)).power, paired_shift_psd(b, c).power)
-
-    @pytest.mark.parametrize(
-        "minus, message",
-        [
-            ("short", "psd minus must have the input's shape (3, 3, 8, 8), got (2, 3, 8, 8)"),
-            ("nan", "psd minus contains non-finite values"),
-            ("-1e308", "psd power overflows float64: the input is too large"),
-            ("3-d", "psd minus must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
-        ],
-    )
-    def test_psd_minus(self, minus, message):
-        inputs = {
-            "short": self.stack(2),
-            "nan": self.stack(3, bad=np.nan),
-            "-1e308": -self.stack(3, bad=1e308),
-            "3-d": np.zeros((3, 8, 8)),
-        }
-        with pytest.raises(InvalidInputError) as info:
-            psd(self.stack(3, bad=1e308), minus=inputs[minus])
-        assert str(info.value) == message
 
 
 class TestPsdMemory:

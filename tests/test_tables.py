@@ -514,10 +514,19 @@ class TestLabels:
         with pytest.raises(TraceParseError, match="cover"):
             read_labels(write_text(tmp_path, content))
 
-    def test_duplicate_index_rejected(self, tmp_path):
-        content = "index,label\n0,1\n0,2\n"
-        with pytest.raises(TraceParseError, match="duplicate"):
-            read_labels(write_text(tmp_path, content))
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1\n0,2\n", "line 3: duplicate (index) 0, first on line 2"),
+            # Indices compare as ints: 01 repeats 1.
+            ("0,1\n1,0\n01,1\n", "line 4: duplicate (index) 1, first on line 3"),
+        ],
+    )
+    def test_duplicate_index_rejected(self, tmp_path, body, message):
+        path = write_text(tmp_path, "index,label\n" + body)
+        with pytest.raises(TraceParseError) as info:
+            read_labels(path)
+        assert str(info.value) == f"{path} {message}"
 
 
 class TestAccuracyMetricTables:
