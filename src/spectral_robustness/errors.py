@@ -24,7 +24,8 @@ class TensorFormatError(ValueError):
 
 
 def checked_count(name: str, value, least: int) -> int:
-    """``value`` as an int if it is a Python or numpy integer >= ``least``, not a bool; else raise."""
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
+    """``value`` as an int if it is a Python or numpy integer, not a bool, >= ``least``."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (is_int and value >= least):
         raise InvalidInputError(f"{name} must be an int >= {least}, got {value!r}")
     return int(value)

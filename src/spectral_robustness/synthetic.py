@@ -2,10 +2,10 @@
 
 Blob images give a trivially learnable classification task for the built-in
 predictors; power-law images mimic natural-image spectral statistics (Fourier
-amplitude falling off as 1/r^slope in expectation) for shift-PSD experiments. Power-law
-images are synthesized in chunks on up to one thread per CPU (at most 4),
-each chunk drawing from a copy of the one phase stream advanced to its first
-image, so the output does not depend on the thread count.
+amplitude falling off as 1/r^slope in expectation) for shift-PSD experiments.
+Power-law images are synthesized in chunks on up to one thread per CPU (at
+most 4), each chunk drawing from a copy of the one phase stream advanced to
+its first image, so the output does not depend on the thread count.
 """
 
 from __future__ import annotations
