@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_count
 from .spectral import image_stack, run_chunks, stream_at
 
 CORRUPTION_KINDS = (
@@ -59,6 +59,7 @@ class CorruptionSpec:
     seed: int = 0
 
     def __post_init__(self):
+        self.seed = checked_count("seed", self.seed, 0)
         if self.kind not in CORRUPTION_KINDS:
             raise InvalidInputError(f"unknown corruption kind {self.kind!r}")
         if not np.isfinite(self.param):

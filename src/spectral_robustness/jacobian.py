@@ -43,6 +43,7 @@ class JacobianConfig:
     def __post_init__(self):
         self.n_proj = checked_count("n_proj", self.n_proj, 1)
         self.batch_size = checked_count("batch_size", self.batch_size, 1)
+        self.seed = checked_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -402,6 +403,7 @@ def fit_mlp(
         raise InvalidInputError(f"need hidden >= 1 and epochs >= 0, got {hidden} and {epochs}")
     if not (np.isfinite(lr) and lr > 0):
         raise InvalidInputError(f"lr must be finite and > 0, got {lr}")
+    seed = checked_count("seed", seed, 0)
     image_shape = images.shape[1:]
     n_classes = int(labels.max()) + 1
     if n_classes < 2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, checked_count
-from .spectral import decompose, image_stack, irfft2, mirror_half_grid, radial_mask, rfft2
+from .spectral import decompose, image_stack, irfft2, mirror_half_grid, radial_mask, rfft2, run_chunks
 
 PATH_MODES = ("amplitude", "phase", "pixel")
 CLASS_RELATIONS = ("within", "between", "unconstrained")
@@ -24,6 +24,11 @@ CLASS_RELATIONS = ("within", "between", "unconstrained")
 # phase, 1.0 for amplitude) are passed explicitly.
 DEFAULT_STEPS = 100
 DEFAULT_CUTOFF = 0.4
+
+# ``phase_path`` builds its images this many half-spectrum values at a time
+# (20 lambda steps at 3x32x32): a 100-step CIFAR path makes 5 blocks, enough
+# for ``run_chunks`` to thread, and a block's temporaries stay near 0.5 MB.
+_CHUNK_VALUES = 1 << 15
 
 
 @dataclass
@@ -46,6 +51,7 @@ class PathSpec:
         if self.source_index == self.target_index:
             raise InvalidInputError("source and target must differ")
         self.steps = checked_count("steps", self.steps, 2)
+        self.seed = checked_count("seed", self.seed, 0)
         if not 0.0 <= self.cutoff <= 1.0:
             raise InvalidInputError(f"cutoff must be in [0, 1], got {self.cutoff}")
 
@@ -73,11 +79,25 @@ def wrap_angle(theta) -> np.ndarray:
     return np.pi - np.mod(np.pi - np.asarray(theta, dtype=np.float64), 2.0 * np.pi)
 
 
-def _half_spectra(x0, x1, rho: float):
+def _overflow(mode: str) -> InvalidInputError:
+    return InvalidInputError(f"{mode} path overflows float64: the endpoints are too large")
+
+
+def _half_spectra(x0, x1, rho: float, mode: str):
     """Real-input half spectra (C, H, W//2+1) of both endpoints and the radial mask."""
     h, w = x0.shape[1:]
     mask = radial_mask(h, w, rho).included[:, : w // 2 + 1]
-    return rfft2(x0), rfft2(x1), mask
+    s0, s1 = rfft2(x0), rfft2(x1)
+    if not (np.all(np.isfinite(s0)) and np.all(np.isfinite(s1))):
+        raise _overflow(mode)
+    return s0, s1, mask
+
+
+def _lerp(x0: np.ndarray, x1: np.ndarray, t: int) -> InterpolationPath:
+    lambdas = _lambda_grid(t)
+    lam = lambdas[:, None, None, None]
+    images = (1.0 - lam) * x0[None] + lam * x1[None]
+    return InterpolationPath(images=images, lambdas=lambdas)
 
 
 def amplitude_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
@@ -86,12 +106,16 @@ def amplitude_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationP
     On bins inside the radial mask the amplitude is (1-lambda)*a0 + lambda*a1;
     outside it stays a0. The phase is p0 everywhere. The inverse DFT is linear
     in lambda, so this is the pixel path from x0 to the amplitude-swap hybrid:
-    a1 on the mask, a0 off it, with p0 everywhere.
+    a1 on the mask, a0 off it, with p0 everywhere. Finite endpoints whose
+    hybrid overflows float64 raise InvalidInputError.
     """
     x0, x1 = _check_pair(x0, x1, t)
-    s0, s1, mask = _half_spectra(x0, x1, rho)
-    hybrid = np.where(mask, decompose(s1).amplitude * np.exp(1j * decompose(s0).phase), s0)
-    return pixel_path(x0, irfft2(hybrid, x0.shape[1:]), t)
+    s0, s1, mask = _half_spectra(x0, x1, rho, "amplitude")
+    spectrum = np.where(mask, decompose(s1).amplitude * np.exp(1j * decompose(s0).phase), s0)
+    hybrid = irfft2(spectrum, x0.shape[1:])
+    if not np.all(np.isfinite(hybrid)):
+        raise _overflow("amplitude")
+    return _lerp(x0, hybrid, t)
 
 
 def phase_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
@@ -104,10 +128,17 @@ def phase_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
     the amplitude through the real-part projection instead of moving the
     phase. The increment is antisymmetric between each bin and its conjugate
     mirror, also at exact antipodal ties, so every path image keeps |X0|.
+
+    The images are built in blocks of lambda steps of about 2^15 half-spectrum
+    values (20 steps at 3x32x32) through ``spectral.run_chunks``, on up to 4
+    threads. A block rotates its own steps' spectra and inverts them into its
+    own rows of the output, so the path is bit-identical for any thread count
+    and block size; it peaks at the output plus up to 4 blocks in flight.
+    Finite endpoints whose images overflow float64 raise InvalidInputError.
     """
     x0, x1 = _check_pair(x0, x1, t)
     h, w = x0.shape[1:]
-    s0, s1, mask = _half_spectra(x0, x1, rho)
+    s0, s1, mask = _half_spectra(x0, x1, rho, "phase")
     p0 = decompose(s0).phase
     delta = np.where(mask, wrap_angle(decompose(s1).phase - p0), 0.0)
     # The increment must be odd, delta(-k) = -delta(k). Where the half grid
@@ -116,22 +147,31 @@ def phase_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
     mirror_half_grid(delta, w, -1)
     lambdas = _lambda_grid(t)
     # Only bins with a nonzero increment rotate; elsewhere s0 * exp(0j) == s0.
-    # The spectra are bin-major, (bins, T), so each moved bin is one row.
+    # A block's spectra are bin-major, (bins, steps), so each moved bin is one row.
     moved = np.flatnonzero(delta)
     bins = s0.ravel()
-    spectra = np.repeat(bins[:, None], t, axis=1)
-    spectra[moved] = bins[moved, None] * np.exp(1j * lambdas * delta.ravel()[moved, None])
-    images = irfft2(spectra.T.reshape((t,) + s0.shape), (h, w))
+    increments = delta.ravel()[moved, None]
+    images = np.empty((t,) + x0.shape)
+    per_chunk = max(1, _CHUNK_VALUES // bins.size)
+
+    def rotate(lo: int) -> None:
+        lam = lambdas[lo : lo + per_chunk]
+        spectra = np.repeat(bins[:, None], lam.size, axis=1)
+        spectra[moved] = bins[moved, None] * np.exp(1j * lam * increments)
+        out = images[lo : lo + per_chunk]
+        out[...] = irfft2(spectra.T.reshape(out.shape[:2] + s0.shape[1:]), (h, w))
+        if not np.all(np.isfinite(out)):
+            raise _overflow("phase")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        run_chunks(rotate, range(0, t, per_chunk))
     return InterpolationPath(images=images, lambdas=lambdas)
 
 
 def pixel_path(x0, x1, t: int = DEFAULT_STEPS) -> InterpolationPath:
     """Linear interpolation in pixel space: (1-lambda)*x0 + lambda*x1."""
     x0, x1 = _check_pair(x0, x1, t)
-    lambdas = _lambda_grid(t)
-    lam = lambdas[:, None, None, None]
-    images = (1.0 - lam) * x0[None] + lam * x1[None]
-    return InterpolationPath(images=images, lambdas=lambdas)
+    return _lerp(x0, x1, t)
 
 
 def build_path(x0, x1, spec: PathSpec) -> InterpolationPath:
@@ -157,11 +197,13 @@ def sample_path_specs(
     Pair i is drawn from an RNG stream derived from (seed, i), so individual
     paths are reproducible independently of how many are requested. The
     first ``PathSpec`` rejects an unknown mode or class relation, and a ``t``
-    that is not an int >= 2.
+    that is not an int >= 2; a ``seed`` that is not an int >= 0 is rejected
+    before any draw.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
     n_paths = checked_count("n_paths", n_paths, 1)
+    seed = checked_count("seed", seed, 0)
     if n < 2:
         raise InvalidInputError("dataset must contain at least 2 items")
 
@@ -191,7 +233,7 @@ def sample_path_specs(
                 class_relation=class_relation,
                 cutoff=float(rho),
                 steps=t,
-                seed=int(seed),
+                seed=seed,
             )
         )
     return specs

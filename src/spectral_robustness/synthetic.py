@@ -87,6 +87,7 @@ def make_blobs(
     n_per_class = checked_count("n_per_class", n_per_class, 1)
     if not (np.isfinite(noise) and noise >= 0):
         raise InvalidInputError(f"noise must be finite and >= 0, got {noise}")
+    seed = checked_count("seed", seed, 0)
     rng = np.random.default_rng([seed, 7])
     ys, xs = np.mgrid[0:h, 0:w]
     templates = []
@@ -147,6 +148,7 @@ def powerlaw_images(
         raise InvalidInputError(f"power-law images need H, W >= 2, got {image_shape!r}")
     if not np.isfinite(slope):
         raise InvalidInputError(f"slope must be finite, got {slope}")
+    seed = checked_count("seed", seed, 0)
     r = normalized_radius(h, w)
     amp = np.zeros_like(r)
     nonzero = r > 0

@@ -142,8 +142,26 @@ class TestGenPaths:
             ["manifest.csv"] + kept + [f"path_0000{i}.tnsr" for i in range(3)]
         )
 
+    def test_negative_seed_fails_before_output(self, tmp_path, capsys, blob_files):
+        images_path, labels_path = blob_files
+        out = tmp_path / "paths"
+        rc = main(["gen-paths", "--images", str(images_path), "--labels", str(labels_path),
+                   "--mode", "phase", "--n-paths", "2", "--seed", "-2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be an int >= 0, got -2\n"
+        assert not out.exists()
+
 
 class TestCorrupt:
+    def test_negative_seed_fails_before_output(self, tmp_path, capsys, blob_files):
+        images_path, _ = blob_files
+        out = tmp_path / "corr.tnsr"
+        rc = main(["corrupt", "--images", str(images_path), "--kind", "impulse_noise",
+                   "--param", "0.1", "--seed", "-2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be an int >= 0, got -2\n"
+        assert not out.exists()
+
     def test_brightness_roundtrip(self, tmp_path, blob_files):
         images_path, _ = blob_files
         out = tmp_path / "corr.tnsr"
@@ -435,8 +453,9 @@ class TestJacobianCommand:
         [
             (["--batch", "17"], "need at least 17 images for batch size 17, got 16"),
             (["--batch", "8", "--nproj", "0"], "n_proj must be an int >= 1, got 0"),
+            (["--batch", "8", "--seed", "-2"], "seed must be an int >= 0, got -2"),
         ],
-        ids=["batch-over-image-count", "nproj-0"],
+        ids=["batch-over-image-count", "nproj-0", "negative-seed"],
     )
     def test_bad_batch_or_nproj_fails_before_training(
         self, tmp_path, capsys, monkeypatch, blob_files, flags, message

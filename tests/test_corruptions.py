@@ -165,6 +165,19 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             CorruptionSpec(kind, param)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=repr)
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidInputError) as info:
+            CorruptionSpec("gaussian_noise", 0.1, seed=seed)
+        assert str(info.value) == f"seed must be an int >= 0, got {seed!r}"
+
+    def test_numpy_int_seed_accepted(self):
+        spec = CorruptionSpec("impulse_noise", 0.1, seed=np.int64(3))
+        assert type(spec.seed) is int
+        images = np.stack([sample_image(22), sample_image(23)])
+        expected = corrupt_batch(images, CorruptionSpec("impulse_noise", 0.1, seed=3))
+        assert np.array_equal(corrupt_batch(images, spec), expected)
+
 
 class TestBatch:
     def test_batch_slices_one_stream(self):

@@ -594,9 +594,13 @@ class TestBuiltinMlp:
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": np.inf}, "lr must be finite and > 0"),
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": np.nan}, "lr must be finite and > 0"),
             (np.zeros((4, 1, 1, 4)), [0, 0, 0, 0], {}, "need at least 2 classes"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"seed": -1}, "seed must be an int >= 0, got -1"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"seed": 2.5}, "seed must be an int >= 0, got 2.5"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"seed": True}, "seed must be an int >= 0, got True"),
         ],
         ids=["nan-images", "empty-stack", "float-labels", "negative-label", "label-count",
-             "hidden-0", "negative-epochs", "zero-lr", "infinite-lr", "nan-lr", "one-class"],
+             "hidden-0", "negative-epochs", "zero-lr", "infinite-lr", "nan-lr", "one-class",
+             "negative-seed", "float-seed", "bool-seed"],
     )
     def test_invalid_input_rejected_before_any_draw(self, monkeypatch, images, labels, kwargs, message):
         def no_draw(*args, **kw):
@@ -676,6 +680,13 @@ class TestConfigValidation:
             JacobianConfig(n_proj=n_proj, batch_size=batch_size)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=repr)
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidInputError) as info:
+            JacobianConfig(seed=seed)
+        assert str(info.value) == f"seed must be an int >= 0, got {seed!r}"
+
     def test_numpy_int_config_accepted(self):
-        config = JacobianConfig(np.int64(3), np.int32(10))
-        assert (config.n_proj, config.batch_size) == (3, 10)
+        config = JacobianConfig(np.int64(3), np.int32(10), np.int64(4))
+        assert (config.n_proj, config.batch_size, config.seed) == (3, 10, 4)
+        assert type(config.seed) is int

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from spectral_robustness import (
     sample_path_specs,
     wrap_angle,
 )
-from spectral_robustness import spectral
+from spectral_robustness import paths, spectral
 
 
 def random_pair(shape, seed):
@@ -231,6 +233,103 @@ class TestPhasePath:
             assert phase_diff(d.phase, d0.phase)[sel].max() < 1e-3
 
 
+def reference_phase_path(x0, x1, rho, t):
+    """One-shot formula: every step's spectrum in one (bins, T) array, then one irfft2."""
+    h, w = x0.shape[1:]
+    s0, s1 = spectral.rfft2(x0), spectral.rfft2(x1)
+    mask = spectral.radial_mask(h, w, rho).included[:, : w // 2 + 1]
+    p0 = decompose(s0).phase
+    delta = np.where(mask, wrap_angle(decompose(s1).phase - p0), 0.0)
+    spectral.mirror_half_grid(delta, w, -1)
+    lambdas = np.arange(t, dtype=np.float64) / (t - 1)
+    moved = np.flatnonzero(delta)
+    bins = s0.ravel()
+    spectra = np.repeat(bins[:, None], t, axis=1)
+    spectra[moved] = bins[moved, None] * np.exp(1j * lambdas * delta.ravel()[moved, None])
+    return spectral.irfft2(spectra.T.reshape((t,) + s0.shape), (h, w))
+
+
+class TestPhaseBlocks:
+    """Blocks of lambda steps on several threads, or forced onto one: the one-shot formula's bytes."""
+
+    # Each block rotates and inverts only its own steps' spectra, so neither
+    # the thread count nor the block size moves a bit.
+    @pytest.mark.parametrize("cpus", [1, 2, 4, 7], ids=lambda cpus: f"{cpus}-cpus")
+    @pytest.mark.parametrize(
+        "block_steps", [None, 1, 7, 200], ids=["default-block", "1-step", "7-steps", "200-steps"]
+    )
+    @pytest.mark.parametrize(
+        "shape, rho, t, ties",
+        [
+            ((3, 32, 32), 0.4, 101, False),  # 6 default blocks, the last of one step
+            ((3, 32, 32), 1.0, 2, True),
+            ((1, 7, 9), 0.0, 101, True),  # odd sides
+            ((1, 7, 9), 0.4, 2, False),
+            ((2, 8, 5), 1.0, 101, False),
+            ((1, 2, 2), 0.4, 101, True),
+        ],
+        ids=["3x32x32-101", "3x32x32-2-ties", "1x7x9-101-ties", "1x7x9-2", "2x8x5-101",
+             "1x2x2-101-ties"],
+    )
+    def test_matches_one_shot_formula(
+        self, monkeypatch, spawned_threads, cpus, block_steps, shape, rho, t, ties
+    ):
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        values = math.prod(shape[:2]) * (shape[2] // 2 + 1)
+        if block_steps is not None:
+            monkeypatch.setattr(paths, "_CHUNK_VALUES", block_steps * values)
+        x0, x1 = antipodal_pair(shape, 20) if ties else random_pair(shape, 20)
+        images = phase_path(x0, x1, rho, t).images
+        assert np.array_equal(images, reference_phase_path(x0, x1, rho, t))
+        assert images.flags.c_contiguous
+        n_blocks = -(-t // max(1, paths._CHUNK_VALUES // values))
+        assert bool(spawned_threads) is (cpus > 1 and n_blocks >= 4)
+
+    # More CPUs than run_chunks uses threads, so the bound holds on any host.
+    def test_peak_memory_follows_the_output(self, traced_peak, monkeypatch):
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 64)
+        x0, x1 = cifar_pair(21)
+        path, peak = traced_peak(lambda: phase_path(x0, x1, 0.4, 1000))
+        assert peak <= 1.3 * path.images.nbytes
+
+
+# Finite endpoints whose spectra or images leave float64 raise; at 1e300 the
+# path stays finite. The (1, 8, 8) spectra stay finite at 1e307, the images
+# do not; at 4e307 the spectra overflow too.
+@pytest.mark.parametrize(
+    "shape, scale, overflows",
+    [
+        ((1, 8, 8), 1e300, False),
+        ((3, 32, 32), 1e300, False),
+        ((1, 8, 8), 1e307, True),
+        ((3, 32, 32), 1e306, True),
+        ((1, 8, 8), 4e307, True),
+    ],
+)
+@pytest.mark.parametrize(
+    "mode, build", [("amplitude", amplitude_path), ("phase", phase_path)], ids=["amplitude", "phase"]
+)
+def test_overflowing_fourier_path_rejected(mode, build, shape, scale, overflows):
+    x0, x1 = random_pair(shape, 22)
+    x0, x1 = x0 * scale, x1 * scale
+    assert np.all(np.isfinite(x0)) and np.all(np.isfinite(x1))
+    if not overflows:
+        assert np.all(np.isfinite(build(x0, x1, 0.4, 5).images))
+        return
+    with pytest.raises(InvalidInputError) as info:
+        build(x0, x1, 0.4, 5)
+    assert str(info.value) == f"{mode} path overflows float64: the endpoints are too large"
+
+
+def test_overflowing_rotation_rejected():
+    # Both spectra are finite, but bin (0, 1) of x0 is 1.7e308 * (1 + 1j), so
+    # rotating it overflows in the multiply, which warns without an errstate.
+    x0 = np.array([[[1e308, -7e307, -7e307, 1e308], [0.0, 0.0, 0.0, 0.0]]])
+    x1 = np.array([[[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 9.0]]])
+    with pytest.raises(InvalidInputError, match="^phase path overflows float64"):
+        phase_path(x0, x1, 1.0, 3)
+
+
 class TestPixelPath:
     def test_midpoint_is_elementwise_mean(self):
         x0, x1 = cifar_pair(9)
@@ -305,6 +404,9 @@ class TestSamplePathSpecs:
             ({"n_paths": True}, "n_paths must be an int >= 1, got True"),
             ({"t": 1}, "steps must be an int >= 2, got 1"),
             ({"t": 2.5}, "steps must be an int >= 2, got 2.5"),
+            ({"seed": -1}, "seed must be an int >= 0, got -1"),
+            ({"seed": 2.5}, "seed must be an int >= 0, got 2.5"),
+            ({"seed": True}, "seed must be an int >= 0, got True"),
         ],
     )
     def test_bad_count_rejected(self, kwargs, message):
@@ -313,9 +415,10 @@ class TestSamplePathSpecs:
         assert str(info.value) == message
 
     def test_numpy_int_counts_accepted(self):
-        specs = sample_path_specs(self.labels, np.int64(3), "pixel", t=np.int32(4), seed=5)
+        specs = sample_path_specs(self.labels, np.int64(3), "pixel", t=np.int32(4), seed=np.int64(5))
         assert specs == sample_path_specs(self.labels, 3, "pixel", t=4, seed=5)
         assert type(specs[0].steps) is int
+        assert type(specs[0].seed) is int
 
     @pytest.mark.parametrize(
         "args, message",
@@ -324,6 +427,8 @@ class TestSamplePathSpecs:
             (("amplitude", 0, 1, "within", 0.4, 1, 0), "steps must be an int >= 2, got 1"),
             (("amplitude", 0, 1, "within", 0.4, 2.5, 0), "steps must be an int >= 2, got 2.5"),
             (("amplitude", 0, 1, "within", 0.4, True, 0), "steps must be an int >= 2, got True"),
+            (("amplitude", 0, 1, "within", 0.4, 100, -1), "seed must be an int >= 0, got -1"),
+            (("amplitude", 0, 1, "within", 0.4, 100, 2.5), "seed must be an int >= 0, got 2.5"),
             (("warp", 0, 1, "within", 0.4, 100, 0), "unknown path mode 'warp'"),
         ],
     )

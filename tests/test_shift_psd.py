@@ -678,6 +678,16 @@ class TestPowerlawImages:
         with pytest.raises(InvalidInputError):
             powerlaw_images(image_shape, n=n, slope=slope)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=repr)
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidInputError) as info:
+            powerlaw_images((1, 8, 8), n=4, seed=seed)
+        assert str(info.value) == f"seed must be an int >= 0, got {seed!r}"
+
+    def test_numpy_int_seed_accepted(self):
+        expected = powerlaw_images((1, 8, 8), 4, seed=2)
+        assert np.array_equal(powerlaw_images((1, 8, 8), 4, seed=np.int64(2)), expected)
+
     # Every amplitude is finite, but squaring the pixels (150) or the inverse
     # FFT itself (186) overflows.
     @pytest.mark.parametrize("slope", [150.0, 186.0])
@@ -710,6 +720,12 @@ class TestMakeBlobsInput:
     def test_bad_input_rejected(self, image_shape, n_classes, n_per_class, noise):
         with pytest.raises(InvalidInputError):
             make_blobs(image_shape, n_classes=n_classes, n_per_class=n_per_class, noise=noise)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=repr)
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidInputError) as info:
+            make_blobs((1, 8, 8), n_classes=2, n_per_class=4, seed=seed)
+        assert str(info.value) == f"seed must be an int >= 0, got {seed!r}"
 
 
 def reference_make_blobs(image_shape, n_classes, n_per_class, noise, seed):
