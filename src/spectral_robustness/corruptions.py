@@ -6,15 +6,16 @@ pixelate), and two high (gaussian_noise, impulse_noise). Outputs are not
 clamped; images are assumed to be mean/std normalized real values.
 
 One kernel corrupts a whole (N, C, H, W) stack, in blocks of whole images
-run through ``spectral.run_chunks`` on up to one thread per CPU. Each kind's
-arithmetic stays within an image, so the blocks give the whole stack's
-result. Each stochastic call builds one RNG stream from the spec's seed, and
-image i takes the i-th consecutive block of its draws, so the first m images
-of a stack are corrupted exactly as the stack of those m images alone would
-be. Impulse noise takes exactly 2 * C * H * W 64-bit outputs per image, so
-each block draws from a copy of the stream advanced to its first image
-(``spectral.stream_at``); gaussian noise draws a varying number of outputs
-per value, so its stream is drawn whole, in order, before the blocks add it.
+cut by ``spectral.chunk_slices`` and run through ``spectral.run_chunks`` on
+up to one thread per CPU. Each kind's arithmetic stays within an image, so
+the blocks give the whole stack's result. Each stochastic call builds one
+RNG stream from the spec's seed, and image i takes the i-th consecutive
+block of its draws, so the first m images of a stack are corrupted exactly
+as the stack of those m images alone would be. Impulse noise takes exactly
+2 * C * H * W 64-bit outputs per image, so each block draws from a copy of
+the stream advanced to its first image (``spectral.stream_at``); gaussian
+noise draws a varying number of outputs per value, so its stream is drawn
+whole, in order, before the blocks add it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidInputError, checked_count
-from .spectral import image_stack, run_chunks, stream_at
+from .spectral import chunk_slices, image_stack, run_chunks, stream_at
 
 CORRUPTION_KINDS = (
     "brightness",
@@ -36,14 +37,6 @@ CORRUPTION_KINDS = (
     "gaussian_blur",
     "pixelate",
 )
-
-# Every kind corrupts blocks of whole images of about this many pixels (42
-# CIFAR images), one block per thread at a time.
-_BLOCK_PIXELS = 1 << 17
-
-# Impulse noise draws its flip and salt fields this many pixels at a time, so
-# a sub-chunk's draws stay in cache.
-_CHUNK_PIXELS = 1 << 15
 
 
 @dataclass
@@ -83,11 +76,12 @@ def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
     i-th consecutive block of its draws. Arithmetic or noise draws that
     overflow float64 raise InvalidInputError naming the kind and param, and
     so does a blur whose sums inside scipy's filter overflow. Every kind
-    works on blocks of whole images through ``spectral.run_chunks``, on up to
-    one thread per CPU, and the result is bit-identical for any thread count:
-    each block's arithmetic stays within its own images, and an impulse-noise
-    block draws from a copy of the stream advanced to its first image's
-    draws. Gaussian noise is drawn whole first, in the calling thread.
+    works on blocks of whole images of ``spectral.chunk_slices`` through
+    ``spectral.run_chunks``, on up to one thread per CPU, and the result is
+    bit-identical for any thread count: each block's arithmetic stays within
+    its own images, and an impulse-noise block draws, in one call, from a
+    copy of the stream advanced to its first image's draws. Gaussian noise
+    is drawn whole first, in the calling thread.
     """
     stack = image_stack(images, "images")
     try:
@@ -113,10 +107,9 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
         out = np.empty(stack.shape)
     if kind == "impulse_noise":
         stream = np.random.default_rng([spec.seed, 1]).bit_generator.state
-    per_block = max(1, _BLOCK_PIXELS // (c * h * w))
 
-    def corrupt_block(lo: int) -> None:
-        x, y = stack[lo : lo + per_block], out[lo : lo + per_block]
+    def corrupt_block(rows: slice) -> None:
+        x, y = stack[rows], out[rows]
         if kind == "brightness":
             np.add(x, param, out=y)
         elif kind == "contrast":
@@ -131,7 +124,7 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
                 raise FloatingPointError("noise draws overflow")
             np.add(x, y, out=y)
         elif kind == "impulse_noise":
-            _impulse_block(x, y, param, stream, lo)
+            _impulse_block(x, y, param, stream, rows.start)
         elif kind == "gaussian_blur":
             # scipy 'reflect' is symmetric edge padding, which keeps the image
             # mean exactly for a normalized kernel. Sigma 0 leaves N and C
@@ -147,7 +140,7 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
         else:
             _pixelate_block(x, y, int(param))
 
-    run_chunks(corrupt_block, range(0, n, per_block))
+    run_chunks(corrupt_block, chunk_slices(n, c * h * w))
     return out
 
 
@@ -160,17 +153,13 @@ def _impulse_block(x: np.ndarray, y: np.ndarray, param: float, stream: dict, lo:
     outputs into the stream, where ``stream_at`` advances a copy of its PCG64
     ``stream`` state to.
     """
-    rng = stream_at(stream, 2 * x[0].size * lo)
+    u = stream_at(stream, 2 * x[0].size * lo).random((len(x), 2, *x.shape[1:]))
     y[...] = x
-    per_chunk = max(1, _CHUNK_PIXELS // x[0].size)
-    for start in range(0, len(y), per_chunk):
-        chunk = y[start : start + per_chunk]
-        u = rng.random((len(chunk), 2, *chunk.shape[1:]))
-        salt = chunk.max(axis=(1, 2, 3))
-        pepper = chunk.min(axis=(1, 2, 3))
-        flipped = np.nonzero(u[:, 0] < param)
-        image = flipped[0]
-        chunk[flipped] = np.where(u[:, 1][flipped] < 0.5, salt[image], pepper[image])
+    salt = x.max(axis=(1, 2, 3))
+    pepper = x.min(axis=(1, 2, 3))
+    flipped = np.nonzero(u[:, 0] < param)
+    image = flipped[0]
+    y[flipped] = np.where(u[:, 1][flipped] < 0.5, salt[image], pepper[image])
 
 
 def _pixelate_block(x: np.ndarray, y: np.ndarray, factor: int) -> None:

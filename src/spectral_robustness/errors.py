@@ -23,9 +23,14 @@ class TensorFormatError(ValueError):
     """A tensor container file is malformed or uses an unsupported layout."""
 
 
-def checked_count(name: str, value, least: int) -> int:
-    """``value`` as an int if it is a Python or numpy integer, not a bool, >= ``least``."""
+def checked_count(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int if it is a Python or numpy integer, not a bool, >= ``least`` if given.
+
+    Without ``least`` only the type is checked, for a caller whose own range
+    check names several arguments at once.
+    """
     is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (is_int and value >= least):
-        raise InvalidInputError(f"{name} must be an int >= {least}, got {value!r}")
+    if not is_int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InvalidInputError(f"{name} must be an int{bound}, got {value!r}")
     return int(value)

@@ -379,7 +379,8 @@ def fit_mlp(
     Plain cross-entropy descent, deterministic given the seed. ``images`` is
     a finite (N, C, H, W) stack (or a sequence of (C, H, W) images) and
     ``labels`` N integer classes >= 0, the largest >= 1 (it sets K - 1);
-    ``hidden`` must be >= 1, ``epochs`` >= 0 and ``lr`` finite and > 0.
+    ``hidden`` must be an int >= 1, ``epochs`` an int >= 0 and ``lr`` finite
+    and > 0.
     Inputs are checked before any random draw and raise InvalidInputError.
 
     The loop trains the pre-activations Z = X W1^T (X the (N, D) flattened
@@ -399,8 +400,8 @@ def fit_mlp(
         )
     if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
         raise InvalidInputError("labels must be integers >= 0")
-    if hidden < 1 or epochs < 0:
-        raise InvalidInputError(f"need hidden >= 1 and epochs >= 0, got {hidden} and {epochs}")
+    hidden = checked_count("hidden", hidden, 1)
+    epochs = checked_count("epochs", epochs, 0)
     if not (np.isfinite(lr) and lr > 0):
         raise InvalidInputError(f"lr must be finite and > 0, got {lr}")
     seed = checked_count("seed", seed, 0)

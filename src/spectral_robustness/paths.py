@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, checked_count
-from .spectral import decompose, image_stack, irfft2, mirror_half_grid, radial_mask, rfft2, run_chunks
+from .spectral import (
+    chunk_slices, decompose, image_stack, irfft2, mirror_half_grid, radial_mask, rfft2, run_chunks
+)
 
 PATH_MODES = ("amplitude", "phase", "pixel")
 CLASS_RELATIONS = ("within", "between", "unconstrained")
@@ -24,11 +26,6 @@ CLASS_RELATIONS = ("within", "between", "unconstrained")
 # phase, 1.0 for amplitude) are passed explicitly.
 DEFAULT_STEPS = 100
 DEFAULT_CUTOFF = 0.4
-
-# ``phase_path`` builds its images this many half-spectrum values at a time
-# (20 lambda steps at 3x32x32): a 100-step CIFAR path makes 5 blocks, enough
-# for ``run_chunks`` to thread, and a block's temporaries stay near 0.5 MB.
-_CHUNK_VALUES = 1 << 15
 
 
 @dataclass
@@ -129,12 +126,12 @@ def phase_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
     phase. The increment is antisymmetric between each bin and its conjugate
     mirror, also at exact antipodal ties, so every path image keeps |X0|.
 
-    The images are built in blocks of lambda steps of about 2^15 half-spectrum
-    values (20 steps at 3x32x32) through ``spectral.run_chunks``, on up to 4
-    threads. A block rotates its own steps' spectra and inverts them into its
-    own rows of the output, so the path is bit-identical for any thread count
-    and block size; it peaks at the output plus up to 4 blocks in flight.
-    Finite endpoints whose images overflow float64 raise InvalidInputError.
+    The images are built in blocks of lambda steps cut by
+    ``spectral.chunk_slices`` and run through ``spectral.run_chunks``, on up
+    to 4 threads. A block rotates its own steps' spectra and inverts them
+    into its own rows of the output, so the path is bit-identical for any
+    thread count and block size; it peaks at the output plus up to 4 blocks
+    in flight. Finite endpoints whose images overflow float64 raise InvalidInputError.
     """
     x0, x1 = _check_pair(x0, x1, t)
     h, w = x0.shape[1:]
@@ -152,19 +149,18 @@ def phase_path(x0, x1, rho: float, t: int = DEFAULT_STEPS) -> InterpolationPath:
     bins = s0.ravel()
     increments = delta.ravel()[moved, None]
     images = np.empty((t,) + x0.shape)
-    per_chunk = max(1, _CHUNK_VALUES // bins.size)
 
-    def rotate(lo: int) -> None:
-        lam = lambdas[lo : lo + per_chunk]
+    def rotate(steps: slice) -> None:
+        lam = lambdas[steps]
         spectra = np.repeat(bins[:, None], lam.size, axis=1)
         spectra[moved] = bins[moved, None] * np.exp(1j * lam * increments)
-        out = images[lo : lo + per_chunk]
+        out = images[steps]
         out[...] = irfft2(spectra.T.reshape(out.shape[:2] + s0.shape[1:]), (h, w))
         if not np.all(np.isfinite(out)):
             raise _overflow("phase")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        run_chunks(rotate, range(0, t, per_chunk))
+        run_chunks(rotate, chunk_slices(t, x0.size))
     return InterpolationPath(images=images, lambdas=lambdas)
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateFitError, InvalidInputError
+from .errors import DegenerateFitError, InvalidInputError, checked_count
 
 PROBIT_EPS = 1e-6
 ID_ACCURACY = "ID accuracy"
@@ -31,10 +31,7 @@ class AccuracyRecord:
     total: int
 
     def __post_init__(self):
-        if self.total < 1 or not 0 <= self.correct <= self.total:
-            raise InvalidInputError(
-                f"invalid counts for {self.model_id}: {self.correct}/{self.total}"
-            )
+        self.correct, self.total = _checked_counts(self.correct, self.total, f" for {self.model_id}")
 
     @property
     def accuracy(self) -> float:
@@ -94,10 +91,21 @@ class ProbitRegression:
     points: list[ModelPoint] = field(default_factory=list)
 
 
+def _checked_counts(correct, total, owner: str) -> tuple[int, int]:
+    """``correct`` and ``total`` as ints with ``total >= 1`` and ``0 <= correct <= total``.
+
+    A count that is not an int raises ``checked_count``'s message naming it;
+    int counts out of range raise ``invalid counts{owner}: correct/total``.
+    """
+    correct, total = checked_count("correct", correct), checked_count("total", total)
+    if total < 1 or not 0 <= correct <= total:
+        raise InvalidInputError(f"invalid counts{owner}: {correct}/{total}")
+    return correct, total
+
+
 def clopper_pearson(correct: int, total: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact binomial CI from Beta quantiles; closed at 0 and 1 for edge counts."""
-    if total < 1 or not 0 <= correct <= total:
-        raise InvalidInputError(f"invalid counts: {correct}/{total}")
+    correct, total = _checked_counts(correct, total, "")
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
     # betaincinv(a, b, q) is the Beta(a, b) quantile at q.

@@ -20,11 +20,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import scipy.fft
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_count
 
-# ``psd`` transforms its stack this many half-spectrum values at a time (20
-# CIFAR images), so the FFT, squaring and channel mean of a chunk stay in cache.
-_PSD_CHUNK_VALUES = 1 << 15
+# Every threaded kernel works on chunks of items of about this many float64
+# pixels (21 CIFAR images or path steps), so a chunk's temporaries stay in
+# cache; ``chunk_slices`` cuts them.
+_CHUNK_PIXELS = 1 << 16
 
 # ``run_chunks`` runs fewer chunks than this in the calling thread. On two
 # CPUs, psd's 20-image chunks ran slower on two threads at 3 chunks and no
@@ -155,6 +156,7 @@ def normalized_radius(h: int, w: int) -> np.ndarray:
     With signed frequency indices u, v, r = sqrt((2u/h)^2 + (2v/w)^2) / sqrt(2),
     so r = 0 at DC and r = 1 at the corner (Nyquist, Nyquist) bin.
     """
+    h, w = checked_count("h", h), checked_count("w", w)
     if h < 2 or w < 2:
         raise InvalidInputError(f"grid must be at least 2x2, got {h}x{w}")
     fu = 2.0 * np.fft.fftfreq(h)  # == 2u/h for signed index u
@@ -216,10 +218,22 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def run_chunks(chunk: Callable[[int], None], starts: Sequence[int]) -> None:
-    """Call ``chunk(lo)`` once for each chunk start ``lo``, one thread per CPU.
+def chunk_slices(n: int, pixels_per_item: int) -> list[slice]:
+    """Slices of ``range(n)``, in order, of about 2^16 pixels of items each and at least one item.
 
-    Each chunk must write only its own slice of the output, so the result does
+    An item is one (C, H, W) image or path step of ``pixels_per_item`` pixels.
+    Every threaded kernel cuts its work here and hands the slices to
+    ``run_chunks``.
+    """
+    per_chunk = max(1, _CHUNK_PIXELS // pixels_per_item)
+    return [slice(lo, min(lo + per_chunk, n)) for lo in range(0, n, per_chunk)]
+
+
+def run_chunks(chunk: Callable, items: Sequence) -> None:
+    """Call ``chunk(item)`` once for each item, one thread per CPU.
+
+    An item is a slice of ``chunk_slices``, or a tuple that holds one. Each
+    chunk must write only its own slice of the output, so the result does
     not depend on which thread runs it. The calling thread and one new thread
     per further CPU in the process's affinity mask, up to 4 threads in all,
     take the chunks in order; with one CPU or fewer than 4 chunks the calling
@@ -228,10 +242,10 @@ def run_chunks(chunk: Callable[[int], None], starts: Sequence[int]) -> None:
     exception no chunk is started, and the exception of the first chunk in
     order that raised one is re-raised.
     """
-    threaded = len(starts) >= _MIN_THREADED_CHUNKS
-    workers = min(_cpu_count(), _MAX_THREADS, len(starts)) if threaded else 1
+    threaded = len(items) >= _MIN_THREADED_CHUNKS
+    workers = min(_cpu_count(), _MAX_THREADS, len(items)) if threaded else 1
     state = np.geterr()
-    pending = iter(enumerate(starts))
+    pending = iter(enumerate(items))
     lock = threading.Lock()
     faults: dict[int, BaseException] = {}
 
@@ -239,11 +253,11 @@ def run_chunks(chunk: Callable[[int], None], starts: Sequence[int]) -> None:
         with np.errstate(**state):
             while True:
                 with lock:
-                    index, lo = (None, None) if faults else next(pending, (None, None))
+                    index, item = (None, None) if faults else next(pending, (None, None))
                 if index is None:
                     return
                 try:
-                    chunk(lo)
+                    chunk(item)
                 except BaseException as error:
                     with lock:
                         faults[index] = error
@@ -281,11 +295,12 @@ def psd(images: Sequence) -> PsdMap:
 
     The normalization makes unit-variance white noise flat at expected power 1.
     The power is computed on the real half-spectrum and mirrored through
-    P[u, v] = P[-u, -v], so the map is exactly point-symmetric. The chunks
-    run through ``run_chunks``, on up to one thread per CPU; each fills its
-    own images' rows, and the image mean runs after them, so the map is
-    bit-identical for any thread count. ``paired_shift_psd`` is the PSD of a
-    difference of two stacks, formed the same way a chunk at a time.
+    P[u, v] = P[-u, -v], so the map is exactly point-symmetric. The images
+    are cut by ``chunk_slices`` and run through ``run_chunks``, on up to one
+    thread per CPU; each chunk fills its own images' rows, and the image
+    mean runs after them, so the map is bit-identical for any thread count.
+    ``paired_shift_psd`` is the PSD of a difference of two stacks, formed the
+    same way a chunk at a time.
 
     Finiteness is checked on the map, not the input: the DC bin sums every
     pixel, so a non-finite pixel always reaches the map. A non-finite map
@@ -370,16 +385,15 @@ def _psd_map(groups: Sequence[dict[str, np.ndarray]]) -> list[PsdMap]:
         minus = rest[0] if rest else None
         n, c, h, w = stack.shape
         per_image = np.empty((n, h, w // 2 + 1))
-        per_chunk = max(1, _PSD_CHUNK_VALUES // (c * per_image[0].size))
         filled.append((stacks, per_image, w))
-        chunks += [(stack, minus, per_image, lo, lo + per_chunk) for lo in range(0, n, per_chunk)]
+        chunks += [((stack, minus, per_image), rows) for rows in chunk_slices(n, c * h * w)]
 
-    def chunk_power(index: int) -> None:
-        stack, minus, per_image, lo, hi = chunks[index]
+    def chunk_power(item) -> None:
+        (stack, minus, per_image), rows = item
         _, c, h, w = stack.shape
-        chunk = stack[lo:hi]
+        chunk = stack[rows]
         if minus is not None:
-            chunk = chunk - minus[lo:hi]
+            chunk = chunk - minus[rows]
         # The real and imaginary parts, interleaved, squared in place.
         parts = rfft2(chunk).view(np.float64)
         np.multiply(parts, parts, out=parts)
@@ -387,13 +401,13 @@ def _psd_map(groups: Sequence[dict[str, np.ndarray]]) -> list[PsdMap]:
         power += parts[..., 1::2]
         # Channel mean first, then image mean, so repeated identical images
         # average bit-identically. This is np.mean's sum and division.
-        out = per_image[lo:hi]
+        out = per_image[rows]
         np.add.reduce(power, axis=1, out=out)
         out /= c
         out /= h * w
 
     with np.errstate(over="ignore", invalid="ignore"):
-        run_chunks(chunk_power, range(len(chunks)))
+        run_chunks(chunk_power, chunks)
         halves = [np.mean(per_image, axis=0) for _, per_image, _ in filled]
     maps = []
     for (stacks, per_image, w), half in zip(filled, halves):

@@ -3,9 +3,10 @@
 Blob images give a trivially learnable classification task for the built-in
 predictors; power-law images mimic natural-image spectral statistics (Fourier
 amplitude falling off as 1/r^slope in expectation) for shift-PSD experiments.
-Power-law images are synthesized in chunks on up to one thread per CPU (at
-most 4), each chunk drawing from a copy of the one phase stream advanced to
-its first image, so the output does not depend on the thread count.
+Power-law images are synthesized in chunks of ``spectral.chunk_slices`` on up
+to one thread per CPU (at most 4), each chunk drawing from a copy of the one
+phase stream advanced to its first image, so the output does not depend on
+the thread count.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, checked_count
-from .spectral import normalized_radius, run_chunks, stream_at
-
-
-# The power-law generator fills its output this many values at a time (10
-# CIFAR images), so the complex temporaries of the up to 4 chunks in flight
-# stay about 1 MB each whatever the stack size.
-_CHUNK_VALUES = 1 << 15
+from .spectral import chunk_slices, normalized_radius, run_chunks, stream_at
 
 # Unit-std scaling sums runs of at most this many values at once.
 _STD_LEAF_VALUES = 1 << 15
@@ -127,7 +122,7 @@ def powerlaw_images(
     Phases are uniform on [-pi, pi), drawn from one ``default_rng([seed, 11])``
     stream in image order, so the first m images take the same phases whatever
     ``n`` is.
-    Images are synthesized a bounded chunk at a time (at least one image)
+    Images are synthesized a chunk of ``spectral.chunk_slices`` at a time
     through ``spectral.run_chunks``, on up to 4 threads, each chunk writing
     only its own rows of the preallocated output. ``uniform`` takes one 64-bit
     output per value, so a chunk draws its phases from a copy of the stream
@@ -159,16 +154,15 @@ def powerlaw_images(
 
     stream = np.random.default_rng([seed, 11]).bit_generator.state
     images = np.empty((n, c, h, w))
-    per_chunk = max(1, _CHUNK_VALUES // (c * h * w))
 
-    def synthesize(lo: int) -> None:
-        out = images[lo : lo + per_chunk]
-        spectra = 1j * stream_at(stream, lo * c * h * w).uniform(-np.pi, np.pi, size=out.shape)
+    def synthesize(rows: slice) -> None:
+        out = images[rows]
+        spectra = 1j * stream_at(stream, rows.start * c * h * w).uniform(-np.pi, np.pi, size=out.shape)
         np.exp(spectra, out=spectra)
         spectra *= amp
         out[...] = np.fft.ifft2(spectra, axes=(-2, -1)).real
 
     with np.errstate(over="ignore", invalid="ignore"):
-        run_chunks(synthesize, range(0, n, per_chunk))
+        run_chunks(synthesize, chunk_slices(n, c * h * w))
     _divide_by_std(images)
     return images

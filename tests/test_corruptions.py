@@ -6,8 +6,8 @@ import pytest
 from scipy import ndimage
 
 from spectral_robustness import CorruptionSpec, InvalidInputError, corrupt_batch
-from spectral_robustness import corruptions, spectral
-from spectral_robustness.corruptions import _CHUNK_PIXELS, CORRUPTION_KINDS
+from spectral_robustness import spectral
+from spectral_robustness.corruptions import CORRUPTION_KINDS
 
 
 def sample_image(seed=0, shape=(3, 32, 32)):
@@ -321,9 +321,9 @@ class TestGoldenCorruptions:
 
 
 class TestImpulseChunks:
-    """Impulse noise draws a chunk of images at a time, as the per-image loop would."""
+    """Impulse noise draws a block of images at a time, as the per-image loop would."""
 
-    CHUNK = _CHUNK_PIXELS // (3 * 32 * 32)
+    CHUNK = spectral._CHUNK_PIXELS // (3 * 32 * 32)
 
     @pytest.mark.parametrize("param", [0.0, 0.05, 1.0])
     @pytest.mark.parametrize(
@@ -334,7 +334,8 @@ class TestImpulseChunks:
             (CHUNK, 3, 32, 32),
             (CHUNK + 1, 3, 32, 32),
             (2 * CHUNK + 3, 3, 32, 32),
-            (3, 1, 200, 200),  # one image larger than a chunk
+            (3, 1, 200, 200),  # one image per block
+            (2, 3, 200, 200),  # one image larger than a chunk
         ],
     )
     def test_matches_per_image_loop(self, shape, param):
@@ -358,7 +359,7 @@ class TestThreadedBlocks:
         self, cpus, monkeypatch, spawned_threads, kind, param, image_shape, n_blocks
     ):
         # Blocks of 3 images; the last block holds two.
-        monkeypatch.setattr(corruptions, "_BLOCK_PIXELS", 3 * math.prod(image_shape))
+        monkeypatch.setattr(spectral, "_CHUNK_PIXELS", 3 * math.prod(image_shape))
         stack = np.random.default_rng([n_blocks, 45]).normal(size=(3 * n_blocks - 1, *image_shape))
         spec = CorruptionSpec(kind, param, seed=46)
         try:
@@ -373,17 +374,13 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("param", [0.0, 0.05, 0.6, 1.0])
     @pytest.mark.parametrize("image_shape", [(1, 7, 9), (3, 5, 3)], ids=str)
     @pytest.mark.parametrize(
-        "per_block, per_chunk, n",
-        [(5, 2, 23), (5, 5, 21), (4, 3, 4), (7, 1, 30), (2, 9, 11)],
-        ids=["5/2", "5/5", "one-block", "7/1", "chunk>block"],
+        "per_block, n",
+        [(5, 23), (5, 21), (4, 4), (7, 30), (2, 11)],
+        ids=["5-of-23", "5-of-21", "one-block", "7-of-30", "2-of-11"],
     )
-    def test_impulse_streams_split_at_any_block(
-        self, cpus, monkeypatch, param, image_shape, per_block, per_chunk, n
-    ):
+    def test_impulse_streams_split_at_any_block(self, cpus, monkeypatch, param, image_shape, per_block, n):
         # Each block advances a copy of the stream to its first image's draws.
-        pixels = math.prod(image_shape)
-        monkeypatch.setattr(corruptions, "_BLOCK_PIXELS", per_block * pixels)
-        monkeypatch.setattr(corruptions, "_CHUNK_PIXELS", per_chunk * pixels)
+        monkeypatch.setattr(spectral, "_CHUNK_PIXELS", per_block * math.prod(image_shape))
         stack = np.random.default_rng([n, 47]).normal(size=(n, *image_shape))
         expected = reference_batch(stack, "impulse_noise", param, 48)
         assert np.array_equal(corrupt_batch(stack, CorruptionSpec("impulse_noise", param, seed=48)), expected)
@@ -400,7 +397,7 @@ class TestThreadedBlocks:
         ids=["blur", "brightness", "contrast", "pixelate", "noise-add"],
     )
     def test_overflow_in_one_block_keeps_its_message(self, cpus, monkeypatch, kind, param, value):
-        monkeypatch.setattr(corruptions, "_BLOCK_PIXELS", 16)
+        monkeypatch.setattr(spectral, "_CHUNK_PIXELS", 16)
         stack = huge(1.0, shape=(40, 1, 4, 4))
         stack[29] = value
         message = f"^{kind} with param {re.escape(str(param))} takes the images beyond the float64 range$"

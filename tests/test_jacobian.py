@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -588,8 +590,13 @@ class TestBuiltinMlp:
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1.0], {}, "labels must be integers"),
             (np.zeros((4, 1, 1, 4)), [0, 1, -1, 1], {}, "labels must be integers >= 0"),
             (np.zeros((4, 1, 1, 4)), [0, 1, 0], {}, "expected 4 labels"),
-            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"hidden": 0}, "need hidden >= 1"),
-            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"epochs": -1}, "epochs >= 0"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"hidden": 0}, "hidden must be an int >= 1, got 0"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"epochs": -1}, "epochs must be an int >= 0, got -1"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"hidden": 2.5}, "hidden must be an int >= 1, got 2.5"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"hidden": True}, "hidden must be an int >= 1, got True"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"hidden": np.float64(4)},
+             "hidden must be an int >= 1, got"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"epochs": 2.5}, "epochs must be an int >= 0, got 2.5"),
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": 0.0}, "lr must be finite and > 0"),
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": np.inf}, "lr must be finite and > 0"),
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": np.nan}, "lr must be finite and > 0"),
@@ -599,7 +606,8 @@ class TestBuiltinMlp:
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"seed": True}, "seed must be an int >= 0, got True"),
         ],
         ids=["nan-images", "empty-stack", "float-labels", "negative-label", "label-count",
-             "hidden-0", "negative-epochs", "zero-lr", "infinite-lr", "nan-lr", "one-class",
+             "hidden-0", "negative-epochs", "float-hidden", "bool-hidden", "numpy-float-hidden",
+             "float-epochs", "zero-lr", "infinite-lr", "nan-lr", "one-class",
              "negative-seed", "float-seed", "bool-seed"],
     )
     def test_invalid_input_rejected_before_any_draw(self, monkeypatch, images, labels, kwargs, message):
@@ -609,6 +617,20 @@ class TestBuiltinMlp:
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         with pytest.raises(InvalidInputError, match=message):
             fit_mlp(images, labels, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"hidden": 2.5}, "hidden must be an int >= 1, got 2.5"),
+            ({"hidden": True}, "hidden must be an int >= 1, got True"),
+            ({"epochs": 2.5}, "epochs must be an int >= 0, got 2.5"),
+            ({"epochs": -1}, "epochs must be an int >= 0, got -1"),
+        ],
+        ids=["float-hidden", "bool-hidden", "float-epochs", "negative-epochs"],
+    )
+    def test_train_blob_mlp_follows_the_count_rule(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            train_blob_mlp(**kwargs)
 
     def test_fits_the_blobs(self):
         predictor, images, labels = train_blob_mlp(seed=22)

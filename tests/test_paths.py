@@ -14,7 +14,7 @@ from spectral_robustness import (
     sample_path_specs,
     wrap_angle,
 )
-from spectral_robustness import paths, spectral
+from spectral_robustness import spectral
 
 
 def random_pair(shape, seed):
@@ -261,28 +261,28 @@ class TestPhaseBlocks:
     @pytest.mark.parametrize(
         "shape, rho, t, ties",
         [
-            ((3, 32, 32), 0.4, 101, False),  # 6 default blocks, the last of one step
+            ((3, 32, 32), 0.4, 106, False),  # 6 default blocks, the last of one step
             ((3, 32, 32), 1.0, 2, True),
             ((1, 7, 9), 0.0, 101, True),  # odd sides
             ((1, 7, 9), 0.4, 2, False),
             ((2, 8, 5), 1.0, 101, False),
             ((1, 2, 2), 0.4, 101, True),
         ],
-        ids=["3x32x32-101", "3x32x32-2-ties", "1x7x9-101-ties", "1x7x9-2", "2x8x5-101",
+        ids=["3x32x32-106", "3x32x32-2-ties", "1x7x9-101-ties", "1x7x9-2", "2x8x5-101",
              "1x2x2-101-ties"],
     )
     def test_matches_one_shot_formula(
         self, monkeypatch, spawned_threads, cpus, block_steps, shape, rho, t, ties
     ):
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
-        values = math.prod(shape[:2]) * (shape[2] // 2 + 1)
+        pixels = math.prod(shape)
         if block_steps is not None:
-            monkeypatch.setattr(paths, "_CHUNK_VALUES", block_steps * values)
+            monkeypatch.setattr(spectral, "_CHUNK_PIXELS", block_steps * pixels)
         x0, x1 = antipodal_pair(shape, 20) if ties else random_pair(shape, 20)
         images = phase_path(x0, x1, rho, t).images
         assert np.array_equal(images, reference_phase_path(x0, x1, rho, t))
         assert images.flags.c_contiguous
-        n_blocks = -(-t // max(1, paths._CHUNK_VALUES // values))
+        n_blocks = -(-t // max(1, spectral._CHUNK_PIXELS // pixels))
         assert bool(spawned_threads) is (cpus > 1 and n_blocks >= 4)
 
     # More CPUs than run_chunks uses threads, so the bound holds on any host.

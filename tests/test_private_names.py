@@ -76,7 +76,7 @@ def test_no_module_uses_a_siblings_private_names():
         ("from spectral_robustness.spectral import _stack", "_stack"),
         ("from . import _helpers", "_helpers"),
         ("from . import spectral\nspectral._stack(x)", "_stack"),
-        ("from . import spectral as sp\nn = sp._PSD_CHUNK_VALUES", "_PSD_CHUNK_VALUES"),
+        ("from . import spectral as sp\nn = sp._CHUNK_PIXELS", "_CHUNK_PIXELS"),
         ("from spectral_robustness import tables\ntables._rows(p, h)", "_rows"),
         ("import spectral_robustness.spectral as sp\nsp._stack(x)", "_stack"),
         ("import spectral_robustness.spectral\nspectral_robustness.spectral._stack(x)", "_stack"),

@@ -118,6 +118,40 @@ class TestClopperPearson:
             clopper_pearson(1, 4, alpha=1.5)
 
 
+# Counts that are not ints raise the count rule's message; int counts out of
+# range name both counts.
+BAD_COUNTS = [
+    (2.5, 10, "correct must be an int, got 2.5"),
+    (True, 2, "correct must be an int, got True"),
+    (3, 10.0, "total must be an int, got 10.0"),
+    (1, False, "total must be an int, got False"),
+    (np.float64(2), 10, "correct must be an int, got "),
+    (5, 4, "invalid counts{owner}: 5/4"),
+    (-1, 4, "invalid counts{owner}: -1/4"),
+    (0, 0, "invalid counts{owner}: 0/0"),
+]
+BAD_COUNT_IDS = ["float-correct", "bool-correct", "float-total", "bool-total", "numpy-float-correct",
+                 "correct>total", "negative-correct", "zero-total"]
+
+
+@pytest.mark.parametrize("correct, total, message", BAD_COUNTS, ids=BAD_COUNT_IDS)
+def test_clopper_pearson_follows_the_count_rule(correct, total, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message.format(owner=''))}"):
+        clopper_pearson(correct, total)
+
+
+@pytest.mark.parametrize("correct, total, message", BAD_COUNTS, ids=BAD_COUNT_IDS)
+def test_accuracy_record_follows_the_count_rule(correct, total, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message.format(owner=' for m'))}"):
+        AccuracyRecord("m", "g", "d", correct, total)
+
+
+def test_numpy_int_counts_are_kept():
+    record = AccuracyRecord("m", "g", "d", np.int64(3), np.int32(10))
+    assert (record.correct, record.total, record.accuracy) == (3, 10, 0.3)
+    assert clopper_pearson(np.int64(3), np.int64(10)) == clopper_pearson(3, 10)
+
+
 class TestProbit:
     def test_median_is_zero(self):
         assert probit(0.5) == 0.0

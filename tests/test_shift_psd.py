@@ -21,9 +21,9 @@ from spectral_robustness import (
     psd,
     radial_profile,
 )
-from spectral_robustness import spectral, synthetic
+from spectral_robustness import spectral
 from spectral_robustness.shift_psd import DEFAULT_BAND_EDGES, PROFILE_BIN_WIDTH
-from spectral_robustness.spectral import _PSD_CHUNK_VALUES, normalized_radius
+from spectral_robustness.spectral import _CHUNK_PIXELS, normalized_radius
 from spectral_robustness.synthetic import _STD_LEAF_VALUES, _divide_by_std
 
 
@@ -179,8 +179,7 @@ def reference_psd(images):
 
 
 def images_per_chunk(image_shape):
-    c, h, w = image_shape
-    return max(1, _PSD_CHUNK_VALUES // (c * h * (w // 2 + 1)))
+    return max(1, _CHUNK_PIXELS // math.prod(image_shape))
 
 
 LAYOUTS = {
@@ -245,8 +244,7 @@ class TestThreadedPsd:
     @pytest.fixture(params=[1, 4], ids=["1-cpu", "4-cpus"])
     def cpus(self, request, monkeypatch):
         monkeypatch.setattr(spectral, "_cpu_count", lambda: request.param)
-        c, h, w = self.IMAGE_SHAPE
-        monkeypatch.setattr(spectral, "_PSD_CHUNK_VALUES", self.PER_CHUNK * c * h * (w // 2 + 1))
+        monkeypatch.setattr(spectral, "_CHUNK_PIXELS", self.PER_CHUNK * math.prod(self.IMAGE_SHAPE))
         return request.param
 
     def stacks(self, n_chunks):
@@ -627,7 +625,7 @@ class TestPowerlawImages:
         "image_shape, n, slope, seed",
         [
             ((1, 32, 32), 1, 1.0, 0),  # a single image
-            ((1, 32, 32), 100, 1.0, 3),  # 4 default chunks, the last of 4 images
+            ((1, 32, 32), 196, 1.0, 3),  # 4 default chunks, the last of 4 images
             ((3, 32, 32), 200, 1.5, 5),  # not a multiple of the default chunk
             ((1, 9, 7), 50, 0.5, 2),  # odd sides
             ((3, 300, 300), 2, 1.0, 1),  # one image larger than a chunk
@@ -639,12 +637,12 @@ class TestPowerlawImages:
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
         values = math.prod(image_shape)
         if chunk_images is not None:
-            monkeypatch.setattr(synthetic, "_CHUNK_VALUES", int(chunk_images * values))
+            monkeypatch.setattr(spectral, "_CHUNK_PIXELS", int(chunk_images * values))
         images = powerlaw_images(image_shape, n, slope, seed)
         assert np.array_equal(images, reference_powerlaw_images(image_shape, n, slope, seed))
         assert images.flags.c_contiguous
         assert images.dtype == np.float64
-        n_chunks = -(-n // max(1, synthetic._CHUNK_VALUES // values))
+        n_chunks = -(-n // max(1, spectral._CHUNK_PIXELS // values))
         assert bool(spawned_threads) is (cpus > 1 and n_chunks >= 4)
 
     # More CPUs than run_chunks uses threads, so the bound holds on any host.

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -5,6 +6,8 @@ import time
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectral_robustness import (
     InvalidInputError,
@@ -14,7 +17,7 @@ from spectral_robustness import (
     radial_mask,
 )
 from spectral_robustness import spectral
-from spectral_robustness.spectral import mirror_half_grid, run_chunks
+from spectral_robustness.spectral import chunk_slices, mirror_half_grid, run_chunks
 
 
 def naive_dft2(channel):
@@ -170,6 +173,23 @@ class TestRadialMask:
         with pytest.raises(InvalidInputError):
             radial_mask(8, 8, -0.1)
 
+    @pytest.mark.parametrize(
+        "h, w, message",
+        [
+            (4.5, 4, "h must be an int, got 4.5"),
+            (4, 4.0, "w must be an int, got 4.0"),
+            (True, 4, "h must be an int, got True"),
+            (np.float64(4), 4, "h must be an int, got "),
+            (1, 4, "grid must be at least 2x2, got 1x4"),
+            (4, -3, "grid must be at least 2x2, got 4x-3"),
+        ],
+        ids=["float-h", "float-w", "bool-h", "numpy-float-h", "one-row", "negative-w"],
+    )
+    def test_rejects_bad_grid(self, h, w, message):
+        for build in (spectral.normalized_radius, lambda h, w: radial_mask(h, w, 0.4)):
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+                build(h, w)
+
 
 class TestPsd:
     def test_constant_image(self):
@@ -285,6 +305,22 @@ class TestPsdLayoutsAndFiniteness:
             stack[1, 1, 4, 5] = 1e200
         with pytest.raises(InvalidInputError, match="^psd power overflows"):
             psd(stack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3000), pixels_per_item=st.integers(1, 300_000))
+@example(n=1, pixels_per_item=3 * 32 * 32)
+@example(n=1, pixels_per_item=3 * 200 * 200)  # an item larger than a chunk
+@example(n=5, pixels_per_item=3 * 200 * 200)
+@example(n=400, pixels_per_item=3 * 32 * 32)
+def test_chunk_slices_cover_the_items_once_in_order(n, pixels_per_item):
+    chunks = [range(n)[rows] for rows in chunk_slices(n, pixels_per_item)]
+    assert [i for chunk in chunks for i in chunk] == list(range(n))
+    limit = max(1, 2**16 // pixels_per_item)
+    sizes = [len(chunk) for chunk in chunks]
+    assert all(1 <= size <= limit for size in sizes)
+    # Every chunk but the last is full.
+    assert all(size == limit for size in sizes[:-1])
 
 
 class TestRunChunks:
