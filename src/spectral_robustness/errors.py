@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the one rule for count arguments."""
+"""Exception types shared across the toolkit, and the rules for count and real arguments."""
 
 import numpy as np
 
@@ -34,3 +34,13 @@ def checked_count(name: str, value, least: int | None = None) -> int:
         bound = "" if least is None else f" >= {least}"
         raise InvalidInputError(f"{name} must be an int{bound}, got {value!r}")
     return int(value)
+
+
+def checked_real(name: str, value):
+    """``value`` unchanged if it is a Python or numpy int or float, not a bool.
+
+    Range checks (finite, positive, ...) stay with the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    return value

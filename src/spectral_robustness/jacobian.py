@@ -13,9 +13,14 @@ Others fall back to central finite differences, step ``DEFAULT_FD_EPS``, along
 sign directions u = s / sqrt(D), s uniform on {-1, +1}^D (one random bit per
 pixel), by the dual identity E_u[D * ||J u||^2] = ||J||_F^2 (Hutchinson's
 estimator), with one ``predict`` call per sample holding all of its
-2 * n_proj perturbations. The K-dimensional cotangents stay on the sphere: at
-K = 2 with softmax outputs, sign cotangents would double each projection's
-variance.
+2 * n_proj perturbations. A sample's steps eps * u = +-eps / sqrt(D) come
+from a 256 x 8 table of steps, one row per byte value, indexed by the
+sample's block of the stream's raw bytes; the differences of all samples'
+outputs are reduced once, after the last call. Both give the same
+perturbed batches and estimates, bit for bit, as unpacking the bits and
+reducing each sample as it arrives. The K-dimensional cotangents stay on
+the sphere: at K = 2 with softmax outputs, sign cotangents would double
+each projection's variance.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, checked_count
+from .errors import InvalidInputError, checked_count, checked_real
 from .path_metrics import summarize_gaussian
 from .spectral import image_stack
 from .synthetic import make_blobs
@@ -230,13 +235,14 @@ def _unit_rows(rng: np.random.Generator, b: int, n: int, dim: int) -> np.ndarray
     return g / norms[..., None]
 
 
-def _sign_bits(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """(n, dim) uniform bits from the first n*dim bits of ``rng.bytes``; a 1 marks a -1 sign.
+def _step_table(step: float) -> np.ndarray:
+    """(256, 8) table whose row v holds the steps for the bits of byte v: -step for a 1, else +step.
 
-    Row j gives the unit direction u_j = s_j / sqrt(dim) with s_j = 1 - 2 * bits[j].
+    Bits run most significant first, as ``np.unpackbits`` orders them, so
+    taking rows by a stream's raw bytes gives the steps of its bits in order.
     """
-    raw = np.frombuffer(rng.bytes(-(-n * dim // 8)), dtype=np.uint8)
-    return np.unpackbits(raw, count=n * dim).reshape(n, dim)
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    return np.where(bits == 1, -step, step)
 
 
 def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) -> JacobianEstimate:
@@ -278,28 +284,36 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
             estimates = k * sq_norms
     else:
         # eps * u_j = +-step exactly, with step = eps * (1 / sqrt(D)) rounded once.
-        step = DEFAULT_FD_EPS * (1.0 / np.sqrt(d))
+        table = _step_table(DEFAULT_FD_EPS * (1.0 / np.sqrt(d)))
         p = config.n_proj
-        estimates = np.empty((config.batch_size, p))
-        for s, x in enumerate(batch):
-            bits = _sign_bits(rng, p, d).reshape((p,) + x.shape)
-            steps = bits * (-2.0 * step)
-            steps += step
+        n_bytes = -(-p * d // 8)
+        outs = []
+        for s, x in enumerate(batch.reshape(len(batch), d)):
             # One predict call takes the sample's 2p perturbed images, in a fresh
-            # array: a black-box predictor may keep the batch it was given.
-            perturbed = np.empty((2 * p,) + x.shape)
-            np.add(x, steps, out=perturbed[:p])
-            np.subtract(x, steps, out=perturbed[p:])
-            out = predictor.predict(perturbed)
+            # array: a black-box predictor may keep the batch it was given. The
+            # steps go into its first p rows, the last byte's spare bits past
+            # them (room is kept for a batch of fewer than 8 values); x - steps
+            # then fills rows p.., and x + steps overwrites the steps in place.
+            buf = np.empty(max(2 * p * d, 8 * n_bytes))
+            raw = np.frombuffer(rng.bytes(n_bytes), dtype=np.uint8)
+            # Indices are bytes, always in range; "clip" lets take write into out unbuffered.
+            np.take(table, raw, axis=0, out=buf[: 8 * n_bytes].reshape(n_bytes, 8), mode="clip")
+            flat = buf[: 2 * p * d].reshape(2 * p, d)
+            np.subtract(x, flat[:p], out=flat[p:])
+            np.add(x, flat[:p], out=flat[:p])
+            out = predictor.predict(flat.reshape((2 * p,) + batch.shape[1:]))
             if out.shape != (2 * p, k):
                 raise InvalidInputError(
                     f"predict returned shape {out.shape} for sample {s}, expected {(2 * p, k)}"
                 )
-            # Outputs that are not finite, or too large to square, are
-            # rejected after the loop by the per-sample finiteness check.
-            with np.errstate(over="ignore", invalid="ignore"):
-                ju = (out[:p] - out[p:]) / (2.0 * DEFAULT_FD_EPS)
-                estimates[s] = d * np.sum(ju * ju, axis=1)
+            # A copy, in predict's own dtype: a predictor may reuse its output buffer.
+            outs.append(out.copy())
+        # Outputs that are not finite, or too large to square, are rejected
+        # below by the per-sample finiteness check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            outs = np.stack(outs)
+            ju = (outs[:, :p] - outs[:, p:]) / (2.0 * DEFAULT_FD_EPS)
+            estimates = np.asarray(d * np.sum(ju * ju, axis=2), dtype=np.float64)
     finite = np.isfinite(estimates).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -365,6 +379,16 @@ def unpack_mlp_weights(packed, image_shape=None, target: str = "probs") -> MlpPr
     )
 
 
+def _checked_fit_args(hidden, epochs, lr, seed, target: str) -> tuple[int, int, float, int]:
+    """``fit_mlp``'s training arguments, checked: ``hidden`` >= 1, ``epochs`` >= 0, ``lr`` > 0, ``target``."""
+    hidden = checked_count("hidden", hidden, 1)
+    epochs = checked_count("epochs", epochs, 0)
+    if not (np.isfinite(checked_real("lr", lr)) and lr > 0):
+        raise InvalidInputError(f"lr must be finite and > 0, got {lr}")
+    _check_target(target)
+    return hidden, epochs, lr, checked_count("seed", seed, 0)
+
+
 def fit_mlp(
     images,
     labels,
@@ -379,8 +403,8 @@ def fit_mlp(
     Plain cross-entropy descent, deterministic given the seed. ``images`` is
     a finite (N, C, H, W) stack (or a sequence of (C, H, W) images) and
     ``labels`` N integer classes >= 0, the largest >= 1 (it sets K - 1);
-    ``hidden`` must be an int >= 1, ``epochs`` an int >= 0 and ``lr`` finite
-    and > 0.
+    ``hidden`` must be an int >= 1, ``epochs`` an int >= 0, ``lr`` finite
+    and > 0 and ``target`` 'logits' or 'probs'.
     Inputs are checked before any random draw and raise InvalidInputError.
 
     The loop trains the pre-activations Z = X W1^T (X the (N, D) flattened
@@ -400,11 +424,7 @@ def fit_mlp(
         )
     if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
         raise InvalidInputError("labels must be integers >= 0")
-    hidden = checked_count("hidden", hidden, 1)
-    epochs = checked_count("epochs", epochs, 0)
-    if not (np.isfinite(lr) and lr > 0):
-        raise InvalidInputError(f"lr must be finite and > 0, got {lr}")
-    seed = checked_count("seed", seed, 0)
+    hidden, epochs, lr, seed = _checked_fit_args(hidden, epochs, lr, seed, target)
     image_shape = images.shape[1:]
     n_classes = int(labels.max()) + 1
     if n_classes < 2:
@@ -452,8 +472,10 @@ def train_blob_mlp(
     """Fit the built-in MLP to a fresh synthetic blob dataset.
 
     Deterministic given the seed. Returns (predictor, images, labels) so
-    callers can reuse the training data as a desk-scale dataset.
+    callers can reuse the training data as a desk-scale dataset. The training
+    arguments are checked as ``fit_mlp`` checks them, before any blob is drawn.
     """
+    _checked_fit_args(hidden, epochs, lr, seed, target)
     images, labels = make_blobs(image_shape, n_classes, n_per_class, seed=seed)
     predictor = fit_mlp(images, labels, hidden, epochs, lr, seed=seed, target=target)
     return predictor, images, labels

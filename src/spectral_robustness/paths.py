@@ -91,9 +91,18 @@ def _half_spectra(x0, x1, rho: float, mode: str):
 
 
 def _lerp(x0: np.ndarray, x1: np.ndarray, t: int) -> InterpolationPath:
+    """(1 - lambda) * x0 + lambda * x1, written chunk by chunk of steps into one output.
+
+    The chunks are ``chunk_slices``', run on one thread: threaded, the lerp
+    ran slower. Each chunk needs one temporary of its own size.
+    """
     lambdas = _lambda_grid(t)
-    lam = lambdas[:, None, None, None]
-    images = (1.0 - lam) * x0[None] + lam * x1[None]
+    images = np.empty((t,) + x0.shape)
+    for steps in chunk_slices(t, x0.size):
+        lam = lambdas[steps, None, None, None]
+        out = images[steps]
+        np.multiply(1.0 - lam, x0, out=out)
+        out += lam * x1
     return InterpolationPath(images=images, lambdas=lambdas)
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateFitError, InvalidInputError, checked_count
+from .errors import DegenerateFitError, InvalidInputError, checked_count, checked_real
 
 PROBIT_EPS = 1e-6
 ID_ACCURACY = "ID accuracy"
@@ -48,7 +48,7 @@ class MetricRecord:
     def __post_init__(self):
         if self.value_kind not in ("accuracy", "raw"):
             raise InvalidInputError(f"unknown value_kind {self.value_kind!r}")
-        if not np.isfinite(self.value):
+        if not np.isfinite(checked_real(f"metric {self.metric_name!r}", self.value)):
             raise InvalidInputError(f"metric {self.metric_name!r} must be finite, got {self.value}")
         if self.value_kind == "accuracy" and not 0.0 <= self.value <= 1.0:
             raise InvalidInputError(

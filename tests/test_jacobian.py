@@ -17,12 +17,14 @@ from spectral_robustness import (
 )
 from spectral_robustness.jacobian import (
     DEFAULT_FD_EPS,
-    _sign_bits,
+    _step_table,
     _unit_rows,
     pack_mlp_weights,
     softmax,
     unpack_mlp_weights,
 )
+from spectral_robustness import jacobian
+from spectral_robustness.path_metrics import summarize_gaussian
 
 
 def random_linear(seed, k=10, d=50, target="logits"):
@@ -95,14 +97,14 @@ class TestLinearPredictorVjp:
             LinearPredictor(**params)
 
 
-def random_mlp(seed, hidden=7, d=12, k=4, target="probs"):
+def random_mlp(seed, hidden=7, d=12, k=4, target="probs", image_shape=None):
     rng = np.random.default_rng(seed)
     return MlpPredictor(
         rng.normal(size=(hidden, d)),
         rng.normal(size=hidden),
         rng.normal(size=(k, hidden)),
         rng.normal(size=k),
-        image_shape=(1, 3, d // 3),
+        image_shape=image_shape or (1, 3, d // 3),
         target=target,
     )
 
@@ -114,10 +116,29 @@ def central_difference(predictor, x, u, eps):
     return (plus - minus) / (2.0 * eps)
 
 
+def sign_bits(rng, n, d):
+    """(n, d) bits, the first n*d of ``rng.bytes`` most significant first; a 1 marks a -1 sign."""
+    raw = np.frombuffer(rng.bytes(-(-n * d // 8)), dtype=np.uint8)
+    return np.unpackbits(raw, count=n * d).reshape(n, d)
+
+
 def sign_directions(rng, n, image_shape):
     """The estimator's finite-difference directions s / sqrt(D), s in {-1, +1}^D, as images."""
     d = int(np.prod(image_shape))
-    return ((1.0 - 2.0 * _sign_bits(rng, n, d)) / np.sqrt(d)).reshape((n,) + tuple(image_shape))
+    return ((1.0 - 2.0 * sign_bits(rng, n, d)) / np.sqrt(d)).reshape((n,) + tuple(image_shape))
+
+
+def kept_batches(predictor_fn, n_outputs, batch, n_proj, seed):
+    """Every batch a black-box predictor is handed during one finite-difference estimate."""
+    kept = []
+
+    def fn(b):
+        kept.append(b)
+        return predictor_fn(b)
+
+    predictor = CallablePredictor(fn, n_outputs, batch.shape[1:])
+    estimate_jacobian_norm(predictor, batch, JacobianConfig(n_proj, len(batch), seed=seed))
+    return kept
 
 
 def mlp_coverage_hits(n_classes, black_box, reps=100):
@@ -286,32 +307,84 @@ class TestEstimateJacobianNorm:
         assert est.frobenius_norm == pytest.approx(np.sqrt(np.mean(per_direction)), rel=1e-9)
 
     def test_sign_directions_are_uniform_signs(self):
-        bits = _sign_bits(np.random.default_rng(45), 40, 1000)
-        assert bits.shape == (40, 1000)
-        assert set(np.unique(bits)) == {0, 1}
-        # 40,000 fair bits: the count of ones is within 5 standard deviations of 20,000.
-        assert abs(int(bits.sum()) - 20000) < 5 * 100
-        # Rows come from consecutive bits of one stream, with no reuse across rows.
-        again = _sign_bits(np.random.default_rng(45), 80, 500).reshape(40, 1000)
-        assert np.array_equal(bits, again)
+        # Zero images: each perturbed image is +-eps * u, so its signs are the directions'.
+        zeros = np.zeros((2, 1, 1, 1000))
+        kept = kept_batches(lambda b: b.reshape(len(b), -1)[:, :2], 2, zeros, 20, seed=45)
+        ups = np.concatenate([b[:20] for b in kept]).reshape(40, 1000)
+        step = DEFAULT_FD_EPS * (1.0 / np.sqrt(1000))
+        assert set(np.unique(ups)) == {-step, step}
+        # 40,000 fair signs: the count of minus signs is within 5 standard deviations of 20,000.
+        assert abs(int(np.sum(ups < 0)) - 20000) < 5 * 100
+        # Samples take consecutive bits of one stream, with no reuse across samples.
+        (once,) = kept_batches(lambda b: b.reshape(len(b), -1)[:, :2], 2, zeros[:1], 40, seed=45)
+        assert np.array_equal(ups, once[:40].reshape(40, 1000))
 
-    def test_fd_batches_are_fresh_and_hold_the_perturbations(self):
-        mlp = random_mlp(46, hidden=5, d=12, k=3)
-        kept = []
+    def test_step_table_rows_follow_the_bits_of_their_byte(self):
+        table = _step_table(0.25)
+        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+        assert table.shape == (256, 8)
+        assert np.array_equal(table, 0.25 - 0.5 * bits)
 
-        def fn(batch):
-            kept.append(batch)
-            return mlp.predict(batch)
-
-        predictor = CallablePredictor(fn, 3, (1, 3, 4))
-        batch = np.random.default_rng(47).normal(size=(4, 1, 3, 4))
+    @pytest.mark.parametrize(
+        "image_shape, n_proj",
+        [((1, 3, 4), 3), ((1, 2, 4), 3), ((2, 4, 4), 2), ((1, 3, 4), 1), ((3, 5, 7), 1),
+         ((1, 1, 1), 3), ((1, 1, 2), 1)],
+        ids=["pd36", "pd24", "pd64", "one-projection", "one-projection-pd105", "pd3", "pd2"],
+    )
+    def test_fd_batches_are_fresh_and_hold_the_perturbations(self, image_shape, n_proj):
+        d = int(np.prod(image_shape))
+        mlp = random_mlp(46, hidden=5, d=d, k=3, image_shape=image_shape)
+        batch = np.random.default_rng(47).normal(size=(4,) + image_shape)
         eps = DEFAULT_FD_EPS
-        estimate_jacobian_norm(predictor, batch, JacobianConfig(3, 4, seed=48))
+        kept = kept_batches(mlp.predict, 3, batch, n_proj, seed=48)
         assert len(kept) == 4
+        assert len({id(seen) for seen in kept}) == 4
         rng = np.random.default_rng(48)
         for x, seen in zip(batch, kept):
-            us = sign_directions(rng, 3, x.shape)
+            us = sign_directions(rng, n_proj, x.shape)
             assert np.array_equal(seen, np.concatenate([x + eps * us, x - eps * us]))
+
+    def test_fd_reads_each_output_before_predict_reuses_its_buffer(self):
+        mlp = random_mlp(52, hidden=6, d=12, k=3)
+        buffer = np.empty((8, 3))
+
+        def reused(batch):
+            buffer[...] = mlp.predict(batch)
+            return buffer
+
+        batch = np.random.default_rng(53).normal(size=(5, 1, 3, 4))
+        config = JacobianConfig(4, 5, seed=54)
+        fresh = estimate_jacobian_norm(CallablePredictor(mlp.predict, 3, (1, 3, 4)), batch, config)
+        again = estimate_jacobian_norm(CallablePredictor(reused, 3, (1, 3, 4)), batch, config)
+        assert again == fresh
+
+    def test_fd_keeps_a_float32_predict_in_float32(self):
+        mlp = random_mlp(49, hidden=6, d=12, k=3)
+
+        class Float32Predictor(Predictor):
+            n_outputs = 3
+
+            def predict(self, batch):
+                return mlp.predict(batch).astype(np.float32)
+
+        batch = np.random.default_rng(50).normal(size=(6, 1, 3, 4))
+        est = estimate_jacobian_norm(Float32Predictor(), batch, JacobianConfig(4, 6, seed=51))
+        per_sample, wide = [], []
+        rng = np.random.default_rng(51)
+        for x in batch:
+            us = sign_directions(rng, 4, x.shape)
+            steps = DEFAULT_FD_EPS * us
+            out = Float32Predictor().predict(np.concatenate([x + steps, x - steps]))
+            ju = (out[:4] - out[4:]) / (2.0 * DEFAULT_FD_EPS)
+            per_sample.append(12 * np.sum(ju * ju, axis=1))
+            ju = (out[:4].astype(np.float64) - out[4:]) / (2.0 * DEFAULT_FD_EPS)
+            wide.append(12 * np.sum(ju * ju, axis=1))
+        assert per_sample[0].dtype == np.float32
+        want = summarize_gaussian(np.concatenate(per_sample).astype(np.float64))
+        assert est.frobenius_norm == np.sqrt(want.mean)
+        assert (est.ci95_low, est.ci95_high) == (np.sqrt(max(want.ci95_low, 0.0)), np.sqrt(want.ci95_high))
+        # The pin is sharp: float64 arithmetic on the same outputs gives another estimate.
+        assert np.sqrt(summarize_gaussian(np.concatenate(wide)).mean) != est.frobenius_norm
 
     def test_fd_makes_one_predict_call_per_sample(self):
         w = np.random.default_rng(43).normal(size=(3, 16))
@@ -600,6 +673,8 @@ class TestBuiltinMlp:
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": 0.0}, "lr must be finite and > 0"),
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": np.inf}, "lr must be finite and > 0"),
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": np.nan}, "lr must be finite and > 0"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"lr": True}, "lr must be a real number, got True"),
+            (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"target": "scores"}, "target must be 'logits' or"),
             (np.zeros((4, 1, 1, 4)), [0, 0, 0, 0], {}, "need at least 2 classes"),
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"seed": -1}, "seed must be an int >= 0, got -1"),
             (np.zeros((4, 1, 1, 4)), [0, 1, 0, 1], {"seed": 2.5}, "seed must be an int >= 0, got 2.5"),
@@ -607,7 +682,7 @@ class TestBuiltinMlp:
         ],
         ids=["nan-images", "empty-stack", "float-labels", "negative-label", "label-count",
              "hidden-0", "negative-epochs", "float-hidden", "bool-hidden", "numpy-float-hidden",
-             "float-epochs", "zero-lr", "infinite-lr", "nan-lr", "one-class",
+             "float-epochs", "zero-lr", "infinite-lr", "nan-lr", "bool-lr", "unknown-target", "one-class",
              "negative-seed", "float-seed", "bool-seed"],
     )
     def test_invalid_input_rejected_before_any_draw(self, monkeypatch, images, labels, kwargs, message):
@@ -625,12 +700,21 @@ class TestBuiltinMlp:
             ({"hidden": True}, "hidden must be an int >= 1, got True"),
             ({"epochs": 2.5}, "epochs must be an int >= 0, got 2.5"),
             ({"epochs": -1}, "epochs must be an int >= 0, got -1"),
+            ({"lr": 0}, "lr must be finite and > 0, got 0"),
+            ({"lr": True}, "lr must be a real number, got True"),
+            ({"lr": "0.5"}, "lr must be a real number, got '0.5'"),
+            ({"seed": -1}, "seed must be an int >= 0, got -1"),
+            ({"target": "scores"}, "target must be 'logits' or 'probs', got 'scores'"),
         ],
-        ids=["float-hidden", "bool-hidden", "float-epochs", "negative-epochs"],
+        ids=["float-hidden", "bool-hidden", "float-epochs", "negative-epochs", "zero-lr", "bool-lr",
+             "str-lr", "negative-seed", "unknown-target"],
     )
-    def test_train_blob_mlp_follows_the_count_rule(self, kwargs, message):
+    def test_train_blob_mlp_checks_before_drawing_blobs(self, monkeypatch, kwargs, message):
+        drawn = []
+        monkeypatch.setattr(jacobian, "make_blobs", lambda *a, **kw: drawn.append(a))
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             train_blob_mlp(**kwargs)
+        assert drawn == []
 
     def test_fits_the_blobs(self):
         predictor, images, labels = train_blob_mlp(seed=22)

@@ -347,6 +347,12 @@ class TestPixelPath:
         path = pixel_path(x0, x1, t=5)
         assert np.array_equal(path.images[1], 0.75 * x0 + 0.25 * x1)
 
+    @pytest.mark.parametrize("t", [2, 100, 1000])
+    def test_peak_memory_is_the_output_one_chunk_and_a_few_images(self, traced_peak, t):
+        x0, x1 = cifar_pair(13)
+        path, peak = traced_peak(lambda: pixel_path(x0, x1, t))
+        assert peak <= path.images.nbytes + 8 * spectral._CHUNK_PIXELS + 4 * x0.nbytes
+
     def test_lambda_grid_and_endpoints(self):
         x0, x1 = cifar_pair(12)
         path = pixel_path(x0, x1, t=5)

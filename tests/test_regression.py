@@ -76,6 +76,20 @@ class TestMetricRecord:
         with pytest.raises(InvalidInputError, match="'hff' must be finite"):
             MetricRecord("m0", "hff", value, kind)
 
+    @pytest.mark.parametrize("kind", ["raw", "accuracy"])
+    @pytest.mark.parametrize(
+        "value", [True, np.bool_(False), "1.5", None, 0.5 + 0j, np.array(0.5)],
+        ids=["bool", "numpy-bool", "str", "none", "complex", "0d-array"],
+    )
+    def test_non_real_value_rejected(self, kind, value):
+        message = f"metric 'hff' must be a real number, got {value!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            MetricRecord("m0", "hff", value, kind)
+
+    @pytest.mark.parametrize("value", [1, np.int64(0), 0.25, np.float32(0.5)], ids=repr)
+    def test_real_values_are_kept(self, value):
+        assert MetricRecord("m0", "acc", value, "accuracy").value is value
+
 
 class TestClopperPearson:
     def test_zero_successes_closed_form(self):
