@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidInputError, checked_count
+from .errors import InvalidInputError, checked_count, checked_real
 from .spectral import chunk_slices, image_stack, run_chunks, stream_at
 
 CORRUPTION_KINDS = (
@@ -55,7 +55,7 @@ class CorruptionSpec:
         self.seed = checked_count("seed", self.seed, 0)
         if self.kind not in CORRUPTION_KINDS:
             raise InvalidInputError(f"unknown corruption kind {self.kind!r}")
-        if not np.isfinite(self.param):
+        if not np.isfinite(checked_real("param", self.param)):
             raise InvalidInputError("corruption param must be finite")
         if self.kind == "gaussian_noise" and self.param < 0:
             raise InvalidInputError("noise std must be >= 0")

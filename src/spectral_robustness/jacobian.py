@@ -21,6 +21,12 @@ perturbed batches and estimates, bit for bit, as unpacking the bits and
 reducing each sample as it arrives. The K-dimensional cotangents stay on
 the sphere: at K = 2 with softmax outputs, sign cotangents would double
 each projection's variance.
+
+The built-in predictors' forward passes add the bias, apply tanh and take
+the softmax in place on the arrays their products return, and ``fit_mlp``
+writes every (N, hidden) and (N, K) value of an epoch into buffers
+allocated once per call. The operations and their order are those of the
+plain formulas, so outputs, estimates and fitted weights keep their bytes.
 """
 
 from __future__ import annotations
@@ -61,10 +67,18 @@ class JacobianEstimate:
     method: str  # "vjp" or "fd"
 
 
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of a float ``z``, in place; returns ``z``."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, in one new float array."""
+    z = np.asarray(z)
+    return _softmax_rows(z.astype(np.result_type(z, 1.0)))
 
 
 class Predictor:
@@ -119,8 +133,9 @@ def _sq_row_norms(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 class _FirstLayerPredictor(Predictor):
     """A built-in predictor whose first layer multiplies flattened images by ``first_weights``.
 
-    Subclasses supply the forward pass ``_forward(flat) -> (state, logits)``
-    and ``_pullback(state, g)``, which takes (B, P, K) cotangents at the
+    Subclasses supply the forward pass ``_forward(flat) -> (state, logits)``,
+    whose logits are a new array that the softmax overwrites, and
+    ``_pullback(state, g)``, which takes (B, P, K) cotangents at the
     logits back to the first layer's outputs; the input gradient is then
     that cotangent times ``first_weights``.
     """
@@ -138,13 +153,13 @@ class _FirstLayerPredictor(Predictor):
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
         _, z = self._forward(np.asarray(batch, dtype=np.float64).reshape(len(batch), -1))
-        return softmax(z) if self.target == "probs" else z
+        return _softmax_rows(z) if self.target == "probs" else z
 
     def _first_layer_cotangents(self, batch, vs) -> np.ndarray:
         state, z = self._forward(np.asarray(batch, dtype=np.float64).reshape(len(batch), -1))
         vs = np.asarray(vs, dtype=np.float64)
         if self.target == "probs":
-            vs = _probs_cotangents(softmax(z), vs)
+            vs = _probs_cotangents(_softmax_rows(z), vs)
         return self._pullback(state, vs)
 
     def vjp(self, x, v) -> np.ndarray:
@@ -174,7 +189,9 @@ class LinearPredictor(_FirstLayerPredictor):
         super().__init__(self.weights, k, image_shape, target)
 
     def _forward(self, flat):
-        return None, flat @ self.weights.T + self.bias
+        z = flat @ self.weights.T
+        z += self.bias
+        return None, z
 
     def _pullback(self, state, g):
         return g
@@ -198,12 +215,20 @@ class MlpPredictor(_FirstLayerPredictor):
         super().__init__(self.w1, k, image_shape, target)
 
     def _forward(self, flat):
-        h = np.tanh(flat @ self.w1.T + self.b1)
-        return h, h @ self.w2.T + self.b2
+        h = flat @ self.w1.T
+        h += self.b1
+        np.tanh(h, out=h)
+        z = h @ self.w2.T
+        z += self.b2
+        return h, z
 
     def _pullback(self, h, g):
         """Cotangents at the pre-activations W1 x + b1."""
-        return (g @ self.w2) * (1.0 - h**2)[:, None, :]
+        slope = np.multiply(h, h)
+        np.subtract(1.0, slope, out=slope)
+        g = g @ self.w2
+        g *= slope[:, None, :]
+        return g
 
 
 class CallablePredictor(Predictor):
@@ -441,20 +466,31 @@ def fit_mlp(
     z = flat @ w1.T
     gram = flat @ flat.T if n <= d else None
     dh_sum = np.zeros((n, hidden))
+    # Buffers for every (N, hidden) and (N, K) value of an epoch.
+    hid, dh, slope, z_step = (np.empty((n, hidden)) for _ in range(4))
+    dz = np.empty((n, n_classes))
     for _ in range(epochs):
-        hid = np.tanh(z + b1)
-        probs = softmax(hid @ w2.T + b2)
-        dz = (probs - onehot) / n  # cross-entropy + softmax gradient
+        np.tanh(np.add(z, b1, out=hid), out=hid)
+        _softmax_rows(np.add(np.matmul(hid, w2.T, out=dz), b2, out=dz))
+        dz -= onehot
+        dz /= n  # cross-entropy + softmax gradient
         gw2 = dz.T @ hid
         gb2 = dz.sum(axis=0)
-        dh = (dz @ w2) * (1.0 - hid**2)
+        np.matmul(dz, w2, out=dh)
+        np.subtract(1.0, np.multiply(hid, hid, out=slope), out=slope)
+        dh *= slope
         gb1 = dh.sum(axis=0)
-        w2 -= lr * gw2
-        b2 -= lr * gb2
-        b1 -= lr * gb1
-        z -= lr * (gram @ dh if gram is not None else flat @ (flat.T @ dh))
+        w2 -= np.multiply(lr, gw2, out=gw2)
+        b2 -= np.multiply(lr, gb2, out=gb2)
+        b1 -= np.multiply(lr, gb1, out=gb1)
+        if gram is not None:
+            np.matmul(gram, dh, out=z_step)
+        else:
+            np.matmul(flat, flat.T @ dh, out=z_step)
+        z -= np.multiply(lr, z_step, out=z_step)
         dh_sum += dh
-    w1 -= lr * (dh_sum.T @ flat)
+    w1_step = dh_sum.T @ flat
+    w1 -= np.multiply(lr, w1_step, out=w1_step)
 
     return MlpPredictor(w1, b1, w2, b2, image_shape=image_shape, target=target)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, checked_count
+from .errors import InvalidInputError, checked_count, checked_real
 from .spectral import (
     chunk_slices, decompose, image_stack, irfft2, mirror_half_grid, radial_mask, rfft2, run_chunks
 )
@@ -49,7 +49,7 @@ class PathSpec:
             raise InvalidInputError("source and target must differ")
         self.steps = checked_count("steps", self.steps, 2)
         self.seed = checked_count("seed", self.seed, 0)
-        if not 0.0 <= self.cutoff <= 1.0:
+        if not 0.0 <= checked_real("cutoff", self.cutoff) <= 1.0:
             raise InvalidInputError(f"cutoff must be in [0, 1], got {self.cutoff}")
 
 
@@ -209,6 +209,7 @@ def sample_path_specs(
     n = labels.shape[0]
     n_paths = checked_count("n_paths", n_paths, 1)
     seed = checked_count("seed", seed, 0)
+    rho = checked_real("rho", rho)
     if n < 2:
         raise InvalidInputError("dataset must contain at least 2 items")
 

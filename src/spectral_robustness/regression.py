@@ -106,7 +106,7 @@ def _checked_counts(correct, total, owner: str) -> tuple[int, int]:
 def clopper_pearson(correct: int, total: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact binomial CI from Beta quantiles; closed at 0 and 1 for edge counts."""
     correct, total = _checked_counts(correct, total, "")
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < checked_real("alpha", alpha) < 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
     # betaincinv(a, b, q) is the Beta(a, b) quantile at q.
     low = (

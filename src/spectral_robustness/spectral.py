@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import scipy.fft
 
-from .errors import InvalidInputError, checked_count
+from .errors import InvalidInputError, checked_count, checked_real
 
 # Every threaded kernel works on chunks of items of about this many float64
 # pixels (21 CIFAR images or path steps), so a chunk's temporaries stay in
@@ -169,7 +169,7 @@ def radial_mask(h: int, w: int, rho: float) -> RadialMask:
 
     rho = 0 keeps only DC; rho = 1 keeps all h*w bins.
     """
-    if not 0.0 <= rho <= 1.0:
+    if not 0.0 <= checked_real("rho", rho) <= 1.0:
         raise InvalidInputError(f"rho must be in [0, 1], got {rho}")
     return RadialMask(included=normalized_radius(h, w) <= rho, rho=float(rho))
 

@@ -6,14 +6,16 @@ amplitude falling off as 1/r^slope in expectation) for shift-PSD experiments.
 Power-law images are synthesized in chunks of ``spectral.chunk_slices`` on up
 to one thread per CPU (at most 4), each chunk drawing from a copy of the one
 phase stream advanced to its first image, so the output does not depend on
-the thread count.
+the thread count. Blob images are drawn on one thread straight into the
+output, and both generators scale to unit std without a full-size
+temporary, so a call's peak memory is its output plus a few chunks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, checked_count
+from .errors import InvalidInputError, checked_count, checked_real
 from .spectral import chunk_slices, normalized_radius, run_chunks, stream_at
 
 # Unit-std scaling sums runs of at most this many values at once.
@@ -42,15 +44,22 @@ def _pairwise_sum(flat: np.ndarray, leaf_sum) -> np.float64:
     return _pairwise_sum(flat[:n2], leaf_sum) + _pairwise_sum(flat[n2:], leaf_sum)
 
 
-def _divide_by_std(images: np.ndarray) -> None:
+def _divide_by_std(images: np.ndarray, center: bool = False) -> None:
     """Scale a C-contiguous ``images`` in place to unit std; raise if the data overflowed.
 
     The std is ``images.std()`` bit for bit: the mean and the sum of squared
     deviations follow numpy's pairwise tree (``_pairwise_sum``), and the
     deviations are formed one leaf at a time, so no full-size temporary is made.
+    With ``center`` the images are first shifted to zero mean, as
+    ``images -= images.mean()`` would shift them, each leaf in the pass that
+    sums it for the std's own mean.
     """
     flat = images.reshape(-1)
     scratch = np.empty(min(flat.size, _STD_LEAF_VALUES))
+
+    def centered_sum(run: np.ndarray) -> np.float64:
+        run -= shift
+        return np.add.reduce(run)
 
     def squared_deviations(run: np.ndarray) -> np.float64:
         dev = scratch[: len(run)]
@@ -59,7 +68,9 @@ def _divide_by_std(images: np.ndarray) -> None:
         return np.add.reduce(dev)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = _pairwise_sum(flat, np.add.reduce) / flat.size
+        if center:
+            shift = _pairwise_sum(flat, np.add.reduce) / flat.size
+        mean = _pairwise_sum(flat, centered_sum if center else np.add.reduce) / flat.size
         std = np.sqrt(_pairwise_sum(flat, squared_deviations) / flat.size)
     if not (np.isfinite(std) and std > 0):
         raise InvalidInputError(f"generated images have std {std}; the arguments leave float64 range")
@@ -76,37 +87,49 @@ def make_blobs(
     """Gaussian-bump class templates plus pixel noise, scaled to zero mean and unit std.
 
     Returns (images, labels) with images of shape (n_classes*n_per_class, C, H, W).
+    Class k's rows are template_k * scale + normal(0, noise) per image, with
+    scales uniform on [0.8, 1.2), all drawn from ``default_rng([seed, 7])``.
+    The noise is drawn with ``standard_normal(out=...)`` straight into the
+    output, a ``spectral.chunk_slices`` chunk of rows at a time, and scaled
+    there; template * scale goes through one chunk-sized buffer. The stack is
+    then ``images -= images.mean()`` and ``images /= images.std()`` bit for
+    bit, so peak memory is the output, one chunk and the std's scratch.
     """
     c, h, w = _checked_shape(image_shape)
     n_classes = checked_count("n_classes", n_classes, 2)
     n_per_class = checked_count("n_per_class", n_per_class, 1)
-    if not (np.isfinite(noise) and noise >= 0):
+    if not (np.isfinite(checked_real("noise", noise)) and noise >= 0):
         raise InvalidInputError(f"noise must be finite and >= 0, got {noise}")
     seed = checked_count("seed", seed, 0)
     rng = np.random.default_rng([seed, 7])
     ys, xs = np.mgrid[0:h, 0:w]
-    templates = []
+    bumps = []
     for k in range(n_classes):
         cy = rng.uniform(0.25 * h, 0.75 * h)
         cx = rng.uniform(0.25 * w, 0.75 * w)
         width = rng.uniform(0.12, 0.25) * min(h, w)
         bump = np.exp(-(((ys - cy) ** 2 + (xs - cx) ** 2) / (2.0 * width**2)))
-        sign = 1.0 if k % 2 == 0 else -1.0
-        templates.append(sign * np.tile(bump, (c, 1, 1)))
+        # 0.0 - bump, not -bump: no template pixel is -0.0, so template * scale
+        # + noise * z below is numpy's template * scale + normal(0, noise) =
+        # template * scale + (0 + noise * z) bit for bit.
+        bumps.append(bump if k % 2 == 0 else 0.0 - bump)
 
     images = np.empty((n_classes * n_per_class, c, h, w))
-    labels = np.empty(n_classes * n_per_class, dtype=np.int64)
-    for k in range(n_classes):
-        lo = k * n_per_class
-        scale = rng.uniform(0.8, 1.2, size=(n_per_class, 1, 1, 1))
-        images[lo : lo + n_per_class] = templates[k][None] * scale + rng.normal(
-            0.0, noise, size=(n_per_class, c, h, w)
-        )
-        labels[lo : lo + n_per_class] = k
-
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
+    chunks = chunk_slices(n_per_class, c * h * w)
+    # template * scale for one chunk of rows, one channel: the channels share a template.
+    scaled = np.empty((chunks[0].stop, 1, h, w))
+    # A huge noise overflows to inf here, and the std below rejects it.
     with np.errstate(over="ignore", invalid="ignore"):
-        images -= images.mean()
-    _divide_by_std(images)
+        for k in range(n_classes):
+            scale = rng.uniform(0.8, 1.2, size=(n_per_class, 1, 1, 1))
+            lo = k * n_per_class
+            for rows in chunks:
+                block = images[lo + rows.start : lo + rows.stop]
+                rng.standard_normal(out=block)
+                block *= noise
+                block += np.multiply(bumps[k], scale[rows], out=scaled[: len(block)])
+    _divide_by_std(images, center=True)
     return images, labels
 
 
@@ -141,7 +164,7 @@ def powerlaw_images(
     n = checked_count("n", n, 1)
     if h < 2 or w < 2:
         raise InvalidInputError(f"power-law images need H, W >= 2, got {image_shape!r}")
-    if not np.isfinite(slope):
+    if not np.isfinite(checked_real("slope", slope)):
         raise InvalidInputError(f"slope must be finite, got {slope}")
     seed = checked_count("seed", seed, 0)
     r = normalized_radius(h, w)

@@ -635,6 +635,91 @@ GRAM_SIDES = [((3, 8, 8), 3, 15), ((1, 8, 8), 2, 100)]
 GRAM_SIDE_IDS = ["gram-n45-d192", "images-n200-d64"]
 
 
+def softmax_by_formula(z):
+    """Softmax as it first was: three new arrays."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def fit_by_formula(images, labels, hidden, epochs, lr, seed):
+    """``fit_mlp``'s loop with a new array for every value: the operations, in order, that it reuses buffers for."""
+    flat = images.reshape(len(images), -1)
+    n, d = flat.shape
+    k = int(labels.max()) + 1
+    rng = np.random.default_rng([seed, 13])
+    w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden, d))
+    b1 = np.zeros(hidden)
+    w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(k, hidden))
+    b2 = np.zeros(k)
+    onehot = np.eye(k)[labels]
+    z = flat @ w1.T
+    gram = flat @ flat.T if n <= d else None
+    dh_sum = np.zeros((n, hidden))
+    for _ in range(epochs):
+        hid = np.tanh(z + b1)
+        dz = (softmax_by_formula(hid @ w2.T + b2) - onehot) / n
+        dh = (dz @ w2) * (1.0 - hid**2)
+        w2 -= lr * (dz.T @ hid)
+        b2 -= lr * dz.sum(axis=0)
+        b1 -= lr * dh.sum(axis=0)
+        z -= lr * (gram @ dh if gram is not None else flat @ (flat.T @ dh))
+        dh_sum += dh
+    w1 -= lr * (dh_sum.T @ flat)
+    return w1, b1, w2, b2
+
+
+class TestBuffersKeepTheBytes:
+    """Reused buffers change no bit of the fitted weights, outputs or VJP norms."""
+
+    @pytest.mark.parametrize("target", ["probs", "logits"])
+    @pytest.mark.parametrize("shape, n_classes, n_per_class", GRAM_SIDES, ids=GRAM_SIDE_IDS)
+    def test_fit_mlp_equals_the_formula_loop(self, shape, n_classes, n_per_class, target):
+        images, labels = make_blobs(shape, n_classes, n_per_class, seed=31)
+        fitted = fit_mlp(images, labels, hidden=8, epochs=40, lr=0.7, seed=32, target=target)
+        want = fit_by_formula(images, labels, 8, 40, 0.7, 32)
+        for got, expected in zip((fitted.w1, fitted.b1, fitted.w2, fitted.b2), want):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            np.random.default_rng(1).normal(scale=30.0, size=(50, 10)),
+            np.random.default_rng(2).normal(size=7),
+            np.random.default_rng(3).normal(scale=800.0, size=(3, 4, 5)),
+            np.random.default_rng(4).normal(scale=10.0, size=(9, 3)).astype(np.float32),
+            np.array([[700.0, -745.0, 0.0], [-0.0, 0.0, -0.0]]),
+        ],
+        ids=["logits", "one-row", "three-axes", "float32", "extremes"],
+    )
+    def test_softmax_equals_the_formula(self, z):
+        got, want = softmax(z), softmax_by_formula(z)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("target", ["probs", "logits"])
+    def test_forward_passes_and_vjp_norms_equal_the_formula(self, target):
+        rng = np.random.default_rng(33)
+        mlp = MlpPredictor(rng.normal(size=(6, 12)), rng.normal(size=6), rng.normal(size=(4, 6)),
+                           rng.normal(size=4), image_shape=(3, 2, 2), target=target)
+        linear = LinearPredictor(rng.normal(size=(4, 12)), rng.normal(size=4), image_shape=(3, 2, 2),
+                                 target=target)
+        batch = rng.normal(scale=3.0, size=(9, 3, 2, 2))
+        vs = rng.normal(size=(9, 5, 4))
+        flat = batch.reshape(9, -1)
+        h = np.tanh(flat @ mlp.w1.T + mlp.b1)
+        for model, z, pullback in [
+            (mlp, h @ mlp.w2.T + mlp.b2, lambda g: (g @ mlp.w2) * (1.0 - h**2)[:, None, :]),
+            (linear, flat @ linear.weights.T + linear.bias, lambda g: g),
+        ]:
+            outputs, g = z, vs
+            if target == "probs":
+                outputs = softmax_by_formula(z)
+                g = jacobian._probs_cotangents(outputs, vs)
+            assert model.predict(batch).tobytes() == outputs.tobytes()
+            want = jacobian._sq_row_norms(pullback(g), model._first_weights)
+            assert model.sq_vjp_norms(batch, vs).tobytes() == want.tobytes()
+
+
 class TestBuiltinMlp:
     @pytest.mark.parametrize("shape, n_classes, n_per_class", GRAM_SIDES, ids=GRAM_SIDE_IDS)
     def test_training_is_deterministic(self, shape, n_classes, n_per_class):
