@@ -236,7 +236,7 @@ class CallablePredictor(Predictor):
 
     def __init__(self, fn, n_outputs: int, image_shape, target: str = "probs"):
         self.fn = fn
-        self.n_outputs = int(n_outputs)
+        self.n_outputs = checked_count("n_outputs", n_outputs, 1)
         self.image_shape = tuple(image_shape)
         self.target = _check_target(target)
 

@@ -45,10 +45,10 @@ class PathSpec:
             raise InvalidInputError(f"unknown path mode {self.mode!r}")
         if self.class_relation not in CLASS_RELATIONS:
             raise InvalidInputError(f"unknown class relation {self.class_relation!r}")
+        for name, least in (("source_index", 0), ("target_index", 0), ("steps", 2), ("seed", 0)):
+            setattr(self, name, checked_count(name, getattr(self, name), least))
         if self.source_index == self.target_index:
             raise InvalidInputError("source and target must differ")
-        self.steps = checked_count("steps", self.steps, 2)
-        self.seed = checked_count("seed", self.seed, 0)
         if not 0.0 <= checked_real("cutoff", self.cutoff) <= 1.0:
             raise InvalidInputError(f"cutoff must be in [0, 1], got {self.cutoff}")
 

@@ -6,8 +6,7 @@ same shape using the standard unnormalized DFT convention, so Parseval reads
 ``sum |X|^2 = H*W * sum |x|^2`` per channel.
 
 Every 2D transform in this package goes through ``rfft2`` and ``irfft2``
-here, the one place that picks the FFT backend (``scipy.fft``), except the
-``np.fft.ifft2`` of ``synthetic.powerlaw_images``.
+here, the one place that picks the FFT backend (``scipy.fft``).
 """
 
 from __future__ import annotations
@@ -108,21 +107,30 @@ def _full_grid(half: np.ndarray, w: int) -> np.ndarray:
     return full
 
 
+def self_conjugate_bins(h: int, w: int) -> tuple[np.ndarray, list[int]]:
+    """(rows, cols) of the bins of an H x W grid's half grid that are their own mirror (-u, -v).
+
+    They are rows 0 and H/2 of columns 0 and W/2, the halves only at even
+    sides. ``rows`` is a column, so ``values[..., rows, cols]`` picks every
+    such bin of a half grid.
+    """
+    return np.array([0] + [h // 2] * (h % 2 == 0))[:, None], [0] + [w // 2] * (w % 2 == 0)
+
+
 def mirror_half_grid(values: np.ndarray, w: int, sign: int) -> None:
     """Make columns 0 and W/2 of a half grid obey f(-k) = sign * f(k), in place.
 
     Those columns hold every row, and there the mirror (-u, -v) of bin (u, v)
     is (H - u, v): rows 0 < u < H - u are copied, times ``sign``, onto their
-    mirrors. With sign -1 the bins that are their own mirror (rows 0 and
-    H/2) are set to 0, the one value f(k) = -f(k) allows.
+    mirrors. With sign -1 the bins that are their own mirror
+    (``self_conjugate_bins``) are set to 0, the one value f(k) = -f(k) allows.
     """
     h = values.shape[-2]
+    own_rows, cols = self_conjugate_bins(h, w)
     rows = np.arange(1, (h + 1) // 2)[:, None]
-    cols = [0] + ([w // 2] if w % 2 == 0 else [])
     values[..., h - rows, cols] = sign * values[..., rows, cols]
     if sign < 0:
-        own_mirror = np.array([0] + ([h // 2] if h % 2 == 0 else []))[:, None]
-        values[..., own_mirror, cols] = 0.0
+        values[..., own_rows, cols] = 0.0
 
 
 def dft2(image) -> np.ndarray:

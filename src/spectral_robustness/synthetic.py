@@ -2,12 +2,14 @@
 
 Blob images give a trivially learnable classification task for the built-in
 predictors; power-law images mimic natural-image spectral statistics (Fourier
-amplitude falling off as 1/r^slope in expectation) for shift-PSD experiments.
-Power-law images are synthesized in chunks of ``spectral.chunk_slices`` on up
-to one thread per CPU (at most 4), each chunk drawing from a copy of the one
-phase stream advanced to its first image, so the output does not depend on
-the thread count. Blob images are drawn on one thread straight into the
-output, and both generators scale to unit std without a full-size
+amplitude falling off as 1/r^slope, in every bin of every image) for
+shift-PSD experiments. Power-law images are Hermitian half spectra inverted
+with ``spectral.irfft2``, synthesized in chunks of ``spectral.chunk_slices``
+on up to one thread per CPU (at most 4), each chunk drawing from a copy of
+the one phase stream advanced to its first image, so the output does not
+depend on the thread count; their amplitude fixes unit std by Parseval, with
+no pass over the output. Blob images are drawn on one thread straight into
+the output and centred and scaled to unit std without a full-size
 temporary, so a call's peak memory is its output plus a few chunks.
 """
 
@@ -16,16 +18,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, checked_count, checked_real
-from .spectral import chunk_slices, normalized_radius, run_chunks, stream_at
+from .spectral import chunk_slices, irfft2, mirror_half_grid, normalized_radius, run_chunks
+from .spectral import self_conjugate_bins, stream_at
 
-# Unit-std scaling sums runs of at most this many values at once.
+# ``make_blobs``' unit-std scaling sums runs of at most this many values at once.
 _STD_LEAF_VALUES = 1 << 15
 
 
 def _checked_shape(image_shape) -> tuple[int, int, int]:
-    if len(image_shape) != 3:
+    dims = () if isinstance(image_shape, (str, bytes)) or not np.iterable(image_shape) else tuple(image_shape)
+    if len(dims) != 3:
         raise InvalidInputError(f"image_shape must be three ints >= 1, got {image_shape!r}")
-    return tuple(checked_count(f"image_shape[{i}]", v, 1) for i, v in enumerate(image_shape))
+    return tuple(checked_count(f"image_shape[{i}]", v, 1) for i, v in enumerate(dims))
 
 
 def _pairwise_sum(flat: np.ndarray, leaf_sum) -> np.float64:
@@ -44,15 +48,14 @@ def _pairwise_sum(flat: np.ndarray, leaf_sum) -> np.float64:
     return _pairwise_sum(flat[:n2], leaf_sum) + _pairwise_sum(flat[n2:], leaf_sum)
 
 
-def _divide_by_std(images: np.ndarray, center: bool = False) -> None:
-    """Scale a C-contiguous ``images`` in place to unit std; raise if the data overflowed.
+def _divide_by_std(images: np.ndarray) -> None:
+    """Centre a C-contiguous ``images`` in place and scale it to unit std; raise if the data overflowed.
 
-    The std is ``images.std()`` bit for bit: the mean and the sum of squared
-    deviations follow numpy's pairwise tree (``_pairwise_sum``), and the
-    deviations are formed one leaf at a time, so no full-size temporary is made.
-    With ``center`` the images are first shifted to zero mean, as
-    ``images -= images.mean()`` would shift them, each leaf in the pass that
-    sums it for the std's own mean.
+    The result is ``images -= images.mean()`` then ``images /= images.std()``
+    bit for bit: the means and the sum of squared deviations follow numpy's
+    pairwise tree (``_pairwise_sum``), each leaf is shifted in the pass that
+    sums it for the std's own mean, and the deviations are formed one leaf
+    at a time, so no full-size temporary is made.
     """
     flat = images.reshape(-1)
     scratch = np.empty(min(flat.size, _STD_LEAF_VALUES))
@@ -68,9 +71,8 @@ def _divide_by_std(images: np.ndarray, center: bool = False) -> None:
         return np.add.reduce(dev)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if center:
-            shift = _pairwise_sum(flat, np.add.reduce) / flat.size
-        mean = _pairwise_sum(flat, centered_sum if center else np.add.reduce) / flat.size
+        shift = _pairwise_sum(flat, np.add.reduce) / flat.size
+        mean = _pairwise_sum(flat, centered_sum) / flat.size
         std = np.sqrt(_pairwise_sum(flat, squared_deviations) / flat.size)
     if not (np.isfinite(std) and std > 0):
         raise InvalidInputError(f"generated images have std {std}; the arguments leave float64 range")
@@ -129,7 +131,7 @@ def make_blobs(
                 rng.standard_normal(out=block)
                 block *= noise
                 block += np.multiply(bumps[k], scale[rows], out=scaled[: len(block)])
-    _divide_by_std(images, center=True)
+    _divide_by_std(images)
     return images, labels
 
 
@@ -139,26 +141,28 @@ def powerlaw_images(
     slope: float = 1.0,
     seed: int = 0,
 ) -> np.ndarray:
-    """Random-phase images whose expected Fourier amplitude falls off as 1/r^slope.
+    """Random-phase images whose Fourier amplitude is 1/r^slope in every bin of every image.
 
-    Returns a C-contiguous float64 ``(n, C, H, W)`` stack scaled to unit std.
-    Phases are uniform on [-pi, pi), drawn from one ``default_rng([seed, 11])``
-    stream in image order, so the first m images take the same phases whatever
-    ``n`` is.
+    Returns a C-contiguous float64 ``(n, C, H, W)`` stack. Each image channel
+    has the real Hermitian spectrum amp * exp(i phi): amp is 0 at DC and
+    (r / r0)^(-slope) elsewhere, for r0 the radius of its largest bin, so no
+    finite slope overflows, scaled to a Euclidean norm of H * W. By Parseval
+    every image channel then has mean 0 and variance 1, so the stack has unit
+    std with no pass over the output.
+
+    Phases are uniform on [-pi, pi), drawn on the ``spectral.rfft2`` half
+    grid, C * H * (W//2 + 1) per image, from one ``default_rng([seed, 11])``
+    stream in image order, so the first m images take the same phases
+    whatever ``n`` is. ``spectral.mirror_half_grid`` makes them odd, and a bin
+    that is its own mirror takes phase 0 or pi by the sign of its own draw.
     Images are synthesized a chunk of ``spectral.chunk_slices`` at a time
-    through ``spectral.run_chunks``, on up to 4 threads, each chunk writing
-    only its own rows of the preallocated output. ``uniform`` takes one 64-bit
-    output per value, so a chunk draws its phases from a copy of the stream
-    advanced to its first image (``spectral.stream_at``), and the stack is
-    bit-identical for any thread count and chunk size. The std is then summed
-    along numpy's pairwise tree a bounded run at a time, so peak memory is the
-    output and the spectra of up to 4 chunks in flight.
-
-    The random phases make the full spectrum non-Hermitian, and the image is
-    the real part of its inverse transform, which is not ``irfft2`` of its half
-    spectrum; so this generator keeps ``np.fft.ifft2`` and is the one 2-D
-    transform outside ``spectral.rfft2``/``irfft2``. A bin's amplitude is
-    amp * |cos(phi)| for a uniform phi, so 1/r^slope holds in expectation.
+    through ``spectral.run_chunks``, on up to 4 threads, each chunk inverting
+    its own spectra with ``spectral.irfft2`` into its own rows of the
+    output. ``uniform`` takes one 64-bit output per value, so a chunk draws
+    from a copy of the stream advanced to its first image
+    (``spectral.stream_at``), and the stack is bit-identical for any thread
+    count and chunk size. Peak memory is the output and the half spectra of
+    up to 4 chunks in flight.
     """
     c, h, w = _checked_shape(image_shape)
     n = checked_count("n", n, 1)
@@ -168,24 +172,21 @@ def powerlaw_images(
         raise InvalidInputError(f"slope must be finite, got {slope}")
     seed = checked_count("seed", seed, 0)
     r = normalized_radius(h, w)
-    amp = np.zeros_like(r)
-    nonzero = r > 0
-    with np.errstate(over="ignore"):
-        amp[nonzero] = r[nonzero] ** (-slope)
-    if not np.isfinite(amp).all():
-        raise InvalidInputError(f"slope {slope} overflows the amplitude at {h}x{w}")
-
+    amp = np.power(r / (r[r > 0].min() if slope > 0 else r.max()), -slope, out=np.zeros_like(r), where=r > 0)
+    amp = amp[:, : w // 2 + 1] * (h * w / np.linalg.norm(amp))
+    own_rows, own_cols = self_conjugate_bins(h, w)
     stream = np.random.default_rng([seed, 11]).bit_generator.state
     images = np.empty((n, c, h, w))
 
     def synthesize(rows: slice) -> None:
         out = images[rows]
-        spectra = 1j * stream_at(stream, rows.start * c * h * w).uniform(-np.pi, np.pi, size=out.shape)
-        np.exp(spectra, out=spectra)
+        phases = stream_at(stream, rows.start * c * amp.size).uniform(-np.pi, np.pi, (len(out), c) + amp.shape)
+        signed = np.copysign(amp[own_rows, own_cols], phases[..., own_rows, own_cols])
+        mirror_half_grid(phases, w, -1)
+        spectra = np.exp(1j * phases)
         spectra *= amp
-        out[...] = np.fft.ifft2(spectra, axes=(-2, -1)).real
+        spectra[..., own_rows, own_cols] = signed
+        out[...] = irfft2(spectra, (h, w))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        run_chunks(synthesize, chunk_slices(n, c * h * w))
-    _divide_by_std(images)
+    run_chunks(synthesize, chunk_slices(n, c * h * w))
     return images

@@ -1,9 +1,10 @@
-"""The real-argument rule at every float argument of the package."""
+"""The real-argument rule at every float argument, and the count and shape rules where they were missing."""
 
 import numpy as np
 import pytest
 
 from spectral_robustness import (
+    CallablePredictor,
     CorruptionSpec,
     InvalidInputError,
     PathSpec,
@@ -12,6 +13,7 @@ from spectral_robustness import (
     powerlaw_images,
     radial_mask,
     sample_path_specs,
+    train_blob_mlp,
 )
 
 # (argument name, call with the argument set to v)
@@ -40,3 +42,47 @@ def test_non_real_argument_rejected(name, call, value):
 @pytest.mark.parametrize("name, call", REAL_ARGUMENTS, ids=REAL_IDS)
 def test_numpy_reals_accepted(name, call, value):
     call(value)
+
+
+# (argument name, least value, call with the argument set to v)
+COUNT_ARGUMENTS = [
+    ("n_outputs", 1, lambda v: CallablePredictor(np.tanh, v, (1, 4, 4))),
+    ("source_index", 0, lambda v: PathSpec("pixel", v, 5, "between", 0.4, 10, 0)),
+    ("target_index", 0, lambda v: PathSpec("pixel", 5, v, "between", 0.4, 10, 0)),
+]
+
+
+@pytest.mark.parametrize("value", [1.5, True, "2", -1, None], ids=["float", "bool", "str", "negative", "None"])
+@pytest.mark.parametrize("name, least, call", COUNT_ARGUMENTS, ids=[name for name, _, _ in COUNT_ARGUMENTS])
+def test_non_count_argument_rejected(name, least, call, value):
+    with pytest.raises(InvalidInputError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be an int >= {least}, got {value!r}"
+
+
+def test_zero_outputs_rejected():
+    with pytest.raises(InvalidInputError, match="^n_outputs must be an int >= 1, got 0$"):
+        CallablePredictor(np.tanh, 0, (1, 4, 4))
+
+
+@pytest.mark.parametrize("value", [np.int32(3), np.int64(3)], ids=["int32", "int64"])
+def test_numpy_counts_stored_as_int(value):
+    spec = PathSpec("pixel", value, np.int64(0), "between", 0.4, 10, 0)
+    assert type(spec.source_index) is int and type(spec.target_index) is int
+    assert type(CallablePredictor(np.tanh, value, (1, 4, 4)).n_outputs) is int
+
+
+@pytest.mark.parametrize("image_shape", [5, None, "188", b"188", np.array(5)], ids=repr)
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda shape: powerlaw_images(shape, 2),
+        lambda shape: make_blobs(shape, 2, 2),
+        lambda shape: train_blob_mlp(image_shape=shape, n_per_class=2, epochs=1),
+    ],
+    ids=["powerlaw_images", "make_blobs", "train_blob_mlp"],
+)
+def test_non_sequence_image_shape_rejected(generate, image_shape):
+    with pytest.raises(InvalidInputError) as info:
+        generate(image_shape)
+    assert str(info.value) == f"image_shape must be three ints >= 1, got {image_shape!r}"

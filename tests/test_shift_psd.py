@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import weakref
@@ -599,39 +600,128 @@ class TestCorruptionBandOrdering:
         assert f.high == max(f.low, f.mid, f.high)
 
 
-def reference_powerlaw_images(image_shape, n, slope, seed):
-    """One-shot formula: every phase drawn at once, one full-size inverse FFT."""
-    c, h, w = image_shape
-    rng = np.random.default_rng([seed, 11])
+def blur_oracle(x, sigma):
+    """scipy's ``reflect`` blur as a DCT-II multiplier: eigenvalue sum_j g_j cos(pi k j / N) per side.
+
+    ``reflect`` is the half-sample symmetric extension, which the DCT-II
+    diagonalizes; g is the kernel truncated at radius ceil(3 sigma) and
+    normalised, and a radius past the side reflects more than once.
+    """
+    r = math.ceil(3.0 * sigma)
+    j = np.arange(-r, r + 1)
+    g = np.exp(-0.5 * (j / sigma) ** 2)
+    g /= g.sum()
+    lam_h, lam_w = (np.cos(np.pi * np.arange(n)[:, None] * j / n) @ g for n in x.shape[-2:])
+    coefficients = scipy.fft.dctn(x, axes=(-2, -1), norm="ortho") * lam_h[:, None] * lam_w
+    return scipy.fft.idctn(coefficients, axes=(-2, -1), norm="ortho")
+
+
+def block_average_matrix(n, factor):
+    """(n, n) matrix that replaces each run of ``factor`` values by its mean."""
+    i = np.arange(n)
+    return (i[:, None] // factor == i[None, :] // factor) / factor
+
+
+class TestClosedFormShiftMaps:
+    """The paired maps of blur, contrast and pixelate against their closed forms."""
+
+    @staticmethod
+    def assert_map_equals(images, spec, expected):
+        got = paired_shift_psd(images, corrupt_batch(images, spec)).power
+        assert np.abs(got - expected.power).max() <= 8 * np.spacing(got.max())
+
+    @pytest.mark.parametrize(
+        "image_shape, sigma",
+        [((3, 32, 32), 1.0), ((2, 9, 7), 0.8), ((2, 8, 6), 1.5), ((2, 5, 6), 2.5), ((1, 8, 8), 3.0)],
+        ids=["32x32", "odd", "even", "radius-8-past-both-sides", "radius-9-past-the-side"],
+    )
+    def test_blur_is_a_dct_multiplier(self, image_shape, sigma):
+        x = np.random.default_rng(1).normal(size=(20,) + image_shape)
+        self.assert_map_equals(x, CorruptionSpec("gaussian_blur", sigma), psd(blur_oracle(x, sigma) - x))
+
+    @pytest.mark.parametrize(
+        "image_shape, c", [((3, 32, 32), 0.5), ((2, 9, 7), 0.3), ((2, 8, 6), 1.7)], ids=["32x32", "odd", "even"]
+    )
+    def test_contrast_scales_the_mean_removed_psd(self, image_shape, c):
+        x = np.random.default_rng(2).normal(size=(20,) + image_shape)
+        mean_removed = psd(x - x.mean(axis=(2, 3), keepdims=True))
+        expected = PsdMap((1.0 - c) ** 2 * mean_removed.power, mean_removed.source_count)
+        self.assert_map_equals(x, CorruptionSpec("contrast", c), expected)
+
+    @pytest.mark.parametrize(
+        "image_shape, factor",
+        [((3, 32, 32), 2), ((2, 9, 6), 3), ((2, 8, 12), 4), ((1, 7, 7), 7)],
+        ids=["32x32", "odd-height", "even", "one-block"],
+    )
+    def test_pixelate_is_a_block_average(self, image_shape, factor):
+        x = np.random.default_rng(3).normal(size=(20,) + image_shape)
+        a_h, a_w = (block_average_matrix(n, factor) for n in image_shape[1:])
+        self.assert_map_equals(x, CorruptionSpec("pixelate", factor), psd(a_h @ x @ a_w.T - x))
+
+
+def reference_powerlaw_amplitude(h, w, slope):
+    """exp(-slope log r - max) off DC, 0 at DC, scaled to a Euclidean norm of H * W."""
     r = normalized_radius(h, w)
-    amp = np.zeros_like(r)
-    nonzero = r > 0
-    amp[nonzero] = r[nonzero] ** (-slope)
-    phases = rng.uniform(-np.pi, np.pi, size=(n, c, h, w))
-    spectra = amp[None, None] * np.exp(1j * phases)
-    images = np.fft.ifft2(spectra, axes=(-2, -1)).real
-    images /= images.std()
-    return images
+    log_amp = np.full((h, w), -np.inf)
+    log_amp[r > 0] = -slope * np.log(r[r > 0])
+    amp = np.exp(log_amp - log_amp.max())
+    return amp * (h * w / np.sqrt(np.sum(amp**2)))
+
+
+def reference_powerlaw_spectra(image_shape, n, slope, seed):
+    """One-shot formula: every half-grid phase drawn at once, the full Hermitian spectrum written out."""
+    c, h, w = image_shape
+    draws = np.random.default_rng([seed, 11]).uniform(-np.pi, np.pi, size=(n, c, h, w // 2 + 1))
+    u, v = np.arange(h)[:, None], np.arange(w)
+    mu, mv = -u % h, -v % w
+    # A bin takes its own draw where it leads its pair, on the half grid and
+    # with its mirror off it or in a later row; its mirror's draw, negated,
+    # where the mirror leads; and phase 0 or pi by its own draw's sign where
+    # it is its own mirror.
+    leads = (v <= w // 2) & ((mv > w // 2) | (u < mu))
+    own = (u == mu) & (v == mv)
+    own_draws = draws[..., u, np.minimum(v, w // 2)]
+    mirror_draws = draws[..., mu, np.minimum(mv, w // 2)]
+    phases = np.where(own, np.where(own_draws < 0, np.pi, 0.0), np.where(leads, own_draws, -mirror_draws))
+    return reference_powerlaw_amplitude(h, w, slope) * np.exp(1j * phases)
+
+
+@functools.cache
+def powerlaw_in_one_chunk(image_shape, n, slope, seed):
+    """``powerlaw_images`` with the whole stack in one chunk, on one thread."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_cpu_count", lambda: 1)
+        patch.setattr(spectral, "_CHUNK_PIXELS", n * math.prod(image_shape))
+        return powerlaw_images(image_shape, n, slope, seed)
+
+
+POWERLAW_STACKS = pytest.mark.parametrize(
+    "image_shape, n, slope, seed",
+    [
+        ((1, 32, 32), 1, 1.0, 0),  # a single image
+        ((1, 32, 32), 196, 1.0, 3),  # 4 default chunks, the last of 4 images
+        ((3, 32, 32), 200, 1.5, 5),  # not a multiple of the default chunk
+        ((1, 9, 7), 50, 0.5, 2),  # odd sides
+        ((3, 300, 300), 2, 1.0, 1),  # one image larger than a chunk
+    ],
+)
 
 
 class TestPowerlawImages:
+    @POWERLAW_STACKS
+    def test_one_chunk_matches_one_shot_formula(self, image_shape, n, slope, seed):
+        spectra = reference_powerlaw_spectra(image_shape, n, slope, seed)
+        images = powerlaw_in_one_chunk(image_shape, n, slope, seed)
+        assert np.abs(images - np.fft.ifft2(spectra).real).max() <= 1e-12
+
     # Each chunk draws from a copy of the phase stream advanced to its first
     # image, so neither the thread count nor the chunk size moves a bit.
     @pytest.mark.parametrize("cpus", [1, 2, 4, 7], ids=lambda cpus: f"{cpus}-cpus")
     @pytest.mark.parametrize(
         "chunk_images", [None, 1, 3, 0.5], ids=["default-chunk", "1-image", "3-images", "half-image"]
     )
-    @pytest.mark.parametrize(
-        "image_shape, n, slope, seed",
-        [
-            ((1, 32, 32), 1, 1.0, 0),  # a single image
-            ((1, 32, 32), 196, 1.0, 3),  # 4 default chunks, the last of 4 images
-            ((3, 32, 32), 200, 1.5, 5),  # not a multiple of the default chunk
-            ((1, 9, 7), 50, 0.5, 2),  # odd sides
-            ((3, 300, 300), 2, 1.0, 1),  # one image larger than a chunk
-        ],
-    )
-    def test_chunked_stack_matches_one_shot_formula(
+    @POWERLAW_STACKS
+    def test_chunked_stack_matches_one_chunk(
         self, monkeypatch, spawned_threads, cpus, chunk_images, image_shape, n, slope, seed
     ):
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
@@ -639,11 +729,39 @@ class TestPowerlawImages:
         if chunk_images is not None:
             monkeypatch.setattr(spectral, "_CHUNK_PIXELS", int(chunk_images * values))
         images = powerlaw_images(image_shape, n, slope, seed)
-        assert np.array_equal(images, reference_powerlaw_images(image_shape, n, slope, seed))
         assert images.flags.c_contiguous
         assert images.dtype == np.float64
         n_chunks = -(-n // max(1, spectral._CHUNK_PIXELS // values))
         assert bool(spawned_threads) is (cpus > 1 and n_chunks >= 4)
+        assert np.array_equal(images, powerlaw_in_one_chunk(image_shape, n, slope, seed))
+
+    # The slopes past 100 overflowed an r^-slope amplitude, its inverse FFT or
+    # the squares of a std pass.
+    @pytest.mark.parametrize("slope", [-3.0, 0.5, 1.0, 2.0, 150.0, 186.0, 400.0])
+    @pytest.mark.parametrize(
+        "image_shape", [(1, 32, 32), (3, 9, 7), (1, 8, 6), (2, 7, 7), (1, 2, 2), (1, 64, 64), (3, 300, 300)]
+    )
+    def test_every_image_has_the_amplitude(self, image_shape, slope):
+        images = powerlaw_images(image_shape, 3, slope, seed=4)
+        _, h, w = image_shape
+        amp = reference_powerlaw_amplitude(h, w, slope)
+        spectra = np.fft.fft2(images)
+        mirrored = np.conj(spectra[..., -np.arange(h) % h, :][..., -np.arange(w) % w])
+        assert np.abs(np.abs(spectra) - amp).max() <= 1e-12 * amp.max()
+        assert np.abs(spectra - mirrored).max() <= 1e-12 * amp.max()
+        assert np.abs(images.mean(axis=(2, 3))).max() <= 1e-12
+        assert abs(images.std() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("slope", [-np.finfo(np.float64).max, -1e300, 1e300, np.finfo(np.float64).max])
+    def test_extreme_slopes_give_unit_std_images(self, slope):
+        images = powerlaw_images((2, 9, 8), 3, slope)
+        assert np.all(np.isfinite(images))
+        assert np.abs(images.mean(axis=(2, 3))).max() <= 1e-12
+        assert abs(images.std() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("image_shape, n, m", [((3, 9, 7), 5, 3), ((1, 32, 32), 196, 50)])
+    def test_first_images_do_not_depend_on_n(self, image_shape, n, m):
+        assert np.array_equal(powerlaw_images(image_shape, n, seed=6)[:m], powerlaw_images(image_shape, m, seed=6))
 
     # More CPUs than run_chunks uses threads, so the bound holds on any host.
     @pytest.mark.parametrize("cpus", [None, 64], ids=["host-cpus", "64-cpus"])
@@ -662,6 +780,9 @@ class TestPowerlawImages:
             ((1, 8, 1), 4, 1.0),
             ((8, 8), 4, 1.0),
             ((1, 8.0, 8), 4, 1.0),
+            (5, 4, 1.0),
+            (None, 4, 1.0),
+            ("188", 4, 1.0),
             ((1, 8, 8), 0, 1.0),
             ((1, 8, 8), 2.5, 1.0),
             ((1, 8, 8), 2.0, 1.0),
@@ -669,7 +790,6 @@ class TestPowerlawImages:
             ((1, 8, 8), 4, float("nan")),
             ((1, 8, 8), 4, float("inf")),
             ((1, 8, 8), 4, -float("inf")),
-            ((1, 8, 8), 4, 400.0),  # the amplitude overflows
         ],
     )
     def test_bad_input_rejected(self, image_shape, n, slope):
@@ -686,13 +806,6 @@ class TestPowerlawImages:
         expected = powerlaw_images((1, 8, 8), 4, seed=2)
         assert np.array_equal(powerlaw_images((1, 8, 8), 4, seed=np.int64(2)), expected)
 
-    # Every amplitude is finite, but squaring the pixels (150) or the inverse
-    # FFT itself (186) overflows.
-    @pytest.mark.parametrize("slope", [150.0, 186.0])
-    def test_overflowing_std_rejected(self, slope):
-        with pytest.raises(InvalidInputError, match="std"):
-            powerlaw_images((1, 64, 64), n=2, slope=slope)
-
 
 class TestMakeBlobsInput:
     @pytest.mark.parametrize(
@@ -702,6 +815,9 @@ class TestMakeBlobsInput:
             ((1, 8, 0), 2, 4, 0.25),
             ((1, 8), 2, 4, 0.25),
             ((1, True, 8), 2, 4, 0.25),
+            (5, 2, 4, 0.25),
+            (None, 2, 4, 0.25),
+            ("188", 2, 2, 0.25),
             ((1, 8, 8), 1, 4, 0.25),
             ((1, 8, 8), 2.0, 4, 0.25),
             ((1, 8, 8), True, 4, 0.25),
@@ -784,7 +900,7 @@ class TestMakeBlobs:
 
 
 class TestDivideByStd:
-    """Unit-std scaling equals ``x / x.std()`` bit for bit at every tree shape."""
+    """Centring and unit-std scaling equal ``x -= x.mean(); x /= x.std()`` bit for bit at every tree shape."""
 
     # A split point off by a few values changes the last bit of only some
     # sums, so each size is tried at several seeds.
@@ -796,7 +912,8 @@ class TestDivideByStd:
     )
     def test_matches_numpy_std(self, size, seed):
         x = np.random.default_rng([size, seed]).normal(2.0, 3.0, size=size)
-        expected = x / x.std()
+        expected = x - x.mean()
+        expected /= expected.std()
         _divide_by_std(x)
         assert np.array_equal(x, expected)
 
