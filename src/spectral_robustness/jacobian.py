@@ -16,11 +16,19 @@ estimator), with one ``predict`` call per sample holding all of its
 2 * n_proj perturbations. A sample's steps eps * u = +-eps / sqrt(D) come
 from a 256 x 8 table of steps, one row per byte value, indexed by the
 sample's block of the stream's raw bytes; the differences of all samples'
-outputs are reduced once, after the last call. Both give the same
-perturbed batches and estimates, bit for bit, as unpacking the bits and
-reducing each sample as it arrives. The K-dimensional cotangents stay on
-the sphere: at K = 2 with softmax outputs, sign cotangents would double
-each projection's variance.
+outputs are reduced once, after the last call. The raw bytes of a block of
+samples, about 512 KiB, come from one ``integers`` draw of uint32 words,
+which gives each sample the bytes of its own ``Generator.bytes`` call. All
+of this gives the same perturbed batches and estimates, bit for bit, as
+one ``bytes`` call per sample, unpacking the bits and reducing each sample
+as it arrives. The K-dimensional cotangents stay on the sphere: at K = 2
+with softmax outputs, sign cotangents would double each projection's
+variance.
+
+The built-in predictors take a non-empty batch of images of D values each,
+D being their first layer's width, and raise InvalidInputError for any
+other batch. A linear predictor's logits have J = W at every x, so its VJP
+route never multiplies the batch.
 
 The built-in predictors' forward passes add the bias, apply tanh and take
 the softmax in place on the arrays their products return, and ``fit_mlp``
@@ -31,13 +39,14 @@ plain formulas, so outputs, estimates and fitted weights keep their bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, checked_count, checked_real
 from .path_metrics import summarize_gaussian
-from .spectral import image_stack
+from .spectral import chunk_slices, image_stack
 from .synthetic import make_blobs
 
 DEFAULT_N_PROJ = 10
@@ -151,13 +160,34 @@ class _FirstLayerPredictor(Predictor):
         self.target = _check_target(target)
         self.n_outputs = n_outputs
 
+    def _flat(self, batch) -> np.ndarray:
+        """The batch as (B, D) float64 rows; InvalidInputError unless B >= 1 and each image holds D values."""
+        batch = np.asarray(batch, dtype=np.float64)
+        d = self._first_weights.shape[1]
+        n = batch.shape[0] if batch.ndim else 0
+        if n == 0 or math.prod(batch.shape[1:]) != d:
+            raise InvalidInputError(
+                f"batch must hold at least one image of D={d} values, got {n} of shape {batch.shape[1:]}"
+            )
+        return batch.reshape(n, d)
+
+    def _cotangents(self, batch, vs) -> np.ndarray:
+        """``vs`` as float64, checked to be (B, P, K) for the batch's B."""
+        vs = np.asarray(vs, dtype=np.float64)
+        if vs.ndim != 3 or vs.shape[0] != len(batch) or vs.shape[2] != self.n_outputs:
+            raise InvalidInputError(
+                f"vs must be (B, P, K) = ({len(batch)}, P, {self.n_outputs}), got {vs.shape}"
+            )
+        return vs
+
     def predict(self, batch: np.ndarray) -> np.ndarray:
-        _, z = self._forward(np.asarray(batch, dtype=np.float64).reshape(len(batch), -1))
+        _, z = self._forward(self._flat(batch))
         return _softmax_rows(z) if self.target == "probs" else z
 
     def _first_layer_cotangents(self, batch, vs) -> np.ndarray:
-        state, z = self._forward(np.asarray(batch, dtype=np.float64).reshape(len(batch), -1))
-        vs = np.asarray(vs, dtype=np.float64)
+        flat = self._flat(batch)
+        vs = self._cotangents(flat, vs)
+        state, z = self._forward(flat)
         if self.target == "probs":
             vs = _probs_cotangents(_softmax_rows(z), vs)
         return self._pullback(state, vs)
@@ -195,6 +225,12 @@ class LinearPredictor(_FirstLayerPredictor):
 
     def _pullback(self, state, g):
         return g
+
+    def _first_layer_cotangents(self, batch, vs) -> np.ndarray:
+        if self.target == "probs":
+            return super()._first_layer_cotangents(batch, vs)
+        # J = W at every x: the logits' cotangents are the input layer's.
+        return self._cotangents(self._flat(batch), vs)
 
 
 class MlpPredictor(_FirstLayerPredictor):
@@ -270,16 +306,31 @@ def _step_table(step: float) -> np.ndarray:
     return np.where(bits == 1, -step, step)
 
 
+def _stream_bytes(rng: np.random.Generator, m: int, n_bytes: int) -> np.ndarray:
+    """(m, n_bytes) uint8 whose row s holds the s-th of m ``rng.bytes(n_bytes)`` calls' bytes.
+
+    ``Generator.bytes(n)`` is ceil(n / 4) uint32 words of ``integers`` as
+    little-endian bytes, cut to n, so one draw of m rows of words gives the
+    same bytes and leaves the stream where the m calls would.
+    """
+    words = rng.integers(0, 2**32, size=(m, -(-n_bytes // 4)), dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)[:, :n_bytes]
+
+
 def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) -> JacobianEstimate:
     """Estimate the (root-mean-square over the batch) Jacobian Frobenius norm.
 
     One RNG stream, ``default_rng(seed)``, serves the whole batch, and
     sample s takes the s-th consecutive block of its draws: unit-sphere
     cotangents for the VJP route (all B x n_proj in one draw), sign
-    directions from the stream's raw bytes for the finite-difference route.
-    The first m samples therefore draw what a batch of those m samples
-    would. The reduction runs in (sample, projection) order so results are
-    bit-stable per seed.
+    directions from the stream's raw bytes for the finite-difference route,
+    ceil(n_proj * D / 8) bytes per sample. Those bytes are drawn for a block
+    of samples at a time, about 512 KiB (one ``chunk_slices`` chunk of
+    float64 pixels), so the sign buffer does not grow with the batch; they
+    are the bytes of one ``Generator.bytes`` call per sample. The first m
+    samples therefore draw what a batch of those m samples would. The
+    reduction runs in (sample, projection) order so results are bit-stable
+    per seed.
 
     The nominal 95% CI treats a sample's projections as independent although
     they share J(x). Measured on the blob MLP of the tests at seeds
@@ -312,27 +363,29 @@ def estimate_jacobian_norm(predictor: Predictor, batch, config: JacobianConfig) 
         table = _step_table(DEFAULT_FD_EPS * (1.0 / np.sqrt(d)))
         p = config.n_proj
         n_bytes = -(-p * d // 8)
+        xs = batch.reshape(len(batch), d)
         outs = []
-        for s, x in enumerate(batch.reshape(len(batch), d)):
-            # One predict call takes the sample's 2p perturbed images, in a fresh
-            # array: a black-box predictor may keep the batch it was given. The
-            # steps go into its first p rows, the last byte's spare bits past
-            # them (room is kept for a batch of fewer than 8 values); x - steps
-            # then fills rows p.., and x + steps overwrites the steps in place.
-            buf = np.empty(max(2 * p * d, 8 * n_bytes))
-            raw = np.frombuffer(rng.bytes(n_bytes), dtype=np.uint8)
-            # Indices are bytes, always in range; "clip" lets take write into out unbuffered.
-            np.take(table, raw, axis=0, out=buf[: 8 * n_bytes].reshape(n_bytes, 8), mode="clip")
-            flat = buf[: 2 * p * d].reshape(2 * p, d)
-            np.subtract(x, flat[:p], out=flat[p:])
-            np.add(x, flat[:p], out=flat[:p])
-            out = predictor.predict(flat.reshape((2 * p,) + batch.shape[1:]))
-            if out.shape != (2 * p, k):
-                raise InvalidInputError(
-                    f"predict returned shape {out.shape} for sample {s}, expected {(2 * p, k)}"
-                )
-            # A copy, in predict's own dtype: a predictor may reuse its output buffer.
-            outs.append(out.copy())
+        for block in chunk_slices(len(batch), -(-n_bytes // 8)):
+            signs = _stream_bytes(rng, block.stop - block.start, n_bytes)
+            for s, raw in zip(range(block.start, block.stop), signs):
+                # One predict call takes the sample's 2p perturbed images, in a fresh
+                # array: a black-box predictor may keep the batch it was given. The
+                # steps go into its first p rows, the last byte's spare bits past
+                # them (room is kept for a batch of fewer than 8 values); x - steps
+                # then fills rows p.., and x + steps overwrites the steps in place.
+                buf = np.empty(max(2 * p * d, 8 * n_bytes))
+                # Indices are bytes, always in range; "clip" lets take write into out unbuffered.
+                np.take(table, raw, axis=0, out=buf[: 8 * n_bytes].reshape(n_bytes, 8), mode="clip")
+                flat = buf[: 2 * p * d].reshape(2 * p, d)
+                np.subtract(xs[s], flat[:p], out=flat[p:])
+                np.add(xs[s], flat[:p], out=flat[:p])
+                out = predictor.predict(flat.reshape((2 * p,) + batch.shape[1:]))
+                if out.shape != (2 * p, k):
+                    raise InvalidInputError(
+                        f"predict returned shape {out.shape} for sample {s}, expected {(2 * p, k)}"
+                    )
+                # A copy, in predict's own dtype: a predictor may reuse its output buffer.
+                outs.append(out.copy())
         # Outputs that are not finite, or too large to square, are rejected
         # below by the per-sample finiteness check.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -188,6 +188,30 @@ def build_path(x0, x1, spec: PathSpec) -> InterpolationPath:
     return pixel_path(x0, x1, spec.steps)
 
 
+def _partner_runs(labels: np.ndarray, class_relation: str):
+    """Where each item's valid partners lie in one ordering of the items.
+
+    Returns (order, lo, size, skip_lo, skip_size): item i's partners are the
+    items at positions lo[i] .. lo[i] + size[i] of ``order``, less the
+    skip_size[i] positions from skip_lo[i] on (the item itself, or its own
+    class). Items are ordered by class, so each class is one run; without a
+    class relation all items are one class.
+    """
+    n = len(labels)
+    if class_relation in ("within", "between"):
+        _, group, counts = np.unique(labels, return_inverse=True, return_counts=True)
+        group = group.reshape(n)
+    else:
+        group, counts = np.zeros(n, dtype=np.int64), np.array([n])
+    order = np.argsort(group, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    start, count = (np.cumsum(counts) - counts)[group], counts[group]
+    if class_relation == "between":
+        return order, np.zeros(n, dtype=np.int64), np.full(n, n), start, count
+    return order, start, count, pos, np.ones(n, dtype=np.int64)
+
+
 def sample_path_specs(
     labels,
     n_paths: int,
@@ -201,9 +225,14 @@ def sample_path_specs(
 
     Pair i is drawn from an RNG stream derived from (seed, i), so individual
     paths are reproducible independently of how many are requested. The
-    first ``PathSpec`` rejects an unknown mode or class relation, and a ``t``
-    that is not an int >= 2; a ``seed`` that is not an int >= 0 is rejected
-    before any draw.
+    valid ordered pairs are numbered source by source, each source taking as
+    many numbers as it has valid partners, and pair i is the one numbered
+    by one ``integers`` draw of its stream: the source is found by its
+    cumulative count (``searchsorted``), and the partner is uniform among the
+    source's own. No draw is rejected, so the time per pair does not depend
+    on how the labels are spread. The first ``PathSpec`` rejects an unknown
+    mode or class relation, and a ``t`` that is not an int >= 2; a ``seed``
+    that is not an int >= 0 is rejected before any draw.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -213,29 +242,27 @@ def sample_path_specs(
     if n < 2:
         raise InvalidInputError("dataset must contain at least 2 items")
 
-    if class_relation == "within":
-        _, counts = np.unique(labels, return_counts=True)
-        if not np.any(counts >= 2):
-            raise InvalidInputError("within-class pairs need a class with >= 2 items")
-    elif class_relation == "between":
-        if np.unique(labels).size < 2:
-            raise InvalidInputError("between-class pairs need >= 2 distinct classes")
+    order, lo, size, skip_lo, skip_size = _partner_runs(labels, class_relation)
+    partners = np.cumsum(size - skip_size)
+    if partners[-1] == 0:
+        raise InvalidInputError(
+            "within-class pairs need a class with >= 2 items"
+            if class_relation == "within"
+            else "between-class pairs need >= 2 distinct classes"
+        )
 
     specs = []
     for i in range(n_paths):
-        rng = np.random.default_rng([seed, i])
-        while True:
-            src, dst = rng.choice(n, size=2, replace=False)
-            if class_relation == "within" and labels[src] != labels[dst]:
-                continue
-            if class_relation == "between" and labels[src] == labels[dst]:
-                continue
-            break
+        pair = np.random.default_rng([seed, i]).integers(partners[-1])
+        src = int(np.searchsorted(partners, pair, side="right"))
+        at = lo[src] + pair - (partners[src - 1] if src else 0)
+        if at >= skip_lo[src]:
+            at += skip_size[src]
         specs.append(
             PathSpec(
                 mode=mode,
-                source_index=int(src),
-                target_index=int(dst),
+                source_index=src,
+                target_index=int(order[at]),
                 class_relation=class_relation,
                 cutoff=float(rho),
                 steps=t,

@@ -21,6 +21,11 @@ from .errors import InvalidInputError, TensorFormatError
 
 _HEADER_KEYS = ("dtype", "shape", "order", "byte_order")
 
+# The most bytes ``read_tensor`` reads looking for the header's newline.
+# numpy arrays have at most 64 dimensions, each under 2^63 (19 digits), so
+# no header ``write_tensor`` writes reaches 1400 bytes.
+_HEADER_CAP = 4096
+
 
 def write_tensor(path, data) -> None:
     """Write an array to the container format; fails before touching the file on bad data.
@@ -88,12 +93,17 @@ def read_tensor(path) -> tuple[np.ndarray, list[int]]:
     """Read a container file back as (float32 array, shape).
 
     The payload goes straight from the file into one writable array; its
-    length is checked against the header before it is read.
+    length is checked against the header before it is read. The header line
+    is read with a cap of ``_HEADER_CAP`` bytes, so a file without a newline
+    fails before it is read whole. A shape numpy cannot hold raises
+    TensorFormatError too.
     """
     with open(path, "rb") as fh:
-        line = fh.readline()
+        line = fh.readline(_HEADER_CAP)
         if not line.endswith(b"\n"):
-            raise TensorFormatError(f"{path}: missing header line")
+            raise TensorFormatError(
+                f"{path}: missing header line (no newline in the first {_HEADER_CAP} bytes)"
+            )
         try:
             header = json.loads(line[:-1].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -115,4 +125,8 @@ def read_tensor(path) -> tuple[np.ndarray, list[int]]:
                 f"{path}: payload has {payload_bytes} bytes, expected {4 * count}"
             )
         data = np.fromfile(fh, dtype="<f4", count=count)
-    return data.astype(np.float32, copy=False).reshape(shape), list(shape)
+    try:
+        data = data.reshape(shape)
+    except ValueError as exc:
+        raise TensorFormatError(f"{path}: bad shape {shape!r}: {exc}") from None
+    return data.astype(np.float32, copy=False), list(shape)

@@ -23,7 +23,7 @@ from spectral_robustness.jacobian import (
     softmax,
     unpack_mlp_weights,
 )
-from spectral_robustness import jacobian
+from spectral_robustness import jacobian, spectral
 from spectral_robustness.path_metrics import summarize_gaussian
 
 
@@ -194,6 +194,74 @@ class TestSqVjpNorms:
             predictor.sq_vjp_norms(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2)))
 
 
+BUILTINS = [
+    lambda: random_linear(60, k=5, d=12, target="logits"),
+    lambda: random_linear(61, k=5, d=12, target="probs"),
+    lambda: random_mlp(62, target="logits"),
+    lambda: random_mlp(63, target="probs"),
+]
+BUILTIN_IDS = ["linear-logits", "linear-probs", "mlp-logits", "mlp-probs"]
+
+
+class TestPixelCount:
+    """The built-in predictors take only non-empty batches of D-value images."""
+
+    @pytest.mark.parametrize("make", BUILTINS, ids=BUILTIN_IDS)
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((5, 1, 3, 5), "got 5 of shape (1, 3, 5)"), ((0, 1, 3, 4), "got 0 of shape (1, 3, 4)"),
+         ((5, 13), "got 5 of shape (13,)"), ((12,), "got 12 of shape ()")],
+        ids=["wrong-pixels", "empty", "flat-wrong", "one-flat-image"],
+    )
+    @pytest.mark.parametrize("method", ["predict", "sq_vjp_norms"])
+    def test_batch_of_other_images_rejected(self, make, shape, message, method):
+        predictor = make()
+        batch = np.zeros(shape)
+        args = (batch,) if method == "predict" else (batch, np.zeros((shape[0], 2, predictor.n_outputs)))
+        with pytest.raises(InvalidInputError) as info:
+            getattr(predictor, method)(*args)
+        assert str(info.value) == f"batch must hold at least one image of D=12 values, {message}"
+
+    @pytest.mark.parametrize("make", BUILTINS, ids=BUILTIN_IDS)
+    def test_vjp_of_an_image_of_other_size_rejected(self, make):
+        predictor = make()
+        with pytest.raises(InvalidInputError, match=re.escape("D=12 values, got 1 of shape (1, 3, 5)")):
+            predictor.vjp(np.zeros((1, 3, 5)), np.ones(predictor.n_outputs))
+        # A flat image of D values is an image.
+        flat = predictor.vjp(np.zeros(12), np.ones(predictor.n_outputs))
+        assert np.array_equal(flat, predictor.vjp(np.zeros((1, 3, 4)), np.ones(predictor.n_outputs)))
+
+    @pytest.mark.parametrize("make", BUILTINS, ids=BUILTIN_IDS)
+    def test_estimate_on_images_of_other_size_rejected(self, make):
+        with pytest.raises(InvalidInputError, match=re.escape("D=12 values, got 5 of shape (1, 3, 5)")):
+            estimate_jacobian_norm(make(), np.zeros((5, 1, 3, 5)), JacobianConfig(2, 5, seed=0))
+
+    @pytest.mark.parametrize("make", BUILTINS, ids=BUILTIN_IDS)
+    @pytest.mark.parametrize("bad", ["samples", "outputs", "2d", "4d"])
+    def test_cotangents_of_other_shape_rejected(self, make, bad):
+        predictor = make()
+        k = predictor.n_outputs
+        shape = {"samples": (4, 2, k), "outputs": (5, 2, k + 1), "2d": (5, 2), "4d": (5, 1, 2, k)}[bad]
+        with pytest.raises(InvalidInputError) as info:
+            predictor.sq_vjp_norms(np.zeros((5, 1, 3, 4)), np.zeros(shape))
+        assert str(info.value) == f"vs must be (B, P, K) = (5, P, {k}), got {shape}"
+
+    def test_linear_logits_norms_never_run_the_forward_pass(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        predictor = random_linear(65, k=5, d=12, target="logits")
+        batch = rng.normal(size=(7, 1, 3, 4))
+        vs = rng.normal(size=(7, 3, 5))
+        want = jacobian._sq_row_norms(vs, predictor.weights)
+        forwards = []
+        monkeypatch.setattr(LinearPredictor, "_forward", lambda self, flat: forwards.append(flat))
+        got = predictor.sq_vjp_norms(batch, vs)
+        assert forwards == []
+        # J = W: the norms are those of the cotangents through W, bit for bit.
+        assert got.tobytes() == want.tobytes()
+        est = estimate_jacobian_norm(predictor, batch, JacobianConfig(3, 7, seed=66))
+        assert forwards == [] and est.method == "vjp"
+
+
 class TestFiniteDifference:
     def test_exact_on_linear_map(self):
         predictor = random_linear(2, k=3, d=4)
@@ -343,6 +411,90 @@ class TestEstimateJacobianNorm:
         for x, seen in zip(batch, kept):
             us = sign_directions(rng, n_proj, x.shape)
             assert np.array_equal(seen, np.concatenate([x + eps * us, x - eps * us]))
+
+    @pytest.mark.parametrize(
+        "image_shape, n_proj, block_pixels",
+        [((1, 3, 4), 3, 2), ((1, 3, 4), 3, 1), ((1, 2, 4), 3, 3), ((1, 1, 1), 7, 1), ((3, 5, 7), 1, 6)],
+        ids=["bytes5-two-per-block", "bytes5-one-per-block", "bytes3", "bytes1", "bytes14"],
+    )
+    def test_batches_spanning_draw_blocks_follow_one_bytes_call_per_sample(
+        self, monkeypatch, image_shape, n_proj, block_pixels
+    ):
+        # A block holds about _CHUNK_PIXELS float64 of sign bytes: a ceil(n_bytes / 8)-pixel item.
+        monkeypatch.setattr(spectral, "_CHUNK_PIXELS", block_pixels)
+        d = int(np.prod(image_shape))
+        n_bytes = -(-n_proj * d // 8)
+        assert len(spectral.chunk_slices(7, -(-n_bytes // 8))) >= 2
+        mlp = random_mlp(67, hidden=5, d=d, k=3, image_shape=image_shape)
+        batch = np.random.default_rng(68).normal(size=(7,) + image_shape)
+        kept = kept_batches(mlp.predict, 3, batch, n_proj, seed=69)
+        rng = np.random.default_rng(69)
+        for x, seen in zip(batch, kept):
+            us = sign_directions(rng, n_proj, x.shape)
+            assert np.array_equal(seen, np.concatenate([x + DEFAULT_FD_EPS * us, x - DEFAULT_FD_EPS * us]))
+
+    def test_cifar_batch_spanning_two_default_blocks_follows_the_oracle(self):
+        # 10 projections of 3x32x32 take 3840 sign bytes a sample: 136 samples a 512 KiB block.
+        image_shape = (3, 32, 32)
+        assert len(spectral.chunk_slices(137, 3840 // 8)) == 2
+        batch = np.random.default_rng(70).normal(size=(137,) + image_shape)
+        rng = np.random.default_rng(71)
+        matches = []
+
+        def checked(b):
+            # Compared as each batch arrives: all 137 would take 67 MB.
+            us = sign_directions(rng, 10, image_shape)
+            matches.append(np.array_equal(b[:10], batch[len(matches)] + DEFAULT_FD_EPS * us))
+            return b.reshape(len(b), -1)[:, :2]
+
+        predictor = CallablePredictor(checked, 2, image_shape)
+        estimate_jacobian_norm(predictor, batch, JacobianConfig(10, 137, seed=71))
+        assert matches == [True] * 137
+
+    def test_fd_route_draws_its_signs_once_per_block(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_CHUNK_PIXELS", 2)
+        calls = []
+        make = np.random.default_rng
+
+        class Recording:
+            """A generator that records each method called on it, with its size."""
+
+            def __init__(self, *args):
+                self.rng = make(*args)
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def recorded(*args, **kwargs):
+                    calls.append((name, kwargs.get("size")))
+                    return method(*args, **kwargs)
+
+                return recorded
+
+        mlp = random_mlp(72, hidden=5, d=12, k=3)
+        batch = np.random.default_rng(73).normal(size=(5, 1, 3, 4))
+        predictor = CallablePredictor(mlp.predict, 3, (1, 3, 4))
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        est = estimate_jacobian_norm(predictor, batch, JacobianConfig(3, 5, seed=74))
+        # 36 signs a sample are 5 bytes, two uint32 words; blocks of two samples.
+        assert est.method == "fd"
+        assert calls == [("integers", (2, 2)), ("integers", (2, 2)), ("integers", (1, 2))]
+
+    def test_sign_buffer_does_not_grow_with_the_batch(self, traced_peak):
+        image_shape, n_proj = (1, 64, 64), 16
+        n_bytes = n_proj * 4096 // 8
+        step_bytes = 2 * n_proj * 4096 * 8
+        predictor = CallablePredictor(lambda b: np.zeros((len(b), 1)), 1, image_shape, "logits")
+
+        def peak(b):
+            batch, config = np.zeros((b,) + image_shape), JacobianConfig(n_proj, b, seed=75)
+            return traced_peak(lambda: estimate_jacobian_norm(predictor, batch, config))[1]
+
+        small, large = peak(64), peak(512)
+        # Two samples' perturbed batches, one 512 KiB block of sign bytes and the outputs.
+        assert large <= 2 * step_bytes + 8 * spectral._CHUNK_PIXELS + (1 << 19)
+        # All 512 samples' sign bytes would add 448 * n_bytes (3.5 MiB) to the 64-sample peak.
+        assert large - small < 448 * n_bytes // 8
 
     def test_fd_reads_each_output_before_predict_reuses_its_buffer(self):
         mlp = random_mlp(52, hidden=6, d=12, k=3)

@@ -1,7 +1,10 @@
+import collections
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from spectral_robustness import (
     InvalidInputError,
@@ -14,7 +17,7 @@ from spectral_robustness import (
     sample_path_specs,
     wrap_angle,
 )
-from spectral_robustness import spectral
+from spectral_robustness import paths, spectral
 
 
 def random_pair(shape, seed):
@@ -384,6 +387,66 @@ class TestSamplePathSpecs:
         few = sample_path_specs(self.labels, 5, "pixel", "unconstrained", seed=4)
         many = sample_path_specs(self.labels, 15, "pixel", "unconstrained", seed=4)
         assert many[:5] == few
+
+    @staticmethod
+    def valid_pairs(labels, relation):
+        n = len(labels)
+        return [
+            (a, b) for a in range(n) for b in range(n)
+            if a != b and (relation == "unconstrained" or (labels[a] == labels[b]) == (relation == "within"))
+        ]
+
+    @pytest.mark.parametrize("labels", [[0, 0, 0, 1, 1, 2], [3, 1, 3, 1, 1, 7, 7], [0, 1, 1], [2, 2]])
+    @pytest.mark.parametrize("relation", ["within", "between", "unconstrained"])
+    def test_pairs_are_uniform_over_the_valid_pairs(self, labels, relation):
+        valid = self.valid_pairs(labels, relation)
+        if not valid:
+            with pytest.raises(InvalidInputError):
+                sample_path_specs(labels, 1, "pixel", relation, seed=0)
+            return
+        per_pair = 200
+        specs = sample_path_specs(labels, per_pair * len(valid), "pixel", relation, seed=9)
+        counts = collections.Counter((spec.source_index, spec.target_index) for spec in specs)
+        assert set(counts) == set(valid)
+        if len(valid) > 1:
+            observed = np.array([counts[pair] for pair in valid])
+            chi2 = float(np.sum((observed - per_pair) ** 2) / per_pair)
+            assert chi2 < stats.chi2.ppf(1 - 1e-6, len(valid) - 1)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 0, 1, 1, 2], [3, 1, 3, 1, 1, 7, 7], [0, 1, 1]])
+    @pytest.mark.parametrize("relation", ["within", "between", "unconstrained"])
+    def test_each_number_names_one_valid_pair(self, monkeypatch, labels, relation):
+        # Pair i's stream numbers the valid pairs; a stream whose draw is i shows each is named once.
+        class Counting:
+            def __init__(self, key):
+                self.i = key[1]
+
+            def integers(self, high):
+                assert 0 <= self.i < high
+                return self.i
+
+        valid = self.valid_pairs(labels, relation)
+        monkeypatch.setattr(paths.np.random, "default_rng", Counting)
+        specs = sample_path_specs(labels, len(valid), "pixel", relation, seed=0)
+        assert sorted((spec.source_index, spec.target_index) for spec in specs) == valid
+
+    @pytest.mark.parametrize(
+        "relation, labels, want",
+        [
+            ("within", np.concatenate([[0], np.arange(9999)]), {(0, 1), (1, 0)}),
+            ("between", np.eye(1, 10000, 4321, dtype=np.int64)[0], None),
+        ],
+        ids=["one-within-pair-among-singletons", "one-minority-item"],
+    )
+    def test_skewed_labels_take_no_longer(self, relation, labels, want):
+        start = time.perf_counter()
+        specs = sample_path_specs(labels, 20, "pixel", relation, seed=3)
+        assert time.perf_counter() - start < 1.0
+        pairs = {(spec.source_index, spec.target_index) for spec in specs}
+        if want is not None:
+            assert pairs <= want
+        else:
+            assert all(4321 in pair for pair in pairs)
 
     def test_unsatisfiable_relation_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,6 @@
 import argparse
+import json
+import math
 import os
 import re
 import stat
@@ -94,6 +96,35 @@ class TestRead:
         p = tmp_path / "x.tnsr"
         p.write_bytes(b'{"dtype":"f32"}')
         with pytest.raises(TensorFormatError, match="header"):
+            read_tensor(p)
+
+    def test_file_without_newline_rejected_without_reading_it_whole(self, tmp_path, traced_peak):
+        p = tmp_path / "x.tnsr"
+        with open(p, "wb") as fh:
+            fh.truncate(64 << 20)  # 64 MiB of zero bytes, sparse where the file system allows
+        info, peak = traced_peak(lambda: pytest.raises(TensorFormatError, read_tensor, p))
+        assert str(info.value) == f"{p}: missing header line (no newline in the first 4096 bytes)"
+        assert peak < 1 << 20
+
+    def test_header_cap_lies_past_the_longest_header_written(self, tmp_path):
+        # 64 dimensions of 19 digits, padded with JSON spaces to the last byte the cap allows.
+        dims = ",".join(["0"] + ["9223372036854775807"] * 63)
+        body = f'{{"dtype":"f32","order":"row-major","byte_order":"little","shape":[{dims}]}}'
+        assert len(body) < 1400
+        p = tmp_path / "x.tnsr"
+        p.write_bytes(body.encode() + b" " * (tensorio._HEADER_CAP - 1 - len(body)) + b"\n")
+        with pytest.raises(TensorFormatError, match="bad shape"):
+            read_tensor(p)
+        p.write_bytes(b" " + p.read_bytes())
+        with pytest.raises(TensorFormatError, match="missing header line"):
+            read_tensor(p)
+
+    @pytest.mark.parametrize("shape", [[1] * 65, [0, 2**62, 2**62]], ids=["65-dims", "too-big"])
+    def test_shape_numpy_cannot_hold_rejected(self, tmp_path, shape):
+        p = tmp_path / "x.tnsr"
+        header = {"dtype": "f32", "shape": shape, "order": "row-major", "byte_order": "little"}
+        p.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 4 * math.prod(shape))
+        with pytest.raises(TensorFormatError, match=re.escape(f"{p}: bad shape {shape!r}: ")):
             read_tensor(p)
 
     def test_malformed_json_rejected(self, tmp_path):
