@@ -15,7 +15,7 @@ as the stack of those m images alone would be. Impulse noise takes exactly
 2 * C * H * W 64-bit outputs per image, so each block draws from a copy of
 the stream advanced to its first image (``spectral.stream_at``); gaussian
 noise draws a varying number of outputs per value, so its stream is drawn
-whole, in order, before the blocks add it.
+whole, in order, as standard normals, and each block scales its own.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
     bit-identical for any thread count: each block's arithmetic stays within
     its own images, and an impulse-noise block draws, in one call, from a
     copy of the stream advanced to its first image's draws. Gaussian noise
-    is drawn whole first, in the calling thread.
+    is drawn whole first, in the calling thread, as standard normals z, and
+    each block adds ``param * z + 0.0``, the bytes of ``normal(0, param)``.
     """
     stack = image_stack(images, "images")
     try:
@@ -99,12 +100,12 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     kind, param = spec.kind, spec.param
     if kind == "pixelate" and (h % int(param) or w % int(param)):
         raise InvalidInputError(f"block factor {int(param)} must divide H={h} and W={w}")
+    out = np.empty(stack.shape)
     if kind == "gaussian_noise":
         # The ziggurat takes a varying number of outputs per draw, so a block
-        # cannot know where its draws start: the stream is drawn whole.
-        out = np.random.default_rng([spec.seed, 0]).normal(0.0, param, size=stack.shape)
-    else:
-        out = np.empty(stack.shape)
+        # cannot know where its draws start: the stream is drawn whole, as
+        # standard normals, and each block scales its own.
+        np.random.default_rng([spec.seed, 0]).standard_normal(out=out)
     if kind == "impulse_noise":
         stream = np.random.default_rng([spec.seed, 1]).bit_generator.state
 
@@ -118,11 +119,12 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
             y *= param
             y += mean_c
         elif kind == "gaussian_noise":
-            # The generator scales its draws without raising a floating-point
-            # error, so a std near the float64 limit gives inf draws silently.
-            if not np.all(np.isfinite(y)):
-                raise FloatingPointError("noise draws overflow")
-            np.add(x, y, out=y)
+            # normal(0, param) would draw 0.0 + param * z: adding 0.0 turns a
+            # -0.0 product into +0.0 as it does. A product that overflows
+            # raises under corrupt_batch's errstate.
+            y *= param
+            y += 0.0
+            y += x
         elif kind == "impulse_noise":
             _impulse_block(x, y, param, stream, rows.start)
         elif kind == "gaussian_blur":
@@ -153,13 +155,18 @@ def _impulse_block(x: np.ndarray, y: np.ndarray, param: float, stream: dict, lo:
     outputs into the stream, where ``stream_at`` advances a copy of its PCG64
     ``stream`` state to.
     """
-    u = stream_at(stream, 2 * x[0].size * lo).random((len(x), 2, *x.shape[1:]))
+    size = x[0].size
+    u = stream_at(stream, 2 * size * lo).random((len(x), 2, size))
     y[...] = x
     salt = x.max(axis=(1, 2, 3))
     pepper = x.min(axis=(1, 2, 3))
-    flipped = np.nonzero(u[:, 0] < param)
-    image = flipped[0]
-    y[flipped] = np.where(u[:, 1][flipped] < 0.5, salt[image], pepper[image])
+    # Flat indices of the flipped pixels in the block, whose rows of the
+    # C-ordered output ``y`` reshapes as a view; pixel f of image i has its
+    # salt draw (i + 1) * size values further on in ``u``.
+    flipped = np.flatnonzero(u[:, 0] < param)
+    image = flipped // size
+    salty = u.reshape(-1)[flipped + (image + 1) * size] < 0.5
+    y.reshape(-1)[flipped] = np.where(salty, salt[image], pepper[image])
 
 
 def _pixelate_block(x: np.ndarray, y: np.ndarray, factor: int) -> None:

@@ -11,7 +11,12 @@ row by row through ``_numbered``: an exact header, then rows of exactly its
 field count; a blank line is a row of no fields and so an error, and errors
 name the physical line a row starts on. Every reader turns a line that does
 not decode or that ``csv`` cannot parse (say, a field over its size limit)
-into a TraceParseError naming the file and the line.
+into a TraceParseError naming the file and the line. Lines after the header
+are read with a cap above any legal row (``_line_cap``), so a file without
+newlines is not read whole. The one exception to the row loop is a trace
+file whose lines are all plain: ``read_traces`` parses it with numpy a
+block at a time, and reads any other trace file, or one that fails a
+check, row by row, so traces and errors are the row loop's.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import contextlib
 import csv
 import io
 import itertools
+import re
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .path_metrics import MetricSummary, PathMetrics, PredictionTrace, first_bad
 from .regression import AccuracyRecord, MetricRecord, ProbitRegression
 
 
-# Characters of CSV text checked for undecodable bytes at once.
+# Characters of CSV text checked for undecodable bytes, or parsed by numpy, at once.
 _BLOCK_CHARS = 1 << 16
 
 # Headers of the row tables; the trace table's depends on its class count.
@@ -92,15 +98,106 @@ def read_traces(path) -> list[PredictionTrace]:
     The first offending line in file order raises TraceParseError naming it;
     within a line the checks run in the order field count, parse, step, then
     ``first_bad_row``'s sign, row sum, finiteness.
+
+    A file of plain lines is parsed by numpy a block at a time
+    (``_plain_traces``); any other file, and any file that fails a check
+    there, is read again row by row (``_traces_by_row``), which names the
+    faulty line. Both give the same traces to the bit.
     """
+    traces = _plain_traces(path)
+    return _traces_by_row(path) if traces is None else traces
+
+
+def _trace_header(k: int) -> list[str]:
+    """The fields of a trace CSV's header for K classes."""
+    return ["path_id", "step"] + [f"p_{i}" for i in range(k)]
+
+
+# Not in a plain trace line: a quote, which csv reads as quoting, a control
+# character other than the line end, and the lone surrogate U+DC00 + b that
+# errors="surrogateescape" reads an undecodable byte b as. ``_PLAIN_ASCII``
+# is every other ASCII character.
+_NOT_PLAIN = re.compile('["\x00-\x09\x0b\x0c\x0e-\x1f\x7f-\x9f\udc80-\udcff]')
+_PLAIN_ASCII = b"\r\n" + bytes(range(0x20, 0x7F)).replace(b'"', b"")
+
+
+def _plain_traces(path) -> list[PredictionTrace] | None:
+    """The traces of the trace CSV at ``path`` if every line is plain and every check passes, else None.
+
+    A body line is plain when it decodes, holds no ``"`` and no control
+    character other than its line end, and is no longer than
+    ``csv.field_size_limit()``: csv would then split it at its commas alone.
+    Each block of such lines is parsed by one ``numpy.loadtxt`` call, which
+    wants K + 2 fields in every row, takes the path id and step as the text
+    between the commas, and reads the probabilities with
+    ``PyOS_string_to_double``, as ``float()`` does; steps go through
+    ``int()``. None, after which the row loop reads the file and names the
+    faulty line, comes from a line that is not plain or does not hold exactly
+    K + 1 commas (a blank line, which numpy would skip, holds none), a field
+    numpy or ``int()`` refuses, a step out of order, a row ``first_bad_row``
+    rejects, a path of one step, or a file without rows.
+    """
+    limit = csv.field_size_limit()
+    with open(path, newline="", errors="surrogateescape") as fh:
+        header = fh.readline()
+        k = header.count(",") - 1
+        if k < 2 or header.rstrip("\r\n") != ",".join(_trace_header(k)):
+            return None
+        dtype = np.dtype([("path_id", object), ("step", object), ("probs", np.float64, (k,))])
+        flat = array.array("d")
+        rows: dict[str, list[int]] = {}
+        n = 0
+        cap = _line_cap(k + 2)
+        while block := _line_block(fh.readline, cap):
+            text = "".join(block)
+            if (
+                max(map(len, block)) > limit
+                or text.count(",") != (k + 1) * len(block)
+                or not _plain(text)
+            ):
+                return None
+            try:
+                parsed = np.loadtxt(block, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+                steps = list(map(int, parsed["step"].tolist()))
+            except ValueError:
+                return None
+            if len(parsed) != len(block):
+                return None
+            for path_id, step in zip(parsed["path_id"].tolist(), steps):
+                path_rows = rows.setdefault(path_id, [])
+                if step != len(path_rows) + 1:
+                    return None
+                path_rows.append(n)
+                n += 1
+            flat.frombytes(parsed["probs"].tobytes())
+    if not rows or any(len(path_rows) < 2 for path_rows in rows.values()):
+        return None
+    table = np.frombuffer(flat).reshape(n, k)
+    if first_bad_row(table) is not None:
+        return None
+    return [PredictionTrace(table[path_rows], path_id) for path_id, path_rows in rows.items()]
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text``, read with errors="surrogateescape", decodes and holds only plain characters.
+
+    ASCII text, which always decodes, is checked by one ``bytes.translate``
+    that deletes its plain characters.
+    """
+    if text.isascii():
+        return not text.encode("ascii").translate(None, _PLAIN_ASCII)
+    return not _NOT_PLAIN.search(text)
+
+
+def _traces_by_row(path) -> list[PredictionTrace]:
+    """``read_traces`` one row at a time through csv, naming the first faulty line."""
     with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
             raise TraceParseError(f"{path}: empty file") from None
         k = len(header) - 2
-        expected = ["path_id", "step"] + [f"p_{i}" for i in range(k)]
-        if k < 2 or header != expected:
+        if k < 2 or header != _trace_header(k):
             raise TraceParseError(
                 f"{path} line 1: header must be path_id,step,p_0,...,p_{{K-1}} "
                 f"with K >= 2, got {','.join(header)}"
@@ -199,15 +296,48 @@ def write_rows(path, header, rows) -> None:
         )
 
 
+def _line_cap(width: int) -> int:
+    """Characters in a line beyond any legal row of ``width`` fields.
+
+    A field of at most ``csv.field_size_limit()`` characters takes at most
+    twice as many plus two in the file, quoted with each quote doubled; the
+    cap leaves room for one field more than ``width``, commas and line end
+    included.
+    """
+    return (width + 1) * (2 * csv.field_size_limit() + 3)
+
+
+def _line_block(readline, cap: int) -> list[str]:
+    """Lines from ``readline`` up to about ``_BLOCK_CHARS`` characters.
+
+    Each is read with ``readline(cap + 1)``, so a line longer than ``cap``
+    characters is cut after ``cap + 1`` of them and ends the block.
+    """
+    block, size = [], 0
+    while size < _BLOCK_CHARS and (line := readline(cap + 1)):
+        block.append(line)
+        size += len(line)
+        if len(line) > cap:
+            break
+    return block
+
+
 def _decoded_blocks(fh, path):
     """Blocks of lines of ``fh``, opened with errors="surrogateescape".
 
     A line holding an undecodable byte raises TraceParseError once the lines
     before it are out. Checking block by block, all-ASCII text, which cannot
-    hold one, costs no Python call per line.
+    hold one, costs no Python call per line. The first line, the header, is
+    read whole, and caps the lines after it at ``_line_cap`` of its field
+    count: a longer line is handed on cut, so that csv reports a field over
+    its limit there as it would on the whole line, and asking for the line
+    after it raises TraceParseError.
     """
+    header = fh.readline()
+    cap = _line_cap(header.count(",") + 1)
+    block = [header] if header else []
     line_no = 0
-    while block := fh.readlines(_BLOCK_CHARS):
+    while block:
         if not all(map(str.isascii, block)):
             for i, line in enumerate(block):
                 # An undecodable byte b is read as the lone surrogate
@@ -222,6 +352,9 @@ def _decoded_blocks(fh, path):
                     ) from None
         line_no += len(block)
         yield block
+        if len(block[-1]) > cap:
+            raise TraceParseError(f"{path} line {line_no}: longer than {cap} characters")
+        block = _line_block(fh.readline, cap)
 
 
 def _unparseable(path, reader, exc: csv.Error) -> TraceParseError:

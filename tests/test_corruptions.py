@@ -273,6 +273,14 @@ class TestGoldenCorruptions:
     def test_every_kind_covered(self):
         assert {kind for kind, _ in GOLDEN_PARAMS} == set(CORRUPTION_KINDS)
 
+    @pytest.mark.parametrize("param", [0.0, 0.3])
+    def test_noise_keeps_the_formula_sign_of_zero(self, param):
+        # np.array_equal counts -0.0 equal to 0.0, so the bytes are compared.
+        stack = np.random.default_rng(34).normal(size=(4, 2, 5, 6))
+        stack.reshape(-1)[::3] = -0.0
+        got = corrupt_batch(stack, CorruptionSpec("gaussian_noise", param, seed=35))
+        assert got.tobytes() == reference_batch(stack, "gaussian_noise", param, 35).tobytes()
+
     @pytest.mark.parametrize("kind,param", GOLDEN_PARAMS)
     def test_output_is_a_fresh_writable_array(self, kind, param):
         stack = np.random.default_rng(27).normal(size=(3, 2, 8, 12))

@@ -276,11 +276,17 @@ def reference_read_traces(path):
 # Values a mutation may put into one field, by mutation name.
 FIELD_VALUES = {
     "bad float": "half", "negative": "-0.5", "sum off": "0.9",
-    "nan": "nan", "inf": "inf", "-inf": "-inf", "1e400": "1e400",
+    "nan": "nan", "inf": "inf", "-inf": "-inf", "1e400": "1e400", "underscore": "0_5",
 }
+# Line ends a mutation may give the whole file, by mutation name.
+LINE_ENDS = {"bare cr": "\r", "crlf": "\r\n"}
+# Besides these, inputs that numpy's C parser could read differently from csv
+# and float(): padding, steps int() or numpy may take as floats, a comment
+# mark and control characters in a path id, NUL, other line ends.
 MUTATIONS = [
     "drop", "duplicate", "swap", "short", "long", "blank", "undecodable", "over limit",
-    "quoted newline", "bad int", *FIELD_VALUES,
+    "quoted newline", "bad int", *FIELD_VALUES, "padded", "float step", "plus step",
+    "hash id", "tab id", "form feed id", "nul", *LINE_ENDS, "no final newline",
 ]
 
 
@@ -312,13 +318,27 @@ def mutate(rows, kind, i, j):
         row[field] = f'"{row[field]}\n"'
     elif kind == "bad int" and len(row) > 1:
         row[1] = "x"
+    elif kind == "padded" and row:
+        row[field] = f" {row[field]} "
+    elif kind == "float step" and len(row) > 1:
+        row[1] += ".0"
+    elif kind == "plus step" and len(row) > 1:
+        row[1] = "+" + row[1]
+    elif kind == "hash id" and row:
+        row[0] = "#" + row[0]
+    elif kind == "tab id" and row:
+        row[0] += "\t"
+    elif kind == "form feed id" and row:
+        row[0] = "\f" + row[0]
+    elif kind == "nul" and row:
+        row[field] += "\x00"
     elif field is not None and kind in FIELD_VALUES:
         row[field] = FIELD_VALUES[kind]
 
 
 @st.composite
 def trace_tables(draw):
-    """Bytes of a trace CSV after 0 to 2 row-level mutations.
+    """Bytes of a trace CSV after 0 to 2 mutations of its rows or its line ends.
 
     Before them it is valid: up to 3 interleaved paths of 2 to 5 steps, K = 2 or 3.
     """
@@ -333,10 +353,17 @@ def trace_tables(draw):
         weights = [rnd.randint(0, 4) for _ in range(k)]
         weights[rnd.randrange(k)] += 1
         rows.append(["abc"[p], str(steps[p]), *(repr(w / sum(weights)) for w in weights)])
+    end, final = "\n", True
     for _ in range(rnd.randint(0, 2)):
-        mutate(rows, rnd.choice(MUTATIONS), rnd.randrange(100), rnd.randrange(100))
+        kind = rnd.choice(MUTATIONS)
+        if kind in LINE_ENDS:
+            end = LINE_ENDS[kind]
+        elif kind == "no final newline":
+            final = False
+        else:
+            mutate(rows, kind, rnd.randrange(100), rnd.randrange(100))
     header = "path_id,step," + ",".join(f"p_{i}" for i in range(k))
-    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+    text = end.join([header] + [",".join(row) for row in rows]) + (end if final else "")
     return text.encode("utf-8", "surrogateescape")
 
 
@@ -360,6 +387,65 @@ class TestReadTracesAgainstReference:
         path = tmp_path / "t.csv"
         path.write_bytes(content)
         assert outcome(read_traces, path) == outcome(reference_read_traces, path)
+
+
+class TestPlainTraces:
+    """Files ``write_traces`` writes are parsed by numpy a block at a time, as the row loop reads them."""
+
+    @staticmethod
+    def csv_reader_calls(monkeypatch):
+        calls = []
+        real = csv.reader
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", spy)
+        return calls
+
+    @pytest.mark.parametrize("k", [2, 10])
+    @pytest.mark.parametrize("block_chars", [1, 30, 1 << 16])
+    def test_written_traces_skip_csv_and_match_the_row_loop(self, tmp_path, monkeypatch, k, block_chars):
+        monkeypatch.setattr(tables, "_BLOCK_CHARS", block_chars)
+        rng = np.random.default_rng(k)
+        probs = rng.dirichlet(np.full(k, 0.3), (4, 7))
+        probs[0, 2] = np.eye(k)[1]
+        probs[1, 3, :2] = [1 - 2.5e-5, 2.5e-5]
+        probs[1, 3, 2:] = 0.0
+        traces = [PredictionTrace(p, path_id=f"p{i}") for i, p in enumerate(probs)]
+        traces.append(PredictionTrace(probs[3], path_id=" é\u2003#"))
+        path = tmp_path / "t.csv"
+        write_traces(path, traces)
+        calls = self.csv_reader_calls(monkeypatch)
+        got = outcome(read_traces, path)
+        assert calls == []
+        assert got == outcome(tables._traces_by_row, path)
+        assert got == [(t.path_id, t.probs.shape, t.probs.tobytes()) for t in traces]
+
+        write_traces(path, [PredictionTrace(probs[0], path_id='say "a"'), *traces])
+        calls.clear()
+        got = outcome(read_traces, path)
+        assert len(calls) == 1
+        assert got == outcome(tables._traces_by_row, path)
+        assert got[0][0] == 'say "a"'
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            # Cut inside a run of short fields, the line's first cap + 1
+            # characters, "a,2," and then "0," pairs, are counted as a row.
+            ("0," * 700_000, f"expected 4 fields, got {3 + (tables._line_cap(4) - 3) // 2}"),
+            # Cut inside a quoted field within the limit: csv asks for more.
+            ("0," * 600_000 + '"' + "0" * 120_000 + '"', f"longer than {tables._line_cap(4)} characters"),
+        ],
+        ids=["short fields", "open quote"],
+    )
+    def test_line_over_the_cap_fails_on_its_line(self, tmp_path, tail, message):
+        path = write_text(tmp_path, f"path_id,step,p_0,p_1\na,1,0.5,0.5\na,2,{tail}\n")
+        with pytest.raises(TraceParseError) as info:
+            read_traces(path)
+        assert str(info.value) == f"{path} line 3: {message}"
 
 
 def reference_write_traces(path, traces):
@@ -433,6 +519,19 @@ class TestUnreadableLines:
             reader(path)
         line = head.count("\n") + 1
         assert str(info.value).startswith(f"{path} line {line}: field larger than field limit")
+
+    @pytest.mark.parametrize("reader, head, row", READERS)
+    def test_newline_less_field_fails_before_it_is_read_whole(self, tmp_path, traced_peak, reader, head, row):
+        size = 32 << 20
+        path = tmp_path / "t.csv"
+        with open(path, "w") as fh:
+            fh.write(head + row.split("{}")[0])
+            for _ in range(size >> 20):
+                fh.write("x" * (1 << 20))
+        info, peak = traced_peak(lambda: pytest.raises(TraceParseError, reader, path))
+        line = head.count("\n") + 1
+        assert str(info.value) == f"{path} line {line}: field larger than field limit ({csv.field_size_limit()})"
+        assert peak < size // 4
 
     @pytest.mark.parametrize("reader, head, row", READERS)
     def test_undecodable_byte(self, tmp_path, reader, head, row):
