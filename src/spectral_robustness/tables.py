@@ -11,12 +11,13 @@ row by row through ``_numbered``: an exact header, then rows of exactly its
 field count; a blank line is a row of no fields and so an error, and errors
 name the physical line a row starts on. Every reader turns a line that does
 not decode or that ``csv`` cannot parse (say, a field over its size limit)
-into a TraceParseError naming the file and the line. Lines after the header
-are read with a cap above any legal row (``_line_cap``), so a file without
-newlines is not read whole. The one exception to the row loop is a trace
-file whose lines are all plain: ``read_traces`` parses it with numpy a
-block at a time, and reads any other trace file, or one that fails a
-check, row by row, so traces and errors are the row loop's.
+into a TraceParseError naming the file and the line. Every line, the
+header included, is read with a cap above any legal row (``_line_cap``), so
+a file without newlines is not read whole. The one exception to the row
+loop is the plain blocks of a trace file: ``read_traces`` parses each with
+numpy, up to the first block that is not plain, and reads the rest of the
+file through csv. The file is read once, and both parsers feed the same
+checks, so traces and errors are the row loop's.
 """
 
 from __future__ import annotations
@@ -99,122 +100,18 @@ def read_traces(path) -> list[PredictionTrace]:
     within a line the checks run in the order field count, parse, step, then
     ``first_bad_row``'s sign, row sum, finiteness.
 
-    A file of plain lines is parsed by numpy a block at a time
-    (``_plain_traces``); any other file, and any file that fails a check
-    there, is read again row by row (``_traces_by_row``), which names the
-    faulty line. Both give the same traces to the bit.
+    The file is read once (``_trace_rows``): numpy parses its plain blocks and
+    csv the rest. Both hand over each row as its path id, step and line, with
+    its values in one table, so every check below runs once for any file.
     """
-    traces = _plain_traces(path)
-    return _traces_by_row(path) if traces is None else traces
-
-
-def _trace_header(k: int) -> list[str]:
-    """The fields of a trace CSV's header for K classes."""
-    return ["path_id", "step"] + [f"p_{i}" for i in range(k)]
-
-
-# Not in a plain trace line: a quote, which csv reads as quoting, a control
-# character other than the line end, and the lone surrogate U+DC00 + b that
-# errors="surrogateescape" reads an undecodable byte b as. ``_PLAIN_ASCII``
-# is every other ASCII character.
-_NOT_PLAIN = re.compile('["\x00-\x09\x0b\x0c\x0e-\x1f\x7f-\x9f\udc80-\udcff]')
-_PLAIN_ASCII = b"\r\n" + bytes(range(0x20, 0x7F)).replace(b'"', b"")
-
-
-def _plain_traces(path) -> list[PredictionTrace] | None:
-    """The traces of the trace CSV at ``path`` if every line is plain and every check passes, else None.
-
-    A body line is plain when it decodes, holds no ``"`` and no control
-    character other than its line end, and is no longer than
-    ``csv.field_size_limit()``: csv would then split it at its commas alone.
-    Each block of such lines is parsed by one ``numpy.loadtxt`` call, which
-    wants K + 2 fields in every row, takes the path id and step as the text
-    between the commas, and reads the probabilities with
-    ``PyOS_string_to_double``, as ``float()`` does; steps go through
-    ``int()``. None, after which the row loop reads the file and names the
-    faulty line, comes from a line that is not plain or does not hold exactly
-    K + 1 commas (a blank line, which numpy would skip, holds none), a field
-    numpy or ``int()`` refuses, a step out of order, a row ``first_bad_row``
-    rejects, a path of one step, or a file without rows.
-    """
-    limit = csv.field_size_limit()
+    flat = array.array("d")
+    rows: dict[str, list[int]] = {}
+    lines: list[int] = []
+    fault = None
     with open(path, newline="", errors="surrogateescape") as fh:
-        header = fh.readline()
-        k = header.count(",") - 1
-        if k < 2 or header.rstrip("\r\n") != ",".join(_trace_header(k)):
-            return None
-        dtype = np.dtype([("path_id", object), ("step", object), ("probs", np.float64, (k,))])
-        flat = array.array("d")
-        rows: dict[str, list[int]] = {}
-        n = 0
-        cap = _line_cap(k + 2)
-        while block := _line_block(fh.readline, cap):
-            text = "".join(block)
-            if (
-                max(map(len, block)) > limit
-                or text.count(",") != (k + 1) * len(block)
-                or not _plain(text)
-            ):
-                return None
-            try:
-                parsed = np.loadtxt(block, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-                steps = list(map(int, parsed["step"].tolist()))
-            except ValueError:
-                return None
-            if len(parsed) != len(block):
-                return None
-            for path_id, step in zip(parsed["path_id"].tolist(), steps):
-                path_rows = rows.setdefault(path_id, [])
-                if step != len(path_rows) + 1:
-                    return None
-                path_rows.append(n)
-                n += 1
-            flat.frombytes(parsed["probs"].tobytes())
-    if not rows or any(len(path_rows) < 2 for path_rows in rows.values()):
-        return None
-    table = np.frombuffer(flat).reshape(n, k)
-    if first_bad_row(table) is not None:
-        return None
-    return [PredictionTrace(table[path_rows], path_id) for path_id, path_rows in rows.items()]
-
-
-def _plain(text: str) -> bool:
-    """Whether ``text``, read with errors="surrogateescape", decodes and holds only plain characters.
-
-    ASCII text, which always decodes, is checked by one ``bytes.translate``
-    that deletes its plain characters.
-    """
-    if text.isascii():
-        return not text.encode("ascii").translate(None, _PLAIN_ASCII)
-    return not _NOT_PLAIN.search(text)
-
-
-def _traces_by_row(path) -> list[PredictionTrace]:
-    """``read_traces`` one row at a time through csv, naming the first faulty line."""
-    with _csv_reader(path) as reader:
+        k, parsed = _trace_rows(path, _decoded_blocks(fh, path), flat)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceParseError(f"{path}: empty file") from None
-        k = len(header) - 2
-        if k < 2 or header != _trace_header(k):
-            raise TraceParseError(
-                f"{path} line 1: header must be path_id,step,p_0,...,p_{{K-1}} "
-                f"with K >= 2, got {','.join(header)}"
-            )
-        flat = array.array("d")
-        rows: dict[str, list[int]] = {}
-        lines: list[int] = []
-        fault = None
-        try:
-            for line, row in _numbered(path, reader, k + 2):
-                path_id = row[0]
-                try:
-                    step = int(row[1])
-                    flat.extend(map(float, row[2:]))
-                except ValueError as exc:
-                    fault = TraceParseError(f"{path} line {line}: {exc}")
-                    break
+            for path_id, step, line in parsed:
                 path_rows = rows.setdefault(path_id, [])
                 if step != len(path_rows) + 1:
                     fault = TraceParseError(
@@ -224,12 +121,10 @@ def _traces_by_row(path) -> list[PredictionTrace]:
                     break
                 path_rows.append(len(lines))
                 lines.append(line)
-        except csv.Error as exc:
-            fault = _unparseable(path, reader, exc)
         except TraceParseError as exc:
             fault = exc
 
-    # The row that ended the scan may have left some of its values in ``flat``.
+    # The row that ended the scan, and the rest of its block, may have left values in ``flat``.
     table = np.frombuffer(flat, count=len(lines) * k).reshape(len(lines), k)
     bad = first_bad_row(table)
     if bad is not None:
@@ -244,19 +139,100 @@ def _traces_by_row(path) -> list[PredictionTrace]:
     return [PredictionTrace(table[path_rows], path_id) for path_id, path_rows in rows.items()]
 
 
-@contextlib.contextmanager
-def _csv_reader(path):
-    """``csv.reader`` over the text file at ``path``.
+def _trace_header(k: int) -> list[str]:
+    """The fields of a trace CSV's header for K classes."""
+    return ["path_id", "step"] + [f"p_{i}" for i in range(k)]
 
-    A line that does not decode, or that ``csv`` cannot parse, raises
-    TraceParseError naming the file and the line.
+
+def _may_be_trace_header(text: str) -> bool:
+    """Whether csv may still read a line that starts with ``text`` as a trace header.
+
+    Such a line is ``path_id,step,p_0,...`` with some of its fields quoted:
+    with its quotes dropped it is that text, and it holds at most two a field.
     """
-    with open(path, newline="", errors="surrogateescape") as fh:
-        reader = csv.reader(itertools.chain.from_iterable(_decoded_blocks(fh, path)))
+    bare = text.replace('"', "")
+    fields = bare.count(",") + 1
+    return text.count('"') <= 2 * fields and ",".join(_trace_header(fields - 2)).startswith(bare)
+
+
+def _trace_rows(path, blocks, flat):
+    """K, and ``(path_id, step, line)`` for each body row of a trace CSV, from its ``_decoded_blocks``.
+
+    Each row's K values are in ``flat`` by the time it comes out; a missing or
+    bad header raises TraceParseError here. A header that is exactly
+    ``path_id,step,p_0,...`` leaves the body to ``_block_rows``; any other goes
+    to csv, with the whole file.
+    """
+    first = next(blocks, None)
+    if first is None:
+        raise TraceParseError(f"{path}: empty file")
+    k = first[0].count(",") - 1
+    if k >= 2 and first[0].rstrip("\r\n") == ",".join(_trace_header(k)):
+        return k, _block_rows(path, k, blocks, 1, flat)
+    reader = csv.reader(itertools.chain(first, itertools.chain.from_iterable(blocks)))
+    header = _first_row(path, reader)
+    k = len(header) - 2
+    if k < 2 or header != _trace_header(k):
+        raise TraceParseError(
+            f"{path} line 1: header must be path_id,step,p_0,...,p_{{K-1}} "
+            f"with K >= 2, got {','.join(header)}"
+        )
+    return k, _csv_rows(path, reader, k, 0, flat)
+
+
+# Not in a plain trace line: a quote, which csv reads as quoting, and a
+# control character other than the line end. ``_PLAIN_ASCII`` is every other
+# ASCII character.
+_NOT_PLAIN = re.compile('["\x00-\x09\x0b\x0c\x0e-\x1f\x7f-\x9f]')
+_PLAIN_ASCII = b"\r\n" + bytes(range(0x20, 0x7F)).replace(b'"', b"")
+
+
+def _block_rows(path, k, blocks, before, flat):
+    """``_trace_rows``' rows of ``blocks``, which start ``before`` lines into the file.
+
+    A block is plain when each line holds no ``"`` and no control character
+    but its line end, exactly K + 1 commas, and no more characters than
+    ``csv.field_size_limit()``: csv would split it at its commas alone. All
+    ASCII, it is checked by one ``bytes.translate`` that deletes its plain
+    characters. One ``numpy.loadtxt`` call parses a plain block: it takes the
+    path id and step as the text between the commas and reads the
+    probabilities with ``PyOS_string_to_double``, as ``float()`` does; steps
+    go through ``int()``. The first block that is not plain, or that numpy or
+    ``int()`` refuses, goes to csv with every block after it. A plain block
+    ends on a line end and holds no quote, so csv starts at a record.
+    """
+    limit = csv.field_size_limit()
+    dtype = np.dtype([("path_id", object), ("step", object), ("probs", np.float64, (k,))])
+    for block in blocks:
+        text = "".join(block)
+        if text.isascii():
+            plain = not text.encode("ascii").translate(None, _PLAIN_ASCII)
+        else:
+            plain = not _NOT_PLAIN.search(text)
+        steps = []
+        if plain and max(map(len, block)) <= limit and text.count(",") == (k + 1) * len(block):
+            with contextlib.suppress(ValueError):
+                parsed = np.loadtxt(block, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+                steps = list(map(int, parsed["step"].tolist()))
+        # Empty unless the block is plain and numpy and int() took it, one row a line.
+        if len(steps) != len(block):
+            reader = csv.reader(itertools.chain(block, itertools.chain.from_iterable(blocks)))
+            yield from _csv_rows(path, reader, k, before, flat)
+            return
+        flat.frombytes(parsed["probs"].tobytes())
+        yield from zip(parsed["path_id"].tolist(), steps, range(before + 1, before + 1 + len(block)))
+        before += len(block)
+
+
+def _csv_rows(path, reader, k, before, flat):
+    """``_trace_rows``' rows of ``reader``, which starts ``before`` lines into the file."""
+    for line, row in _numbered(path, reader, k + 2, before):
         try:
-            yield reader
-        except csv.Error as exc:
-            raise _unparseable(path, reader, exc) from None
+            step = int(row[1])
+            flat.extend(map(float, row[2:]))
+        except ValueError as exc:
+            raise TraceParseError(f"{path} line {line}: {exc}") from None
+        yield row[0], step, line
 
 
 def _rows(path, header):
@@ -266,23 +242,37 @@ def _rows(path, header):
     fields; a blank line is a row of none.
     """
     header = list(header)
-    with _csv_reader(path) as reader:
-        if next(reader, None) != header:
+    with open(path, newline="", errors="surrogateescape") as fh:
+        reader = csv.reader(itertools.chain.from_iterable(_decoded_blocks(fh, path, len(header))))
+        if _first_row(path, reader) != header:
             raise TraceParseError(f"{path} line 1: header must be {','.join(header)}")
         yield from _numbered(path, reader, len(header))
 
 
-def _numbered(path, reader, width):
+def _first_row(path, reader):
+    """The first row of ``reader``, or None if it has none."""
+    try:
+        return next(reader, None)
+    except csv.Error as exc:
+        raise TraceParseError(f"{path} line {reader.line_num}: {exc}") from None
+
+
+def _numbered(path, reader, width, before=0):
     """``(line, row)`` for each remaining row of ``reader``, ``line`` its first physical line.
 
-    A row without exactly ``width`` fields, a blank line included, raises TraceParseError.
+    ``before`` is the number of lines in the file ahead of the reader's
+    first. A row without exactly ``width`` fields, a blank line included, or
+    that csv cannot parse, raises TraceParseError.
     """
-    line = reader.line_num + 1
-    for row in reader:
-        if len(row) != width:
-            raise TraceParseError(f"{path} line {line}: expected {width} fields, got {len(row)}")
-        yield line, row
-        line = reader.line_num + 1
+    line = before + reader.line_num + 1
+    try:
+        for row in reader:
+            if len(row) != width:
+                raise TraceParseError(f"{path} line {line}: expected {width} fields, got {len(row)}")
+            yield line, row
+            line = before + reader.line_num + 1
+    except csv.Error as exc:
+        raise TraceParseError(f"{path} line {before + reader.line_num}: {exc}") from None
 
 
 def write_rows(path, header, rows) -> None:
@@ -322,19 +312,27 @@ def _line_block(readline, cap: int) -> list[str]:
     return block
 
 
-def _decoded_blocks(fh, path):
-    """Blocks of lines of ``fh``, opened with errors="surrogateescape".
+def _decoded_blocks(fh, path, width=None):
+    """Blocks of lines of ``fh``, opened with errors="surrogateescape"; none is empty.
 
     A line holding an undecodable byte raises TraceParseError once the lines
     before it are out. Checking block by block, all-ASCII text, which cannot
-    hold one, costs no Python call per line. The first line, the header, is
-    read whole, and caps the lines after it at ``_line_cap`` of its field
-    count: a longer line is handed on cut, so that csv reports a field over
-    its limit there as it would on the whole line, and asking for the line
-    after it raises TraceParseError.
+    hold one, costs no Python call per line. Every line is read with a cap
+    (``_line_cap``), so a file without newlines is not read whole. The header,
+    a block of its own, is capped for its ``width`` fields; a trace header
+    (``width`` None) is read in pieces of a 4-field cap while
+    ``_may_be_trace_header`` holds, so one of any class count is read whole.
+    The lines after it are capped for the header's field count. A longer
+    line is handed on cut, so that csv reports a field over its limit there
+    as it would on the whole line, and asking for the line after it raises
+    TraceParseError.
     """
-    header = fh.readline()
-    cap = _line_cap(header.count(",") + 1)
+    cap = _line_cap(width or 4)
+    header = piece = fh.readline(cap + 1)
+    while width is None and len(piece) > cap and _may_be_trace_header(header):
+        piece = fh.readline(cap + 1)
+        header += piece
+    cap = _line_cap(width or header.count(",") + 1)
     block = [header] if header else []
     line_no = 0
     while block:
@@ -345,7 +343,8 @@ def _decoded_blocks(fh, path):
                 try:
                     line.encode(fh.encoding)
                 except UnicodeEncodeError as exc:
-                    yield block[:i]
+                    if i:
+                        yield block[:i]
                     byte = ord(line[exc.start]) - 0xDC00
                     raise TraceParseError(
                         f"{path} line {line_no + i + 1}: byte 0x{byte:02x} is not valid {fh.encoding} text"
@@ -355,10 +354,6 @@ def _decoded_blocks(fh, path):
         if len(block[-1]) > cap:
             raise TraceParseError(f"{path} line {line_no}: longer than {cap} characters")
         block = _line_block(fh.readline, cap)
-
-
-def _unparseable(path, reader, exc: csv.Error) -> TraceParseError:
-    return TraceParseError(f"{path} line {reader.line_num}: {exc}")
 
 
 def write_traces(path, traces) -> None:
@@ -375,7 +370,7 @@ def write_traces(path, traces) -> None:
         raise TraceParseError("all traces must share the same class count")
     with tensorio.atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["path_id", "step"] + [f"p_{i}" for i in range(k)])
+        writer.writerow(_trace_header(k))
         for trace in traces:
             prefix = _csv_prefix(trace.path_id)
             t = trace.probs.shape[0]

@@ -383,14 +383,20 @@ class TestReadTracesAgainstReference:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(trace_tables())
-    def test_same_traces_or_same_message(self, tmp_path, content):
+    def test_same_traces_or_same_message(self, tmp_path, monkeypatch, content):
         path = tmp_path / "t.csv"
         path.write_bytes(content)
-        assert outcome(read_traces, path) == outcome(reference_read_traces, path)
+        want = outcome(reference_read_traces, path)
+        # These small files are one block at the default size; at the smaller
+        # sizes numpy parses the plain blocks before the first one it refuses
+        # and csv takes over mid-file.
+        for block_chars in (1, 30, 1 << 16):
+            monkeypatch.setattr(tables, "_BLOCK_CHARS", block_chars)
+            assert outcome(read_traces, path) == want
 
 
 class TestPlainTraces:
-    """Files ``write_traces`` writes are parsed by numpy a block at a time, as the row loop reads them."""
+    """Files ``write_traces`` writes are parsed by numpy a block at a time, as the reference row loop reads them."""
 
     @staticmethod
     def csv_reader_calls(monkeypatch):
@@ -420,15 +426,52 @@ class TestPlainTraces:
         calls = self.csv_reader_calls(monkeypatch)
         got = outcome(read_traces, path)
         assert calls == []
-        assert got == outcome(tables._traces_by_row, path)
+        assert got == outcome(reference_read_traces, path)
         assert got == [(t.path_id, t.probs.shape, t.probs.tobytes()) for t in traces]
 
         write_traces(path, [PredictionTrace(probs[0], path_id='say "a"'), *traces])
         calls.clear()
         got = outcome(read_traces, path)
         assert len(calls) == 1
-        assert got == outcome(tables._traces_by_row, path)
+        assert got == outcome(reference_read_traces, path)
         assert got[0][0] == 'say "a"'
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["step on the last line", "row sum", "one-step path", "quoted id halfway down"],
+    )
+    @pytest.mark.parametrize("block_chars", [30, 1 << 16])
+    def test_every_file_is_opened_once(self, tmp_path, monkeypatch, fault, block_chars):
+        monkeypatch.setattr(tables, "_BLOCK_CHARS", block_chars)
+        rng = np.random.default_rng(7)
+        traces = [PredictionTrace(rng.dirichlet(np.ones(4), 12), path_id=f"p{i}") for i in range(6)]
+        if fault == "quoted id halfway down":
+            traces.insert(3, PredictionTrace(traces[0].probs, path_id='say "a"'))
+        path = tmp_path / "t.csv"
+        write_traces(path, traces)
+        lines = path.read_text().splitlines(keepends=True)
+        if fault == "step on the last line":
+            lines[-1] = lines[-1].replace("p5,12,", "p5,13,")
+        elif fault == "row sum":
+            fields = lines[40].split(",")
+            lines[40] = ",".join([*fields[:2], "0.9", *fields[3:]])
+        elif fault == "one-step path":
+            lines.append("z,1,1,0,0,0\r\n")
+        path.write_text("".join(lines), newline="")
+        want = outcome(reference_read_traces, path)
+        opened = []
+        real_open = open
+
+        def spy_open(*args, **kwargs):
+            opened.append(args[0])
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(tables, "open", spy_open, raising=False)
+        calls = self.csv_reader_calls(monkeypatch)
+        assert outcome(read_traces, path) == want
+        assert opened == [path]
+        assert len(calls) == (fault == "quoted id halfway down")
+        assert isinstance(want, list) == (fault == "quoted id halfway down")
 
     @pytest.mark.parametrize(
         "tail, message",
@@ -532,6 +575,49 @@ class TestUnreadableLines:
         line = head.count("\n") + 1
         assert str(info.value) == f"{path} line {line}: field larger than field limit ({csv.field_size_limit()})"
         assert peak < size // 4
+
+    @pytest.mark.parametrize("reader, head, row", READERS)
+    def test_newline_less_header_fails_before_it_is_read_whole(self, tmp_path, traced_peak, reader, head, row):
+        size = 32 << 20
+        path = tmp_path / "t.csv"
+        with open(path, "w") as fh:
+            fh.write(head.split("\n")[0])
+            for _ in range(size >> 20):
+                fh.write("x" * (1 << 20))
+        info, peak = traced_peak(lambda: pytest.raises(TraceParseError, reader, path))
+        assert str(info.value) == f"{path} line 1: field larger than field limit ({csv.field_size_limit()})"
+        assert peak < size // 4
+
+    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+    def test_trace_header_of_many_pieces_is_read_whole(self, tmp_path, quoting):
+        # The header is read in pieces of _line_cap(4) characters, 1015 at
+        # this field limit, for as long as it may still be a trace header.
+        k = 300
+        old_limit = csv.field_size_limit(100)
+        try:
+            header = ["path_id", "step"] + [f"p_{i}" for i in range(k)]
+            probs = ["1"] + ["0"] * (k - 1)
+            path = tmp_path / "t.csv"
+            rows = [header, ["a", 1, *probs], ["a", 2, *probs]]
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh, quoting=quoting).writerows(rows)
+            assert len(path.read_text().splitlines()[0]) > tables._line_cap(4)
+            assert read_traces(path)[0].probs.shape == (2, k)
+            # A fault after the header is named on its own line.
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh, quoting=quoting).writerows(rows + [["a", 4, *probs]])
+            with pytest.raises(TraceParseError, match="line 4: path 'a' expected step 3, got 4"):
+                read_traces(path)
+            header[250] = "q_248"
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh, quoting=quoting).writerows([header, ["a", 1, *probs]])
+            with pytest.raises(TraceParseError) as info:
+                read_traces(path)
+            assert str(info.value) == (
+                f"{path} line 1: header must be path_id,step,p_0,...,p_{{K-1}} with K >= 2, got {','.join(header)}"
+            )
+        finally:
+            csv.field_size_limit(old_limit)
 
     @pytest.mark.parametrize("reader, head, row", READERS)
     def test_undecodable_byte(self, tmp_path, reader, head, row):
