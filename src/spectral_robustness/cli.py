@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corruptions, jacobian, paths, path_metrics, regression, render, shift_psd, tables, tensorio
-from .errors import InvalidInputError
+from .errors import InvalidInputError, TraceParseError
 from .spectral import class_averaged_shift_psd, image_stack, paired_shift_psd
 
 # All toolkit errors subclass ValueError; OSError covers file-system failures.
@@ -226,6 +226,8 @@ def cmd_psd_shift(args) -> int:
 
 def cmd_path_metrics(args) -> int:
     traces = tables.read_traces(args.traces)
+    if not traces:
+        raise TraceParseError(f"{args.traces}: no trace rows")
     per_path = path_metrics.compute_path_metrics(traces, args.hff_threshold)
     hff_summary = path_metrics.summarize_gaussian([m.hff for m in per_path])
     cd_summary = path_metrics.summarize_gaussian([m.cd for m in per_path])

@@ -18,23 +18,24 @@ from a 256 x 8 table of steps, one row per byte value, indexed by the
 sample's block of the stream's raw bytes; the differences of all samples'
 outputs are reduced once, after the last call. The raw bytes of a block of
 samples, about 512 KiB, come from one ``integers`` draw of uint32 words,
-which gives each sample the bytes of its own ``Generator.bytes`` call. All
-of this gives the same perturbed batches and estimates, bit for bit, as
-one ``bytes`` call per sample, unpacking the bits and reducing each sample
-as it arrives. The K-dimensional cotangents stay on the sphere: at K = 2
-with softmax outputs, sign cotangents would double each projection's
-variance.
+which gives each sample the bytes of its own ``Generator.bytes`` call, so
+the perturbed batches and estimates are those of unpacking each sample's
+bits from its own call and reducing it as it arrives, bit for bit. The
+K-dimensional cotangents stay on the sphere: at K = 2 with softmax outputs,
+sign cotangents would double each projection's variance.
 
 The built-in predictors take a non-empty batch of images of D values each,
-D being their first layer's width, and raise InvalidInputError for any
-other batch. A linear predictor's logits have J = W at every x, so its VJP
+D being their first layer's width, and a ``CallablePredictor`` a batch of
+images of its ``image_shape``; each raises InvalidInputError for any other
+batch. A linear predictor's logits have J = W at every x, so its VJP
 route never multiplies the batch.
 
 The built-in predictors' forward passes add the bias, apply tanh and take
 the softmax in place on the arrays their products return, and ``fit_mlp``
 writes every (N, hidden) and (N, K) value of an epoch into buffers
 allocated once per call. The operations and their order are those of the
-plain formulas, so outputs, estimates and fitted weights keep their bytes.
+plain formulas, so outputs, estimates and fitted weights are the plain
+formulas' bytes.
 """
 
 from __future__ import annotations
@@ -268,7 +269,11 @@ class MlpPredictor(_FirstLayerPredictor):
 
 
 class CallablePredictor(Predictor):
-    """Wraps a black-box batch->outputs callable; Jacobians come from finite differences."""
+    """Wraps a black-box batch->outputs callable; Jacobians come from finite differences.
+
+    ``predict`` takes only batches of ``image_shape`` images and raises
+    InvalidInputError naming both shapes for any other.
+    """
 
     def __init__(self, fn, n_outputs: int, image_shape, target: str = "probs"):
         self.fn = fn
@@ -277,7 +282,10 @@ class CallablePredictor(Predictor):
         self.target = _check_target(target)
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(batch, dtype=np.float64)), dtype=np.float64)
+        batch = np.asarray(batch, dtype=np.float64)
+        if batch.shape[1:] != self.image_shape:
+            raise InvalidInputError(f"batch images must have shape {self.image_shape}, got {batch.shape[1:]}")
+        return np.asarray(self.fn(batch), dtype=np.float64)
 
 
 def _unit_rows(rng: np.random.Generator, b: int, n: int, dim: int) -> np.ndarray:

@@ -122,12 +122,12 @@ def clopper_pearson(correct: int, total: int, alpha: float = 0.05) -> tuple[floa
     return low, high
 
 
-def probit(p: float, eps: float = PROBIT_EPS):
-    """Inverse standard normal CDF of p clamped into [eps, 1-eps]."""
+def probit(p: float):
+    """Inverse standard normal CDF of p clamped into [PROBIT_EPS, 1 - PROBIT_EPS]."""
     p = np.asarray(p, dtype=np.float64)
     if not np.all((p >= 0) & (p <= 1)):
         raise InvalidInputError("probit input must lie in [0, 1]")
-    out = special.ndtri(np.clip(p, eps, 1.0 - eps))
+    out = special.ndtri(np.clip(p, PROBIT_EPS, 1.0 - PROBIT_EPS))
     return float(out) if out.ndim == 0 else out
 
 
@@ -175,7 +175,8 @@ def grouped_regression(
     skipped with a warning and excluded from the averages; their models
     still get points. Two accuracy records for one (model_id, dataset_id),
     or two metric records for one (model_id, metric_name), that the fit
-    would read raise InvalidInputError.
+    would read raise InvalidInputError, and so does an ``id_dataset`` equal
+    to ``ood_dataset`` for "ID accuracy", before any fit.
     """
     by_model_ood = _one_per_model(
         [rec for rec in accuracies if rec.dataset_id == ood_dataset], "dataset_id", ood_dataset
@@ -274,6 +275,8 @@ def _one_per_model(records: list, field_name: str, value: str) -> dict:
 
 
 def _resolve_id_dataset(accuracies, ood_dataset: str, id_dataset: str | None) -> str:
+    if id_dataset == ood_dataset:
+        raise InvalidInputError(f"ID and OOD dataset are both {ood_dataset!r}")
     if id_dataset is not None:
         return id_dataset
     others = sorted({rec.dataset_id for rec in accuracies} - {ood_dataset})

@@ -137,13 +137,15 @@ def dft2(image) -> np.ndarray:
     """Forward unnormalized 2D DFT applied per channel.
 
     The columns past W/2 are the conjugate mirrors X[-u, -v] of the real
-    input's half spectrum.
+    input's half spectrum. Values are read off that half spectrum, the way
+    ``psd`` reads its map, so a finite image may fail as overflowing float64.
     """
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] < 2 or x.shape[2] < 2:
         raise InvalidInputError(f"image must have shape (C, H, W) with H, W >= 2, got {x.shape}")
-    _name_non_finite({"image": x})
-    return _full_grid(rfft2(x), x.shape[2])
+    half = rfft2(x)
+    _check_transform(half, {"image": x}, "spectrum overflows float64: the image is too large")
+    return _full_grid(half, x.shape[2])
 
 
 def decompose(spectrum) -> FourierDecomposition:
@@ -216,6 +218,13 @@ def _name_non_finite(stacks: dict[str, np.ndarray]) -> None:
     for name, stack in stacks.items():
         if not np.all(np.isfinite(stack)):
             raise InvalidInputError(f"{name} contains non-finite values")
+
+
+def _check_transform(out: np.ndarray, stacks: dict[str, np.ndarray], overflow: str) -> None:
+    """Unless ``out``, a transform of ``stacks``, is finite: name a non-finite stack, or say ``overflow``."""
+    if not np.all(np.isfinite(out)):
+        _name_non_finite(stacks)
+        raise InvalidInputError(overflow)
 
 
 def _cpu_count() -> int:
@@ -323,27 +332,25 @@ def paired_shift_psd(originals: Sequence, corrupted: Sequence) -> PsdMap:
 
     It is formed as the PSD of originals - corrupted, a chunk at a time and
     never in full, the same power bit for bit as ``psd(corrupted - originals)``
-    since negation is exact; faults name ``originals`` first.
+    since negation is exact. The structure of ``originals``, of ``corrupted``
+    and then their equal shapes are checked before any transform; values are
+    read off the map as ``psd`` reads them, naming ``originals`` first.
     """
     orig, corr = _stack(originals, "originals"), _stack(corrupted, "corrupted")
-    stacks = {"originals": orig, "corrupted": corr}
     if orig.shape != corr.shape:
-        _name_non_finite(stacks)
         raise InvalidInputError(f"originals/corrupted shape mismatch: {orig.shape} vs {corr.shape}")
-    return _psd_map([stacks])[0]
+    return _psd_map([{"originals": orig, "corrupted": corr}])[0]
 
 
 def class_averaged_shift_psd(a: Mapping, b: Mapping) -> PsdMap:
     """Mean over classes of psd(b_class) - psd(a_class); values may be signed.
 
-    Classes run in order of ``str(key)``, and every group must have the
-    (C, H, W) of the first class's ``a`` group. The chunks of every group run
-    through one ``run_chunks`` call, so the classes share the CPUs; the map
-    is bit-identical for any thread count. A fault is the one the groups
-    would raise read and mapped one at a time, in the order a[k], b[k], then
-    class k's size check: a structure fault in a later group yields to a
-    non-finite or overflowing map of an earlier one, and groups after the
-    first structure fault are not read.
+    Classes run in order of ``str(key)``. Every group's structure is checked
+    before any transform, a[k], b[k] and then their (C, H, W) against the
+    first class's ``a`` group, class by class. The chunks of every group then
+    run through one ``run_chunks`` call, so the classes share the CPUs; the
+    map is bit-identical for any thread count. Values are read off the maps
+    as ``psd`` reads them, in group order.
     """
     keys_a, keys_b = set(a.keys()), set(b.keys())
     if keys_a != keys_b:
@@ -356,24 +363,14 @@ def class_averaged_shift_psd(a: Mapping, b: Mapping) -> PsdMap:
 
     groups = []
     image_shape = None
-    fault = None
-    try:
-        for key in sorted(keys_a, key=str):
-            name_a, name_b = f"a[{key!r}]", f"b[{key!r}]"
-            stack_a = _stack(a[key], name_a)
-            groups.append({name_a: stack_a})
-            stack_b = _stack(b[key], name_b)
-            groups.append({name_b: stack_b})
-            image_shape = image_shape or stack_a.shape[1:]
-            if not stack_a.shape[1:] == stack_b.shape[1:] == image_shape:
-                raise InvalidInputError(f"image sizes differ between groups for class {key!r}")
-    except InvalidInputError as error:
-        fault = error
-    # The groups read before a structure fault are mapped first: a value
-    # fault among them comes earlier in the one-at-a-time order.
+    for key in sorted(keys_a, key=str):
+        name_a, name_b = f"a[{key!r}]", f"b[{key!r}]"
+        stack_a, stack_b = _stack(a[key], name_a), _stack(b[key], name_b)
+        image_shape = image_shape or stack_a.shape[1:]
+        if not stack_a.shape[1:] == stack_b.shape[1:] == image_shape:
+            raise InvalidInputError(f"image sizes differ between groups for class {key!r}")
+        groups += [{name_a: stack_a}, {name_b: stack_b}]
     maps = _psd_map(groups)
-    if fault is not None:
-        raise fault
     deltas = [map_b.power - map_a.power for map_a, map_b in zip(maps[0::2], maps[1::2])]
     return PsdMap(power=np.mean(deltas, axis=0), source_count=len(deltas))
 
@@ -419,9 +416,7 @@ def _psd_map(groups: Sequence[dict[str, np.ndarray]]) -> list[PsdMap]:
         halves = [np.mean(per_image, axis=0) for _, per_image, _ in filled]
     maps = []
     for (stacks, per_image, w), half in zip(filled, halves):
-        if not np.all(np.isfinite(half)):
-            _name_non_finite(stacks)
-            raise InvalidInputError("psd power overflows float64: the input is too large")
+        _check_transform(half, stacks, "psd power overflows float64: the input is too large")
         mirror_half_grid(half, w, 1)
         maps.append(PsdMap(power=_full_grid(half, w), source_count=len(per_image)))
     return maps

@@ -377,6 +377,16 @@ class TestPathMetricsCommand:
         rc = main(["path-metrics", "--traces", str(bad), "--out", str(tmp_path / "m.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("header", ["path_id,step,p_0,p_1\n", "path_id,step,p_0,p_1"])
+    def test_header_only_traces_fail_naming_the_file(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header)
+        out = tmp_path / "m.csv"
+        rc = main(["path-metrics", "--traces", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: no trace rows\n"
+        assert not out.exists()
+
     def test_field_over_csv_limit_fails_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("path_id,step,p_0,p_1\na,1,0.5,0.5\na,2,0.5,0.5\n" + "x" * 200_000 + ",1,0.5,0.5\n")
@@ -633,6 +643,16 @@ class TestRegressCommand:
         assert rc == 2
         assert "line 12: duplicate" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_id_dataset_equal_to_ood_dataset_fails_before_output(self, tmp_path, capsys):
+        acc_path, met_path = self.make_tables(tmp_path)
+        out, svg = tmp_path / "fit.csv", tmp_path / "plot.svg"
+        rc = main(["regress", "--accuracies", str(acc_path), "--metrics", str(met_path),
+                   "--x", "ID accuracy", "--id", "ood-set", "--ood", "ood-set",
+                   "--out", str(out), "--svg", str(svg)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: ID and OOD dataset are both 'ood-set'\n"
+        assert not out.exists() and not svg.exists()
 
     def test_group_by_is_not_an_option(self, tmp_path, capsys):
         acc_path, met_path = self.make_tables(tmp_path)

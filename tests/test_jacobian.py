@@ -246,6 +246,21 @@ class TestPixelCount:
             predictor.sq_vjp_norms(np.zeros((5, 1, 3, 4)), np.zeros(shape))
         assert str(info.value) == f"vs must be (B, P, K) = (5, P, {k}), got {shape}"
 
+    @pytest.mark.parametrize("shape", [(5, 1, 8, 8), (5, 3, 32, 31), (5, 3072), (3072,)], ids=str)
+    def test_callable_predictor_rejects_images_of_other_shape(self, shape):
+        calls = []
+        predictor = CallablePredictor(lambda b: calls.append(b) or np.zeros((len(b), 2)), 2, (3, 32, 32))
+        message = f"batch images must have shape (3, 32, 32), got {shape[1:]}"
+        with pytest.raises(InvalidInputError) as info:
+            predictor.predict(np.zeros(shape))
+        assert str(info.value) == message
+        if len(shape) == 4:
+            with pytest.raises(InvalidInputError) as info:
+                estimate_jacobian_norm(predictor, np.zeros(shape), JacobianConfig(2, 5, seed=0))
+            assert str(info.value) == message
+        assert calls == []
+        assert predictor.predict(np.zeros((4, 3, 32, 32))).shape == (4, 2)
+
     def test_linear_logits_norms_never_run_the_forward_pass(self, monkeypatch):
         rng = np.random.default_rng(64)
         predictor = random_linear(65, k=5, d=12, target="logits")

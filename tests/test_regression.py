@@ -1,8 +1,10 @@
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
+from scipy import special
 
 from spectral_robustness import (
     AccuracyRecord,
@@ -14,6 +16,7 @@ from spectral_robustness import (
     fit_line,
     grouped_regression,
     probit,
+    regression,
 )
 
 
@@ -191,6 +194,11 @@ class TestProbit:
         assert np.isfinite(probit(1.0))
         assert probit(0.0) == probit(1e-7)
 
+    def test_clamp_is_probit_eps_and_not_a_parameter(self):
+        assert list(inspect.signature(probit).parameters) == ["p"]
+        assert probit(0.0) == special.ndtri(regression.PROBIT_EPS)
+        assert probit(1.0) == special.ndtri(1.0 - regression.PROBIT_EPS)
+
     def test_out_of_range_rejected(self):
         for p in (1.2, -0.1, np.nan, [0.5, np.nan]):
             with pytest.raises(InvalidInputError, match=r"probit input must lie in \[0, 1\]"):
@@ -344,6 +352,18 @@ class TestGroupedRegression:
             grouped_regression(accs, [], "ID accuracy", "ood-set")
         result = grouped_regression(accs, [], "ID accuracy", "ood-set", id_dataset="id-b")
         assert len(result.per_group) == 1
+
+    def test_id_dataset_equal_to_ood_dataset_rejected_before_any_fit(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(regression, "fit_line", lambda *args: fits.append(args))
+        accs = []
+        for i, correct in enumerate([6000, 7000, 8000]):
+            accs.append(AccuracyRecord(f"m{i}", "g", "id-set", correct, 10000))
+            accs.append(AccuracyRecord(f"m{i}", "g", "ood-set", correct - 500, 10000))
+        with pytest.raises(InvalidInputError) as info:
+            grouped_regression(accs, [], "ID accuracy", "ood-set", id_dataset="ood-set")
+        assert str(info.value) == "ID and OOD dataset are both 'ood-set'"
+        assert fits == []
 
     @pytest.mark.parametrize("dataset_id", ["ood-set", "id-set"])
     def test_repeated_accuracy_record_rejected(self, dataset_id):

@@ -334,7 +334,7 @@ class TestThreadedPsd:
 
 
 class TestShiftPsdMessages:
-    """Each fault is named as the per-input checks before the transform named it."""
+    """Every input's structure is checked before any transform; values are read off the maps."""
 
     @staticmethod
     def stack(n, image_shape=(3, 8, 8), bad=None):
@@ -347,8 +347,9 @@ class TestShiftPsdMessages:
         "originals, corrupted, message",
         [
             ("fine", "short", "originals/corrupted shape mismatch: (3, 3, 8, 8) vs (2, 3, 8, 8)"),
-            ("nan", "short", "originals contains non-finite values"),
-            ("fine", "inf-short", "corrupted contains non-finite values"),
+            # Unequal shapes are a structure fault: no value is read.
+            ("nan", "short", "originals/corrupted shape mismatch: (3, 3, 8, 8) vs (2, 3, 8, 8)"),
+            ("fine", "inf-short", "originals/corrupted shape mismatch: (3, 3, 8, 8) vs (2, 3, 8, 8)"),
             ("nan", "inf", "originals contains non-finite values"),
             ("empty", "nan", "originals must be nonempty"),
             ("fine", "3-d", "corrupted must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
@@ -396,17 +397,18 @@ class TestShiftPsdMessages:
             ("fine", "fine", "fine", "1-channel", "image sizes differ between groups for class 1"),
             ("fine", "fine", "1-channel", "1-channel", "image sizes differ between groups for class 1"),
             ("fine", "1-channel", "fine", "fine", "image sizes differ between groups for class 0"),
-            # Groups are read and mapped in the order a[0], b[0], a[1], b[1],
-            # and class k's sizes are checked after b[k]'s map: the first
-            # fault in that order is raised, whatever its kind.
-            ("nan", "fine", "fine", "3-d", "a[0] contains non-finite values"),
-            ("fine", "inf", "empty", "fine", "b[0] contains non-finite values"),
-            ("1e200", "fine", "mixed", "fine", "psd power overflows float64: the input is too large"),
-            ("fine", "nan", "fine", "1-channel", "b[0] contains non-finite values"),
+            # Every group's structure is checked, in the order a[0], b[0],
+            # class 0's sizes, a[1], b[1], class 1's sizes, before any map:
+            # a structure fault in a later class comes before a value fault
+            # in an earlier one.
+            ("nan", "fine", "fine", "3-d", "b[1] must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
+            ("fine", "inf", "empty", "fine", "a[1] must be nonempty"),
+            ("1e200", "fine", "mixed", "fine", "a[1] images must share a shape, got [(3, 4, 4), (3, 8, 8)]"),
+            ("fine", "nan", "fine", "1-channel", "image sizes differ between groups for class 1"),
             ("fine", "small", "nan", "fine", "image sizes differ between groups for class 0"),
             ("fine", "3-d", "nan", "fine", "b[0] must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
-            ("fine", "fine", "nan", "3-d", "a[1] contains non-finite values"),
-            ("fine", "fine", "fine", "small-nan", "b[1] contains non-finite values"),
+            ("fine", "fine", "nan", "3-d", "b[1] must be a nonempty (N, C, H, W) stack, got (3, 8, 8)"),
+            ("fine", "fine", "fine", "small-nan", "image sizes differ between groups for class 1"),
         ],
     )
     def test_class_averaged(self, a0, b0, a1, b1, message):
@@ -428,6 +430,29 @@ class TestShiftPsdMessages:
         with pytest.raises(InvalidInputError) as info:
             class_averaged_shift_psd(a, b)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("a1, b1", [("fine", "3-d"), ("empty", "fine"), ("fine", "1-channel")])
+    def test_structure_fault_in_a_later_class_runs_no_transform(self, monkeypatch, a1, b1):
+        transforms = []
+
+        def counted_rfft2(x):
+            transforms.append(x.shape)
+            return scipy.fft.rfft2(x)
+
+        monkeypatch.setattr(spectral, "rfft2", counted_rfft2)
+        inputs = {
+            "fine": self.stack(3), "3-d": np.zeros((3, 8, 8)), "empty": [], "1-channel": self.stack(3, (1, 8, 8))
+        }
+        a = {0: self.stack(3, bad=np.nan), 1: inputs[a1], 2: self.stack(3)}
+        b = {0: self.stack(3), 1: inputs[b1], 2: self.stack(3)}
+        with pytest.raises(InvalidInputError, match=r"\[1\]|class 1$"):
+            class_averaged_shift_psd(a, b)
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            paired_shift_psd(self.stack(3, bad=np.nan), self.stack(2))
+        assert transforms == []
+        # The spy sees the transforms of valid input, one chunk per group.
+        class_averaged_shift_psd({0: self.stack(3)}, {0: self.stack(3)})
+        assert transforms == [(3, 3, 8, 8)] * 2
 
     @pytest.mark.parametrize("bad", [None, np.nan, 1e200])
     def test_generators_are_iterated_once(self, bad):

@@ -86,6 +86,22 @@ class TestDft2:
         with pytest.raises(InvalidInputError):
             dft2(img)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_named_off_the_spectrum(self, bad):
+        img = np.zeros((2, 4, 4))
+        img[1, 1, 1] = bad
+        with pytest.raises(InvalidInputError, match="^image contains non-finite values$"):
+            dft2(img)
+
+    @pytest.mark.parametrize("value", [1e308, -np.finfo(np.float64).max])
+    def test_finite_image_whose_spectrum_overflows_is_rejected(self, value):
+        with pytest.raises(InvalidInputError, match="^spectrum overflows float64: the image is too large$"):
+            dft2(np.full((1, 4, 4), value))
+
+    def test_largest_finite_spectrum_is_returned(self):
+        spec = dft2(np.full((1, 4, 4), 1e307))
+        assert spec[0, 0, 0] == 16e307
+
     def test_rejects_tiny_images(self):
         with pytest.raises(InvalidInputError):
             dft2(np.zeros((1, 1, 4)))
