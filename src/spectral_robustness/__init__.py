@@ -3,10 +3,11 @@
 Submodules:
 
 - ``spectral``: 2D DFT, amplitude/phase decomposition, radial masks, the
-  image-stack validator, PSDs and the paired and class-averaged shift maps
+  image-stack validator, PSDs, the paired and class-averaged shift maps and
+  their summaries: radial profiles, band fractions (the former
+  ``shift_psd`` module; that import path is gone)
 - ``paths``: Fourier amplitude/phase and pixel interpolation paths
 - ``corruptions``: synthetic corruption families
-- ``shift_psd``: shift-map summaries: radial profiles, band fractions
 - ``path_metrics``: high frequency fraction, consistent distance, summaries
 - ``jacobian``: random-projection Jacobian norm estimation, built-in predictors
 - ``regression``: Clopper-Pearson, probit, grouped probit-domain regression
@@ -22,9 +23,11 @@ from .errors import (
     UndefinedMetricError,
 )
 from .spectral import (
+    BandFractions,
     FourierDecomposition,
     PsdMap,
     RadialMask,
+    band_fractions,
     class_averaged_shift_psd,
     decompose,
     dft2,
@@ -33,6 +36,7 @@ from .spectral import (
     paired_shift_psd,
     psd,
     radial_mask,
+    radial_profile,
 )
 from .paths import (
     InterpolationPath,
@@ -45,7 +49,6 @@ from .paths import (
     wrap_angle,
 )
 from .corruptions import CorruptionSpec, corrupt_batch
-from .shift_psd import BandFractions, band_fractions, radial_profile
 from .path_metrics import (
     MetricSummary,
     PathMetrics,

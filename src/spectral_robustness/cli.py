@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corruptions, jacobian, paths, path_metrics, regression, render, shift_psd, tables, tensorio
+from . import corruptions, jacobian, paths, path_metrics, regression, render, spectral, tables, tensorio
 from .errors import InvalidInputError, TraceParseError
 from .spectral import class_averaged_shift_psd, image_stack, paired_shift_psd
 
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--band-edges",
         type=_band_edges,
-        default=shift_psd.DEFAULT_BAND_EDGES,
+        default=spectral.DEFAULT_BAND_EDGES,
         help="comma-separated r1,r2 overriding the default band edges",
     )
     p.set_defaults(func=cmd_psd_shift)
@@ -192,20 +192,20 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_psd_shift(args) -> int:
+    if args.mode == "class-averaged" and not (args.labels_a and args.labels_b):
+        raise InvalidInputError("class-averaged mode needs --labels-a and --labels-b")
     a = _load_dataset(args.a)
     b = _load_dataset(args.b)
     if args.mode == "paired":
         psd_map = paired_shift_psd(a, b)
     else:
-        if not (args.labels_a and args.labels_b):
-            raise InvalidInputError("class-averaged mode needs --labels-a and --labels-b")
         la = tables.read_labels(args.labels_a, n_items=len(a))
         lb = tables.read_labels(args.labels_b, n_items=len(b))
         groups_a = {int(k): a[la == k] for k in np.unique(la)}
         groups_b = {int(k): b[lb == k] for k in np.unique(lb)}
         psd_map = class_averaged_shift_psd(groups_a, groups_b)
 
-    fractions = shift_psd.band_fractions(psd_map, args.band_edges)
+    fractions = spectral.band_fractions(psd_map, args.band_edges)
 
     _check_outputs(args.out, args.pgm, args.bands)
     tensorio.write_tensor(args.out, psd_map.power)
@@ -241,6 +241,8 @@ def cmd_path_metrics(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
+    if args.predictor == "linear" and not args.weights:
+        raise InvalidInputError("--weights is required for the linear predictor")
     images = _load_dataset(args.images)
     config = jacobian.JacobianConfig(n_proj=args.nproj, batch_size=args.batch, seed=args.seed)
     if len(images) < args.batch:
@@ -250,8 +252,6 @@ def cmd_jacobian(args) -> int:
     image_shape = images.shape[1:]
     d = int(np.prod(image_shape))
     if args.predictor == "linear":
-        if not args.weights:
-            raise InvalidInputError("--weights is required for the linear predictor")
         w, shape = tensorio.read_tensor(args.weights)
         if len(shape) != 2 or shape[1] != d + 1:
             raise InvalidInputError(
@@ -314,6 +314,8 @@ def cmd_regress(args) -> int:
 
 def cmd_report(args) -> int:
     per_path, footer = tables.read_path_metrics(args.metrics)
+    if not per_path:
+        raise TraceParseError(f"{args.metrics}: no path rows")
     lines = ["# Robustness metrics report", ""]
     lines.append(f"Paths analyzed: {len(per_path)}")
     if "hff_threshold_k" in footer:

@@ -73,9 +73,10 @@ def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
 
     Noise comes from one stream, ``default_rng([seed, 0])`` for gaussian
     noise and ``default_rng([seed, 1])`` for impulse noise; image i takes the
-    i-th consecutive block of its draws. Arithmetic or noise draws that
-    overflow float64 raise InvalidInputError naming the kind and param, and
-    so does a blur whose sums inside scipy's filter overflow. Every kind
+    i-th consecutive block of its draws. Faults are read off the result:
+    the input is finite, so a non-finite pixel in a block's output means its
+    arithmetic, noise or blur sums overflowed float64, and that block raises
+    InvalidInputError naming the kind and param. Every kind
     works on blocks of whole images of ``spectral.chunk_slices`` through
     ``spectral.run_chunks``, on up to one thread per CPU, and the result is
     bit-identical for any thread count: each block's arithmetic stays within
@@ -85,13 +86,8 @@ def corrupt_batch(images, spec: CorruptionSpec) -> np.ndarray:
     each block adds ``param * z + 0.0``, the bytes of ``normal(0, param)``.
     """
     stack = image_stack(images, "images")
-    try:
-        with np.errstate(over="raise"):
-            return _corrupt_stack(stack, spec)
-    except FloatingPointError:
-        raise InvalidInputError(
-            f"{spec.kind} with param {spec.param} takes the images beyond the float64 range"
-        ) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _corrupt_stack(stack, spec)
 
 
 def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
@@ -120,8 +116,7 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
             y += mean_c
         elif kind == "gaussian_noise":
             # normal(0, param) would draw 0.0 + param * z: adding 0.0 turns a
-            # -0.0 product into +0.0 as it does. A product that overflows
-            # raises under corrupt_batch's errstate.
+            # -0.0 product into +0.0 as it does.
             y *= param
             y += 0.0
             y += x
@@ -135,12 +130,12 @@ def _corrupt_stack(stack: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
             ndimage.gaussian_filter(
                 x, sigma=(0, 0, param, param), mode="reflect", radius=(0, 0, r, r), output=y
             )
-            # scipy's filter does not consult numpy's errstate, so a sum that
-            # overflows shows only as a non-finite result of finite input.
-            if not np.all(np.isfinite(y)):
-                raise FloatingPointError("blur sums overflow")
         else:
             _pixelate_block(x, y, int(param))
+        if not np.all(np.isfinite(y)):
+            raise InvalidInputError(
+                f"{kind} with param {param} takes the images beyond the float64 range"
+            )
 
     run_chunks(corrupt_block, chunk_slices(n, c * h * w))
     return out

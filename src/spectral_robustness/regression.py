@@ -175,8 +175,9 @@ def grouped_regression(
     skipped with a warning and excluded from the averages; their models
     still get points. Two accuracy records for one (model_id, dataset_id),
     or two metric records for one (model_id, metric_name), that the fit
-    would read raise InvalidInputError, and so does an ``id_dataset`` equal
-    to ``ood_dataset`` for "ID accuracy", before any fit.
+    would read raise InvalidInputError, and so do an ``id_dataset`` equal
+    to ``ood_dataset`` and one that no accuracy record has for "ID
+    accuracy", before any fit.
     """
     by_model_ood = _one_per_model(
         [rec for rec in accuracies if rec.dataset_id == ood_dataset], "dataset_id", ood_dataset
@@ -189,6 +190,8 @@ def grouped_regression(
         by_model_id = _one_per_model(
             [rec for rec in accuracies if rec.dataset_id == id_dataset], "dataset_id", id_dataset
         )
+        if not by_model_id:
+            raise InvalidInputError(f"no accuracy records for ID dataset {id_dataset!r}")
         x_values = {model_id: probit(rec.accuracy) for model_id, rec in by_model_id.items()}
         x_transform = "probit"
     else:

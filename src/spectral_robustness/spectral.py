@@ -1,4 +1,6 @@
-"""2D DFT machinery: transforms, amplitude/phase decomposition, radial masks, PSDs.
+"""2D DFT machinery: transforms, amplitude/phase decomposition, radial masks,
+PSDs, the paired and class-averaged shift maps and their summaries (radial
+profiles and band fractions).
 
 Images are real arrays of shape (C, H, W) in normalized-pixel units (values may
 be negative after mean/std normalization). Spectra are complex arrays of the
@@ -7,6 +9,9 @@ same shape using the standard unnormalized DFT convention, so Parseval reads
 
 Every 2D transform in this package goes through ``rfft2`` and ``irfft2``
 here, the one place that picks the FFT backend (``scipy.fft``).
+
+The summaries' old import path, ``spectral_robustness.shift_psd``, is gone:
+its names are ``spectral.*``, and ``sr.*`` for those ``__init__`` exports.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import scipy.fft
 
-from .errors import InvalidInputError, checked_count, checked_real
+from .errors import InvalidInputError, UndefinedMetricError, checked_count, checked_real
 
 # Every threaded kernel works on chunks of items of about this many float64
 # pixels (21 CIFAR images or path steps), so a chunk's temporaries stay in
@@ -34,6 +39,16 @@ _MIN_THREADED_CHUNKS = 4
 # ``run_chunks`` runs at most this many chunks at once, so a kernel's
 # temporaries in flight stay a fixed size however many CPUs there are.
 _MAX_THREADS = 4
+
+# Band edges on normalized radius. The low edge keeps the lowest third of
+# radii; the high edge sits below 2/3 because on a square frequency grid the
+# annulus between r=1/3 and r=2/3 holds the majority of bins, which would make
+# a spectrally flat (white-noise) shift read as mid-dominant. With the high
+# edge at 0.6 a flat map has high as its largest band, matching the low/mid/
+# high placement of the corruption families these maps are meant to reproduce.
+DEFAULT_BAND_EDGES = (1.0 / 3.0, 0.6)
+
+PROFILE_BIN_WIDTH = 0.05
 
 
 @dataclass
@@ -73,6 +88,15 @@ class PsdMap:
     def __post_init__(self):
         if np.ndim(self.power) != 2:
             raise InvalidInputError(f"PSD map must be 2D, got shape {np.shape(self.power)}")
+
+
+@dataclass
+class BandFractions:
+    """Shares of total absolute power in the low/mid/high radius bands."""
+
+    low: float
+    mid: float
+    high: float
 
 
 def _as_spectrum(s) -> np.ndarray:
@@ -420,3 +444,37 @@ def _psd_map(groups: Sequence[dict[str, np.ndarray]]) -> list[PsdMap]:
         mirror_half_grid(half, w, 1)
         maps.append(PsdMap(power=_full_grid(half, w), source_count=len(per_image)))
     return maps
+
+
+def radial_profile(psd_map: PsdMap) -> list[tuple[float, float]]:
+    """Mean power per radius annulus of width 0.05; empty annuli are omitted."""
+    power = np.asarray(psd_map.power, dtype=np.float64)
+    r = normalized_radius(*power.shape)
+    n_bins = int(round(1.0 / PROFILE_BIN_WIDTH))
+    idx = np.minimum((r / PROFILE_BIN_WIDTH).astype(int), n_bins - 1)
+    profile = []
+    for i in range(n_bins):
+        sel = idx == i
+        if np.any(sel):
+            center = (i + 0.5) * PROFILE_BIN_WIDTH
+            profile.append((center, float(power[sel].mean())))
+    return profile
+
+
+def band_fractions(psd_map: PsdMap, edges: tuple[float, float] = DEFAULT_BAND_EDGES) -> BandFractions:
+    """Split total |power| into low (r <= r1), mid (r1 < r <= r2), high (r > r2).
+
+    Absolute values are used because shift maps may be signed.
+    """
+    r1, r2 = edges
+    if not 0.0 < r1 < r2 < 1.0:
+        raise InvalidInputError(f"band edges must satisfy 0 < r1 < r2 < 1, got {edges}")
+    power = np.abs(np.asarray(psd_map.power, dtype=np.float64))
+    total = power.sum()
+    if total == 0.0:
+        raise UndefinedMetricError("band fractions are undefined for an all-zero map")
+    r = normalized_radius(*power.shape)
+    low = power[r <= r1].sum() / total
+    mid = power[(r > r1) & (r <= r2)].sum() / total
+    high = power[r > r2].sum() / total
+    return BandFractions(low=float(low), mid=float(mid), high=float(high))

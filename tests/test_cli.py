@@ -280,6 +280,16 @@ class TestPsdShift:
         )
         assert rc == 2
 
+    def test_missing_labels_named_before_any_file_is_read(self, tmp_path, capsys):
+        out = tmp_path / "psd.tnsr"
+        rc = main(["psd-shift", "--mode", "class-averaged", "--a", str(tmp_path / "none.tnsr"),
+                   "--b", str(tmp_path / "none.tnsr"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: class-averaged mode needs --labels-a and --labels-b\n"
+        )
+        assert not out.exists()
+
     def test_class_averaged_identical_groups(self, tmp_path, blob_files):
         images_path, labels_path = blob_files
         out = tmp_path / "psd.tnsr"
@@ -437,6 +447,14 @@ class TestJacobianCommand:
         assert abs(float(row["frobenius_norm"]) - true_norm) / true_norm < 0.1
         assert row["method"] == "vjp"
         assert row["n_estimates"] == "2000"
+
+    def test_missing_linear_weights_named_before_any_file_is_read(self, tmp_path, capsys):
+        out = tmp_path / "jac.csv"
+        rc = main(["jacobian", "--predictor", "linear", "--images", str(tmp_path / "none.tnsr"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --weights is required for the linear predictor\n"
+        assert not out.exists()
 
     def test_builtin_mlp_without_weights(self, tmp_path, blob_files):
         images_path, _ = blob_files
@@ -654,6 +672,15 @@ class TestRegressCommand:
         assert capsys.readouterr().err == "error: ID and OOD dataset are both 'ood-set'\n"
         assert not out.exists() and not svg.exists()
 
+    def test_unknown_id_dataset_fails_naming_it_before_output(self, tmp_path, capsys):
+        acc_path, met_path = self.make_tables(tmp_path)
+        out = tmp_path / "fit.csv"
+        rc = main(["regress", "--accuracies", str(acc_path), "--metrics", str(met_path),
+                   "--x", "ID accuracy", "--id", "nope", "--ood", "ood-set", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no accuracy records for ID dataset 'nope'\n"
+        assert not out.exists()
+
     def test_group_by_is_not_an_option(self, tmp_path, capsys):
         acc_path, met_path = self.make_tables(tmp_path)
         out = tmp_path / "fit.csv"
@@ -721,6 +748,15 @@ class TestReportCommand:
         report = tmp_path / "report.md"
         assert main(["report", "--metrics", str(metrics_path), "--out", str(report)]) == 0
         assert "Paths analyzed: 2\n" in report.read_text()
+
+    def test_header_only_metrics_fail_naming_the_file(self, tmp_path, capsys):
+        metrics_path = tmp_path / "metrics.csv"
+        metrics_path.write_text("path_id,hff,cd\n")
+        report = tmp_path / "report.md"
+        rc = main(["report", "--metrics", str(metrics_path), "--out", str(report)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {metrics_path}: no path rows\n"
+        assert not report.exists()
 
     def test_footer_name_as_path_id_fails_before_output(self, tmp_path, capsys):
         tr_path = tmp_path / "traces.csv"

@@ -365,6 +365,18 @@ class TestGroupedRegression:
         assert str(info.value) == "ID and OOD dataset are both 'ood-set'"
         assert fits == []
 
+    def test_unknown_id_dataset_rejected_naming_it_before_any_fit(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(regression, "fit_line", lambda *args: fits.append(args))
+        accs = []
+        for i, correct in enumerate([6000, 7000, 8000]):
+            accs.append(AccuracyRecord(f"m{i}", "g", "id-set", correct, 10000))
+            accs.append(AccuracyRecord(f"m{i}", "g", "ood-set", correct - 500, 10000))
+        with pytest.raises(InvalidInputError) as info:
+            grouped_regression(accs, [], "ID accuracy", "ood-set", id_dataset="nope")
+        assert str(info.value) == "no accuracy records for ID dataset 'nope'"
+        assert fits == []
+
     @pytest.mark.parametrize("dataset_id", ["ood-set", "id-set"])
     def test_repeated_accuracy_record_rejected(self, dataset_id):
         accs = []

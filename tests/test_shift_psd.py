@@ -23,7 +23,7 @@ from spectral_robustness import (
     radial_profile,
 )
 from spectral_robustness import spectral
-from spectral_robustness.shift_psd import DEFAULT_BAND_EDGES, PROFILE_BIN_WIDTH
+from spectral_robustness.spectral import DEFAULT_BAND_EDGES, PROFILE_BIN_WIDTH
 from spectral_robustness.spectral import _CHUNK_PIXELS, normalized_radius
 from spectral_robustness.synthetic import _STD_LEAF_VALUES, _divide_by_std
 
