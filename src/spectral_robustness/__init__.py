@@ -4,8 +4,7 @@ Submodules:
 
 - ``spectral``: 2D DFT, amplitude/phase decomposition, radial masks, the
   image-stack validator, PSDs, the paired and class-averaged shift maps and
-  their summaries: radial profiles, band fractions (the former
-  ``shift_psd`` module; that import path is gone)
+  their summaries: radial profiles, band fractions
 - ``paths``: Fourier amplitude/phase and pixel interpolation paths
 - ``corruptions``: synthetic corruption families
 - ``path_metrics``: high frequency fraction, consistent distance, summaries
@@ -67,7 +66,7 @@ from .jacobian import (
     Predictor,
     estimate_jacobian_norm,
     fit_mlp,
-    train_blob_mlp,
+    pack_mlp_weights,
 )
 from .regression import (
     AccuracyRecord,

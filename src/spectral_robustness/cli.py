@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corruptions, jacobian, paths, path_metrics, regression, render, spectral, tables, tensorio
+from . import (
+    corruptions, jacobian, paths, path_metrics, regression, render, spectral, synthetic, tables, tensorio,
+)
 from .errors import InvalidInputError, TraceParseError
 from .spectral import class_averaged_shift_psd, image_stack, paired_shift_psd
 
@@ -126,11 +128,20 @@ def _band_edges(text: str) -> tuple[float, float]:
     return r1, r2
 
 
-def _check_outputs(*targets) -> None:
-    """Check every output target given, so a bad later one fails before the first write."""
-    for target in targets:
+def _check_outputs(**targets) -> None:
+    """Check every output target given, by option, so a bad later one fails before the first write.
+
+    Two options whose targets share a real path (the same name, or a symlink
+    to the other) raise InvalidInputError naming both: the later write would
+    replace the earlier.
+    """
+    owners = {}
+    for option, target in targets.items():
         if target:
-            tensorio.check_output(target)
+            real = tensorio.check_output(target)
+            if real in owners:
+                raise InvalidInputError(f"--{owners[real]} and --{option} name one output file, {real}")
+            owners[real] = option
 
 
 def _load_dataset(path) -> np.ndarray:
@@ -207,7 +218,7 @@ def cmd_psd_shift(args) -> int:
 
     fractions = spectral.band_fractions(psd_map, args.band_edges)
 
-    _check_outputs(args.out, args.pgm, args.bands)
+    _check_outputs(out=args.out, pgm=args.pgm, bands=args.bands)
     tensorio.write_tensor(args.out, psd_map.power)
     if args.pgm:
         render.emit_pgm(psd_map, args.pgm)
@@ -228,6 +239,13 @@ def cmd_path_metrics(args) -> int:
     traces = tables.read_traces(args.traces)
     if not traces:
         raise TraceParseError(f"{args.traces}: no trace rows")
+    shortest = min(traces, key=lambda tr: len(tr.probs))
+    t = len(shortest.probs)
+    if args.hff_threshold > t // 2:
+        raise InvalidInputError(
+            f"{args.traces}: --hff-threshold must be at most {t // 2} for path "
+            f"{shortest.path_id!r} of {t} steps, got {args.hff_threshold}"
+        )
     per_path = path_metrics.compute_path_metrics(traces, args.hff_threshold)
     hff_summary = path_metrics.summarize_gaussian([m.hff for m in per_path])
     cd_summary = path_metrics.summarize_gaussian([m.cd for m in per_path])
@@ -265,9 +283,8 @@ def cmd_jacobian(args) -> int:
             packed, _ = tensorio.read_tensor(args.weights)
             predictor = jacobian.unpack_mlp_weights(packed, image_shape, target=args.target)
         else:
-            predictor, _, _ = jacobian.train_blob_mlp(
-                image_shape=tuple(image_shape), seed=args.seed, target=args.target
-            )
+            blobs, labels = synthetic.make_blobs(tuple(image_shape), seed=args.seed)
+            predictor = jacobian.fit_mlp(blobs, labels, seed=args.seed, target=args.target)
     estimate = jacobian.estimate_jacobian_norm(predictor, images[: args.batch], config)
 
     row = [estimate.frobenius_norm, estimate.ci95_low, estimate.ci95_high, estimate.n_estimates,
@@ -291,7 +308,7 @@ def cmd_regress(args) -> int:
         id_dataset=args.id_dataset,
     )
 
-    _check_outputs(args.out, args.svg)
+    _check_outputs(out=args.out, svg=args.svg)
     tables.write_fit(args.out, result)
     if args.svg:
         render.emit_scatter_svg(

@@ -7,7 +7,7 @@ reported norm, with a Gaussian 95% CI built on the squared-norm estimates
 (treated as i.i.d.) and mapped through sqrt.
 
 A predictor with an analytic Jacobian overrides ``sq_vjp_norms(batch, vs)``,
-the one VJP entry point, and sets ``has_vjp = True``: one call returns all
+the one VJP entry point, which makes ``has_vjp`` True: one call returns all
 B x n_proj squared norms, for cotangents v uniform on the unit K-sphere.
 Others fall back to central finite differences, step ``DEFAULT_FD_EPS``, along
 sign directions u = s / sqrt(D), s uniform on {-1, +1}^D (one random bit per
@@ -48,7 +48,6 @@ import numpy as np
 from .errors import InvalidInputError, checked_count, checked_real
 from .path_metrics import summarize_gaussian
 from .spectral import chunk_slices, image_stack
-from .synthetic import make_blobs
 
 DEFAULT_N_PROJ = 10
 DEFAULT_BATCH_SIZE = 400
@@ -85,23 +84,21 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, in one new float array."""
-    z = np.asarray(z)
-    return _softmax_rows(z.astype(np.result_type(z, 1.0)))
-
-
 class Predictor:
     """Maps an (N, C, H, W) image batch to an (N, K) output matrix.
 
     ``target`` says whether outputs are logits or softmax probabilities. A
-    predictor with an analytic Jacobian overrides ``sq_vjp_norms`` and sets
-    ``has_vjp = True``; others are handled by finite differences on ``predict``.
+    predictor with an analytic Jacobian overrides ``sq_vjp_norms``; others
+    are handled by finite differences on ``predict``.
     """
 
     target = "probs"
     n_outputs = 0
-    has_vjp = False
+
+    @property
+    def has_vjp(self) -> bool:
+        """Whether the class overrides ``sq_vjp_norms``; a subclass's own ``has_vjp`` attribute wins."""
+        return type(self).sq_vjp_norms is not Predictor.sq_vjp_norms
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -149,8 +146,6 @@ class _FirstLayerPredictor(Predictor):
     logits back to the first layer's outputs; the input gradient is then
     that cotangent times ``first_weights``.
     """
-
-    has_vjp = True
 
     def __init__(self, first_weights: np.ndarray, n_outputs: int, image_shape, target: str):
         d = first_weights.shape[1]
@@ -465,16 +460,6 @@ def unpack_mlp_weights(packed, image_shape=None, target: str = "probs") -> MlpPr
     )
 
 
-def _checked_fit_args(hidden, epochs, lr, seed, target: str) -> tuple[int, int, float, int]:
-    """``fit_mlp``'s training arguments, checked: ``hidden`` >= 1, ``epochs`` >= 0, ``lr`` > 0, ``target``."""
-    hidden = checked_count("hidden", hidden, 1)
-    epochs = checked_count("epochs", epochs, 0)
-    if not (np.isfinite(checked_real("lr", lr)) and lr > 0):
-        raise InvalidInputError(f"lr must be finite and > 0, got {lr}")
-    _check_target(target)
-    return hidden, epochs, lr, checked_count("seed", seed, 0)
-
-
 def fit_mlp(
     images,
     labels,
@@ -510,7 +495,12 @@ def fit_mlp(
         )
     if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
         raise InvalidInputError("labels must be integers >= 0")
-    hidden, epochs, lr, seed = _checked_fit_args(hidden, epochs, lr, seed, target)
+    hidden = checked_count("hidden", hidden, 1)
+    epochs = checked_count("epochs", epochs, 0)
+    if not (np.isfinite(checked_real("lr", lr)) and lr > 0):
+        raise InvalidInputError(f"lr must be finite and > 0, got {lr}")
+    _check_target(target)
+    seed = checked_count("seed", seed, 0)
     image_shape = images.shape[1:]
     n_classes = int(labels.max()) + 1
     if n_classes < 2:
@@ -554,25 +544,3 @@ def fit_mlp(
     w1 -= np.multiply(lr, w1_step, out=w1_step)
 
     return MlpPredictor(w1, b1, w2, b2, image_shape=image_shape, target=target)
-
-
-def train_blob_mlp(
-    image_shape: tuple[int, int, int] = (1, 8, 8),
-    n_classes: int = 2,
-    hidden: int = 16,
-    n_per_class: int = 100,
-    epochs: int = 300,
-    lr: float = 0.5,
-    seed: int = 0,
-    target: str = "probs",
-) -> tuple[MlpPredictor, np.ndarray, np.ndarray]:
-    """Fit the built-in MLP to a fresh synthetic blob dataset.
-
-    Deterministic given the seed. Returns (predictor, images, labels) so
-    callers can reuse the training data as a desk-scale dataset. The training
-    arguments are checked as ``fit_mlp`` checks them, before any blob is drawn.
-    """
-    _checked_fit_args(hidden, epochs, lr, seed, target)
-    images, labels = make_blobs(image_shape, n_classes, n_per_class, seed=seed)
-    predictor = fit_mlp(images, labels, hidden, epochs, lr, seed=seed, target=target)
-    return predictor, images, labels

@@ -9,9 +9,6 @@ same shape using the standard unnormalized DFT convention, so Parseval reads
 
 Every 2D transform in this package goes through ``rfft2`` and ``irfft2``
 here, the one place that picks the FFT backend (``scipy.fft``).
-
-The summaries' old import path, ``spectral_robustness.shift_psd``, is gone:
-its names are ``spectral.*``, and ``sr.*`` for those ``__init__`` exports.
 """
 
 from __future__ import annotations

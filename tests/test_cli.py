@@ -358,6 +358,26 @@ class TestPsdShift:
         assert (out.read_bytes() if out.exists() else None) == old
         assert sorted(os.listdir(tmp_path)) == sorted(["a.tnsr", "b.tnsr"] + ["psd.tnsr"] * bool(old))
 
+    @pytest.mark.parametrize("alias", [False, True], ids=["same-path", "symlink"])
+    def test_two_outputs_naming_one_file_write_nothing(self, tmp_path, capsys, alias):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(4, 1, 8, 8))
+        write_tensor(tmp_path / "a.tnsr", a)
+        write_tensor(tmp_path / "b.tnsr", a + rng.normal(size=a.shape))
+        out = tmp_path / "o.tnsr"
+        pgm = tmp_path / "link.pgm" if alias else out
+        if alias:
+            pgm.symlink_to(out)
+        rc = main(["psd-shift", "--mode", "paired", "--a", str(tmp_path / "a.tnsr"),
+                   "--b", str(tmp_path / "b.tnsr"), "--out", str(out), "--pgm", str(pgm),
+                   "--bands", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out and --pgm name one output file, {os.path.realpath(out)}"
+        ]
+        assert sorted(os.listdir(tmp_path)) == ["a.tnsr", "b.tnsr"] + ["link.pgm"] * alias
+        assert not out.exists()
+
 
 class TestPathMetricsCommand:
     def test_metrics_csv(self, tmp_path):
@@ -380,6 +400,22 @@ class TestPathMetricsCommand:
         assert footer["hff_threshold_k"][0] == "5"
         assert all(0.0 <= r.hff <= 1.0 for r in rows)
         assert all(2 <= r.cd <= 30 for r in rows)
+
+    def test_threshold_over_the_shortest_path_fails_naming_it(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        traces = []
+        for path_id, t in (("long", 100), ("short", 3)):
+            raw = rng.random((t, 2)) + 1e-8
+            traces.append(PredictionTrace(raw / raw.sum(axis=1, keepdims=True), path_id=path_id))
+        tr_path = tmp_path / "traces.csv"
+        write_traces(tr_path, traces)
+        out = tmp_path / "m.csv"
+        rc = main(["path-metrics", "--traces", str(tr_path), "--hff-threshold", "10", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {tr_path}: --hff-threshold must be at most 1 for path 'short' of 3 steps, got 10\n"
+        )
+        assert not out.exists()
 
     def test_malformed_traces_fail(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -491,7 +527,8 @@ class TestJacobianCommand:
         def no_training(*args, **kwargs):
             raise AssertionError("the MLP was trained before the arguments were checked")
 
-        monkeypatch.setattr("spectral_robustness.jacobian.train_blob_mlp", no_training)
+        monkeypatch.setattr("spectral_robustness.jacobian.fit_mlp", no_training)
+        monkeypatch.setattr("spectral_robustness.synthetic.make_blobs", no_training)
         images_path, _ = blob_files
         out = tmp_path / "jac.csv"
         rc = main(
@@ -590,6 +627,22 @@ class TestRegressCommand:
         assert groups == ["conv", "vgg", "__average__"]
         assert all(r["x_transform"] == "probit" for r in rows)
         assert svg.read_text().startswith("<?xml")
+
+    @pytest.mark.parametrize("alias", [False, True], ids=["same-path", "symlink"])
+    def test_out_and_svg_naming_one_file_write_nothing(self, tmp_path, capsys, alias):
+        acc_path, met_path = self.make_tables(tmp_path)
+        out = tmp_path / "fit.csv"
+        svg = tmp_path / "plot.svg" if alias else out
+        if alias:
+            svg.symlink_to(out)
+        rc = main(["regress", "--accuracies", str(acc_path), "--metrics", str(met_path),
+                   "--x", "ID accuracy", "--ood", "ood-set", "--out", str(out), "--svg", str(svg)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out and --svg name one output file, {os.path.realpath(out)}"
+        ]
+        assert sorted(os.listdir(tmp_path)) == ["acc.csv", "met.csv"] + ["plot.svg"] * alias
+        assert not out.exists()
 
     @pytest.mark.parametrize("x", ["ID accuracy", "amp_hff"])
     def test_svg_has_one_marker_per_model(self, tmp_path, x):

@@ -10,6 +10,10 @@ helpers fail here instead of lingering.
 A name the package exports from ``__init__.py`` must also be referenced
 outside ``tests/``: in ``src/`` besides its definition and that import, in
 ``perfbench/`` or in README.md. A public function only tests call fails here.
+
+A public module-level name of the package (no leading underscore) must be
+exported from ``__init__.py`` or read by code in ``src/`` or ``perfbench/``:
+a name or attribute in the syntax tree, not a word in a docstring or comment.
 """
 
 import ast
@@ -34,6 +38,27 @@ def module_level_names(source: str) -> list[str]:
 
 def word_counts(paths) -> Counter:
     return Counter(re.findall(r"\w+", "\n".join(p.read_text(encoding="utf-8") for p in paths)))
+
+
+def exported_names() -> list[str]:
+    return [
+        alias.asname or alias.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def code_references(paths) -> set[str]:
+    """Every name read and every attribute taken in the code of ``paths``."""
+    refs = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    return refs
 
 
 def outside_tests() -> list[Path]:
@@ -65,13 +90,20 @@ def test_every_module_level_name_is_referenced():
 
 def test_every_export_is_referenced_outside_tests():
     init = PACKAGE / "__init__.py"
-    exported = [
-        alias.asname or alias.name
-        for node in ast.parse(init.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+    exported = exported_names()
     words = word_counts(p for p in outside_tests() if p != init)
     # The definition itself is one match.
     uncalled = [name for name in exported if words[name] <= 1]
     assert uncalled == []
+
+
+def test_every_public_name_serves_the_package_or_is_exported():
+    code = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py"))]
+    used = code_references(code) | set(exported_names())
+    unused = [
+        f"{module.stem}.{name}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for name in module_level_names(module.read_text(encoding="utf-8"))
+        if not name.startswith("_") and name not in used
+    ]
+    assert unused == []

@@ -13,7 +13,6 @@ from spectral_robustness import (
     powerlaw_images,
     radial_mask,
     sample_path_specs,
-    train_blob_mlp,
 )
 
 # (argument name, call with the argument set to v)
@@ -78,9 +77,8 @@ def test_numpy_counts_stored_as_int(value):
     [
         lambda shape: powerlaw_images(shape, 2),
         lambda shape: make_blobs(shape, 2, 2),
-        lambda shape: train_blob_mlp(image_shape=shape, n_per_class=2, epochs=1),
     ],
-    ids=["powerlaw_images", "make_blobs", "train_blob_mlp"],
+    ids=["powerlaw_images", "make_blobs"],
 )
 def test_non_sequence_image_shape_rejected(generate, image_shape):
     with pytest.raises(InvalidInputError) as info:
