@@ -962,6 +962,31 @@ class TestBuiltinMlp:
         with pytest.raises(InvalidInputError, match=message):
             fit_mlp(images, labels, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"hidden": 2.5}, "hidden must be an int >= 1, got 2.5"),
+            ({"hidden": True}, "hidden must be an int >= 1, got True"),
+            ({"epochs": 2.5}, "epochs must be an int >= 0, got 2.5"),
+            ({"epochs": -1}, "epochs must be an int >= 0, got -1"),
+            ({"lr": 0}, "lr must be finite and > 0, got 0"),
+            ({"lr": True}, "lr must be a real number, got True"),
+            ({"lr": "0.5"}, "lr must be a real number, got '0.5'"),
+            ({"seed": -1}, "seed must be an int >= 0, got -1"),
+            ({"target": "scores"}, "target must be 'logits' or 'probs', got 'scores'"),
+        ],
+        ids=["float-hidden", "bool-hidden", "float-epochs", "negative-epochs", "zero-lr", "bool-lr",
+             "str-lr", "negative-seed", "unknown-target"],
+    )
+    def test_training_arguments_rejected_on_blobs_with_exact_message(self, monkeypatch, kwargs, message):
+        # The blob data that `specrob jacobian` trains on without --weights; each message is whole.
+        images, labels = make_blobs((1, 4, 4), 2, 2, seed=0)
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *a, **kw: drawn.append(a))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            fit_mlp(images, labels, **kwargs)
+        assert drawn == []
+
     def test_fits_the_blobs(self):
         predictor, images, labels = blob_mlp(seed=22)
         preds = predictor.predict(images).argmax(axis=1)
