@@ -212,9 +212,7 @@ def cmd_psd_shift(args) -> int:
     else:
         la = tables.read_labels(args.labels_a, n_items=len(a))
         lb = tables.read_labels(args.labels_b, n_items=len(b))
-        groups_a = {int(k): a[la == k] for k in np.unique(la)}
-        groups_b = {int(k): b[lb == k] for k in np.unique(lb)}
-        psd_map = class_averaged_shift_psd(groups_a, groups_b)
+        psd_map = class_averaged_shift_psd(_class_slices(a, la), _class_slices(b, lb))
 
     fractions = spectral.band_fractions(psd_map, args.band_edges)
 
@@ -235,7 +233,22 @@ def cmd_psd_shift(args) -> int:
     return 0
 
 
+def _class_slices(stack: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
+    """Each label's images as one slice of ``stack``, which is sorted by label in place.
+
+    The sort is stable, so each class keeps its images in file order, and no
+    class is copied out of the stack.
+    """
+    order = np.argsort(labels, kind="stable")
+    stack[...] = stack[order]
+    keys, starts = np.unique(labels[order], return_index=True)
+    ends = [*starts[1:], len(stack)]
+    return {int(k): stack[lo:hi] for k, lo, hi in zip(keys, starts, ends)}
+
+
 def cmd_path_metrics(args) -> int:
+    if args.hff_threshold < 1:
+        raise InvalidInputError(f"--hff-threshold must be at least 1, got {args.hff_threshold}")
     traces = tables.read_traces(args.traces)
     if not traces:
         raise TraceParseError(f"{args.traces}: no trace rows")

@@ -6,18 +6,21 @@ form) from Python's ``repr``, so file bytes do not depend on the numpy
 version. Rows come in a deterministic order, so identical inputs produce
 byte-identical files.
 
-This module is the only one that knows a CSV layout. Every table is read
-row by row through ``_numbered``: an exact header, then rows of exactly its
-field count; a blank line is a row of no fields and so an error, and errors
-name the physical line a row starts on. Every reader turns a line that does
-not decode or that ``csv`` cannot parse (say, a field over its size limit)
-into a TraceParseError naming the file and the line. Every line, the
-header included, is read with a cap above any legal row (``_line_cap``), so
-a file without newlines is not read whole. The one exception to the row
-loop is the plain blocks of a trace file: ``read_traces`` parses each with
-numpy, up to the first block that is not plain, and reads the rest of the
-file through csv. The file is read once, and both parsers feed the same
-checks, so traces and errors are the row loop's.
+Every CSV header is defined here and every table is read here; ``cli``
+orders the fields of the manifest, band and Jacobian rows it writes. Every
+table is read row by row through ``_numbered``: an exact header, then rows
+of exactly its field count; a blank line is a row of no fields and so an
+error, and errors name the physical line a row starts on. The row tables go
+through ``_read_records``, which converts, builds and de-duplicates each row
+as it is read. Every reader turns a line that does not decode or that
+``csv`` cannot parse (say, a field over its size limit) into a
+TraceParseError naming the file and the line. Every line, the header
+included, is read with a cap above any legal row (``_line_cap``), so a file
+without newlines is not read whole. The one exception to the row loop is the
+plain blocks of a trace file: ``read_traces`` parses each with numpy, up to
+the first block that is not plain, and reads the rest of the file through
+csv. The file is read once, and both parsers feed the same checks, so traces
+and errors are the row loop's.
 """
 
 from __future__ import annotations
@@ -235,20 +238,6 @@ def _csv_rows(path, reader, k, before, flat):
         yield row[0], step, line
 
 
-def _rows(path, header):
-    """``(line, row)`` for each body row of the CSV at ``path``, ``line`` its first physical line.
-
-    The first row must be ``header``, and every row must have exactly as many
-    fields; a blank line is a row of none.
-    """
-    header = list(header)
-    with open(path, newline="", errors="surrogateescape") as fh:
-        reader = csv.reader(itertools.chain.from_iterable(_decoded_blocks(fh, path, len(header))))
-        if _first_row(path, reader) != header:
-            raise TraceParseError(f"{path} line 1: header must be {','.join(header)}")
-        yield from _numbered(path, reader, len(header))
-
-
 def _first_row(path, reader):
     """The first row of ``reader``, or None if it has none."""
     try:
@@ -398,15 +387,7 @@ def _csv_prefix(field) -> str:
 
 def read_labels(path, n_items: int | None = None) -> np.ndarray:
     """Read an ``index,label`` CSV covering indices 0..N-1 exactly once (``01`` repeats ``1``)."""
-    entries: dict[int, int] = {}
-    seen: dict[int, int] = {}
-    for line_no, row in _rows(path, LABEL_COLUMNS):
-        try:
-            idx, label = int(row[0]), int(row[1])
-        except ValueError:
-            raise TraceParseError(f"{path} line {line_no}: bad row {row!r}") from None
-        _reject_duplicate(seen, idx, path, line_no, "index")
-        entries[idx] = label
+    entries = dict(_read_records(path, LABEL_COLUMNS, lambda index, label: (index, label), (int, int), (0,)))
     n = n_items if n_items is not None else len(entries)
     if sorted(entries) != list(range(n)):
         raise TraceParseError(f"{path}: indices must cover 0..{n - 1} exactly once")
@@ -417,31 +398,34 @@ def write_labels(path, labels) -> None:
     write_rows(path, LABEL_COLUMNS, ([i, int(label)] for i, label in enumerate(labels)))
 
 
-def _reject_duplicate(seen: dict, key, path, line_no: int, names: str) -> None:
-    """Record ``key``'s line, or raise if an earlier line already had it."""
-    first = seen.setdefault(key, line_no)
-    if first != line_no:
-        raise TraceParseError(
-            f"{path} line {line_no}: duplicate ({names}) {key!r}, first on line {first}"
-        )
-
-
-def _read_records(path, columns, record, types, key_fields) -> list:
+def _read_records(path, columns, record, types, key_fields=()) -> list:
     """``record`` of each row of the table at ``path``, its fields converted by ``types``.
 
-    A field or record that raises ValueError, and a repeat of the fields at
-    ``key_fields``, raise TraceParseError naming the line.
+    The first row must be ``columns``, and every row must have exactly as
+    many fields; a blank line is a row of none. Each row is converted and
+    checked as it is read, so the first faulty line in the file is reported.
+    A field or record that raises ValueError, and a repeat of the converted
+    fields at ``key_fields``, raise TraceParseError naming the line.
     """
-    records = []
-    seen: dict[tuple[str, ...], int] = {}
+    records, seen = [], {}
     names = ", ".join(columns[i] for i in key_fields)
-    for line_no, row in _rows(path, columns):
-        try:
-            rec = record(*(convert(field) for convert, field in zip(types, row)))
-        except ValueError as exc:
-            raise TraceParseError(f"{path} line {line_no}: {exc}") from None
-        _reject_duplicate(seen, tuple(row[i] for i in key_fields), path, line_no, names)
-        records.append(rec)
+    with open(path, newline="", errors="surrogateescape") as fh:
+        reader = csv.reader(itertools.chain.from_iterable(_decoded_blocks(fh, path, len(columns))))
+        if _first_row(path, reader) != list(columns):
+            raise TraceParseError(f"{path} line 1: header must be {','.join(columns)}")
+        for line_no, row in _numbered(path, reader, len(columns)):
+            try:
+                fields = [convert(field) for convert, field in zip(types, row)]
+                records.append(record(*fields))
+            except ValueError as exc:
+                raise TraceParseError(f"{path} line {line_no}: {exc}") from None
+            key = tuple(fields[i] for i in key_fields)
+            first = seen.setdefault(key, line_no)
+            if key_fields and first != line_no:
+                shown = key[0] if len(key) == 1 else key
+                raise TraceParseError(
+                    f"{path} line {line_no}: duplicate ({names}) {shown!r}, first on line {first}"
+                )
     return records
 
 
@@ -500,19 +484,17 @@ def read_path_metrics(path) -> tuple[list[PathMetrics], dict[str, tuple[str, str
     other ``path_id``, ``__``-prefixed or not, is a path. A repeated
     ``path_id``, footer names included, raises TraceParseError.
     """
-    per_path = []
-    footer: dict[str, tuple[str, str]] = {}
-    seen: dict[str, int] = {}
-    for line_no, (path_id, hff, cd) in _rows(path, PATH_METRIC_COLUMNS):
-        _reject_duplicate(seen, path_id, path, line_no, "path_id")
-        if path_id in _FOOTER_KEYS:
-            footer[_FOOTER_KEYS[path_id]] = (hff, cd)
-            continue
-        try:
-            per_path.append(PathMetrics(path_id, float(hff), int(cd)))
-        except ValueError as exc:
-            raise TraceParseError(f"{path} line {line_no}: {exc}") from None
+    records = _read_records(path, PATH_METRIC_COLUMNS, _path_metrics_record, (str, str, str), (0,))
+    per_path = [rec for rec in records if isinstance(rec, PathMetrics)]
+    footer = {_FOOTER_KEYS[rec[0]]: rec[1:] for rec in records if not isinstance(rec, PathMetrics)}
     return per_path, footer
+
+
+def _path_metrics_record(path_id: str, hff: str, cd: str):
+    """A footer row's raw fields, or any other row as PathMetrics."""
+    if path_id in _FOOTER_KEYS:
+        return path_id, hff, cd
+    return PathMetrics(path_id, float(hff), int(cd))
 
 
 def write_fit(path, result: ProbitRegression) -> None:
@@ -530,4 +512,5 @@ def write_fit(path, result: ProbitRegression) -> None:
 
 def read_fit(path) -> list[dict[str, str]]:
     """Rows of a fit CSV written by ``write_fit``, as dicts keyed by FIT_COLUMNS."""
-    return [dict(zip(FIT_COLUMNS, row)) for _, row in _rows(path, FIT_COLUMNS)]
+    types = (str,) * len(FIT_COLUMNS)
+    return _read_records(path, FIT_COLUMNS, lambda *row: dict(zip(FIT_COLUMNS, row)), types)

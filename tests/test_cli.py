@@ -16,6 +16,7 @@ from spectral_robustness.tables import (
 from spectral_robustness.tensorio import read_tensor, write_tensor
 from spectral_robustness import AccuracyRecord, MetricRecord, MlpPredictor, PredictionTrace, tensorio
 from spectral_robustness.jacobian import pack_mlp_weights
+from spectral_robustness.spectral import class_averaged_shift_psd
 
 
 @pytest.fixture()
@@ -378,6 +379,29 @@ class TestPsdShift:
         assert sorted(os.listdir(tmp_path)) == ["a.tnsr", "b.tnsr"] + ["link.pgm"] * alias
         assert not out.exists()
 
+    def test_class_averaged_copies_no_class_out_of_its_inputs(self, tmp_path, traced_peak):
+        # Copying every class out of both stacks peaked at about 4.5 float64
+        # stacks; sorting each stack in place and slicing it peaks at about 3.
+        rng = np.random.default_rng(8)
+        shape = (400, 3, 32, 32)
+        stacks, groups = {}, {}
+        for name in ("a", "b"):
+            images = rng.normal(size=shape).astype(np.float32)
+            labels = rng.integers(0, 10, size=shape[0])
+            write_tensor(tmp_path / f"{name}.tnsr", images)
+            write_labels(tmp_path / f"{name}.csv", labels)
+            stacks[name] = images.astype(np.float64)
+            groups[name] = {int(k): stacks[name][labels == k] for k in np.unique(labels)}
+        expected = class_averaged_shift_psd(groups["a"], groups["b"]).power.astype(np.float32)
+        out = tmp_path / "psd.tnsr"
+        argv = ["psd-shift", "--mode", "class-averaged", "--a", str(tmp_path / "a.tnsr"),
+                "--b", str(tmp_path / "b.tnsr"), "--labels-a", str(tmp_path / "a.csv"),
+                "--labels-b", str(tmp_path / "b.csv"), "--out", str(out)]
+        rc, peak = traced_peak(lambda: main(argv))
+        assert rc == 0
+        assert np.array_equal(read_tensor(out)[0], expected)
+        assert peak < 3.7 * stacks["a"].nbytes
+
 
 class TestPathMetricsCommand:
     def test_metrics_csv(self, tmp_path):
@@ -415,6 +439,17 @@ class TestPathMetricsCommand:
         assert capsys.readouterr().err == (
             f"error: {tr_path}: --hff-threshold must be at most 1 for path 'short' of 3 steps, got 10\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_threshold_below_one_fails_naming_the_option(self, tmp_path, capsys, k):
+        raw = np.full((10, 2), 0.5)
+        tr_path = tmp_path / "traces.csv"
+        write_traces(tr_path, [PredictionTrace(raw, path_id="p")])
+        out = tmp_path / "m.csv"
+        rc = main(["path-metrics", "--traces", str(tr_path), "--hff-threshold", k, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --hff-threshold must be at least 1, got {k}\n"
         assert not out.exists()
 
     def test_malformed_traces_fail(self, tmp_path):

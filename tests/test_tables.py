@@ -688,6 +688,56 @@ class TestRowShape:
         assert str(info.value) == f"{path} line {line}: expected {width} fields, got {got}"
 
 
+# The position and converter of one typed field of each reader's row; read_fit's fields are text.
+TYPED_FIELD = {
+    read_traces: (2, float),
+    read_labels: (1, int),
+    read_accuracies: (3, int),
+    read_metrics: (2, float),
+    read_path_metrics: (1, float),
+}
+TYPED_READERS = [case for case in READERS if case[0] in TYPED_FIELD]
+
+
+def with_bad_field(reader, row):
+    """``row`` with its typed field ``TYPED_FIELD[reader]`` set to ``x``, and that converter's message."""
+    i, convert = TYPED_FIELD[reader]
+    fields = row.format("q").rstrip("\n").split(",")
+    fields[i] = "x"
+    with pytest.raises(ValueError) as info:
+        convert("x")
+    return ",".join(fields) + "\n", str(info.value)
+
+
+class TestFieldConversion:
+    """Every reader converts a row as it reads it and reports a field its column cannot hold."""
+
+    @pytest.mark.parametrize("reader, head, row", TYPED_READERS)
+    def test_unconvertible_field_fails_with_the_converters_message(self, tmp_path, reader, head, row):
+        bad, message = with_bad_field(reader, row)
+        path = write_text(tmp_path, head + bad)
+        with pytest.raises(TraceParseError) as info:
+            reader(path)
+        line = head.count("\n") + 1
+        assert str(info.value) == f"{path} line {line}: {message}"
+
+    @pytest.mark.parametrize("reader, head, row", TYPED_READERS)
+    def test_bad_field_is_reported_before_a_later_bad_line(self, tmp_path, reader, head, row):
+        header, good = head.split("\n")[:2]
+        bad, _ = with_bad_field(reader, row)
+        short = good.rsplit(",", 1)[0]
+        path = write_text(tmp_path, f"{header}\n{bad}{good}\n{short}\n")
+        with pytest.raises(TraceParseError) as info:
+            reader(path)
+        assert str(info.value).startswith(f"{path} line 2: ")
+
+    def test_parse_error_wins_over_a_repeated_path_id(self, tmp_path):
+        path = write_text(tmp_path, "path_id,hff,cd\np0,0.2,3\np0,x,3\n")
+        with pytest.raises(TraceParseError) as info:
+            read_path_metrics(path)
+        assert str(info.value) == f"{path} line 3: could not convert string to float: 'x'"
+
+
 class TestLabels:
     def test_round_trip(self, tmp_path):
         out = tmp_path / "labels.csv"
