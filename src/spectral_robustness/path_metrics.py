@@ -131,7 +131,8 @@ def summarize_gaussian(values) -> MetricSummary:
     """Mean, sample std (n-1 denominator, 0 when n = 1), and Gaussian 95% CI.
 
     An array is read directly, flattened in C order; any other iterable is
-    collected into a list first. The statistics are taken on the values
+    collected into a list first. All-equal values give that value as the mean
+    and both CI ends, and std 0.0. The statistics are taken on the values
     divided by a power of two that brings their largest magnitude into
     [1, 2), then scaled back, so squared deviations cannot overflow while the
     results fit float64. Power-of-two scaling is exact, so the results are
@@ -146,12 +147,13 @@ def summarize_gaussian(values) -> MetricSummary:
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("cannot summarize non-finite values")
     n = values.size
+    same = np.all(values == values[0])
     # frexp puts the magnitude in [0.5, 1) times 2**e; 2**(e - 1) stays
     # finite up to the float64 maximum.
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(values)))[1] - 1)
     scaled = values / scale
-    mean = scaled.mean()
-    std = scaled.std(ddof=1) if n > 1 else 0.0
+    mean = values[0] / scale if same else scaled.mean()
+    std = 0.0 if same else scaled.std(ddof=1)
     half = 1.96 * std / np.sqrt(n)
     return MetricSummary(
         mean=float(mean * scale),

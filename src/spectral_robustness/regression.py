@@ -134,29 +134,30 @@ def probit(p: float):
 def fit_line(xs, ys) -> tuple[float, float, float]:
     """Ordinary least squares fit; returns (slope, intercept, R^2).
 
-    When the ys have no variance, R^2 is 1 for a perfect fit and 0 otherwise.
+    All-equal xs raise DegenerateFitError; all-equal ys give the horizontal
+    line (0.0, y, 1.0) exactly. Sums are taken on each side divided by a
+    power of two that brings its largest magnitude into [1, 2), so distinct
+    values cannot underflow or overflow them; that scaling is exact wherever
+    nothing is subnormal once scaled.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise InvalidInputError("xs and ys must be 1D sequences of equal length")
-    n = xs.size
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 points, got {n}")
-    x_mean = xs.mean()
-    y_mean = ys.mean()
-    sxx = np.sum((xs - x_mean) ** 2)
-    if sxx == 0.0:
+    if xs.size < 2:
+        raise InvalidInputError(f"need at least 2 points, got {xs.size}")
+    if np.all(xs == xs[0]):
         raise DegenerateFitError("all x values are identical; line is undefined")
-    slope = np.sum((xs - x_mean) * (ys - y_mean)) / sxx
+    if np.all(ys == ys[0]):
+        return 0.0, float(ys[0]), 1.0
+    x_exp, y_exp = (int(np.frexp(np.max(np.abs(v)))[1]) - 1 for v in (xs, ys))
+    xs, ys = np.ldexp(xs, -x_exp), np.ldexp(ys, -y_exp)
+    x_mean, y_mean = xs.mean(), ys.mean()
+    slope = np.sum((xs - x_mean) * (ys - y_mean)) / np.sum((xs - x_mean) ** 2)
     intercept = y_mean - slope * x_mean
     residuals = ys - (slope * xs + intercept)
-    ss_res = np.sum(residuals**2)
-    ss_tot = np.sum((ys - y_mean) ** 2)
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
+    r2 = 1.0 - np.sum(residuals**2) / np.sum((ys - y_mean) ** 2)
+    slope, intercept = np.ldexp(slope, y_exp - x_exp), np.ldexp(intercept, y_exp)
     return float(slope), float(intercept), float(min(max(r2, 0.0), 1.0))
 
 
@@ -171,12 +172,12 @@ def grouped_regression(
 
     The predictor is probit(ID accuracy) when x_spec == "ID accuracy",
     probit(value) for accuracy-kind metrics, and the raw value otherwise.
-    Groups with fewer than 2 usable models (or a constant predictor) are
-    skipped with a warning and excluded from the averages; their models
-    still get points. Two accuracy records for one (model_id, dataset_id),
-    or two metric records for one (model_id, metric_name), that the fit
-    would read raise InvalidInputError, and so do an ``id_dataset`` equal
-    to ``ood_dataset`` and one that no accuracy record has for "ID
+    A group with fewer than 2 usable models, or whose predictor values are
+    all equal, is skipped with a warning and excluded from the averages; its
+    models still get points. Two accuracy records for one (model_id,
+    dataset_id), or two metric records for one (model_id, metric_name), that
+    the fit would read raise InvalidInputError, and so do an ``id_dataset``
+    equal to ``ood_dataset`` and one that no accuracy record has for "ID
     accuracy", before any fit.
     """
     by_model_ood = _one_per_model(
@@ -227,20 +228,14 @@ def grouped_regression(
 
     fits: list[GroupFit] = []
     skipped: list[tuple[str, str]] = []
-    for key in sorted(groups):
-        members = groups[key]
-        if len(members) < 2:
-            reason = f"only {len(members)} usable model(s)"
+    for key, members in sorted(groups.items()):
+        xs = [p.x for p in members]
+        if len({float(x) for x in xs}) < 2:
+            reason = "constant predictor values" if len(xs) > 1 else f"only {len(xs)} usable model(s)"
             warnings.warn(f"skipping group {key!r}: {reason}")
             skipped.append((key, reason))
             continue
-        try:
-            slope, intercept, r2 = fit_line([p.x for p in members], [p.y for p in members])
-        except DegenerateFitError:
-            reason = "constant predictor values"
-            warnings.warn(f"skipping group {key!r}: {reason}")
-            skipped.append((key, reason))
-            continue
+        slope, intercept, r2 = fit_line(xs, [p.y for p in members])
         fits.append(GroupFit(key, slope, intercept, r2, len(members)))
 
     if not fits:

@@ -598,8 +598,15 @@ class TestJacobianCommand:
              "packed MLP dims [D, hidden, K] must be integers >= 1, got [16.5, 3.0, 2.0]"),
             ("mlp", "nan-dim",
              "packed MLP dims [D, hidden, K] must be integers >= 1, got [16.0, nan, 2.0]"),
+            ("linear", "no-bias-column",
+             "linear weights must have shape (K, D+1) with D=16, got [2, 16]"),
+            ("linear", "flat", "linear weights must have shape (K, D+1) with D=16, got [34]"),
+            ("mlp", "short", "packed MLP weights must start with [D, hidden, K]"),
+            ("mlp", "one-value-short",
+             "packed MLP weights have 61 values, expected 62 for D=16, hidden=3, K=2"),
         ],
-        ids=["linear-nan-weight", "mlp-nan-weight", "mlp-fractional-dim", "mlp-nan-dim"],
+        ids=["linear-nan-weight", "mlp-nan-weight", "mlp-fractional-dim", "mlp-nan-dim",
+             "linear-no-bias-column", "linear-flat", "mlp-short", "mlp-one-value-short"],
     )
     def test_bad_weights_fail_before_output(self, tmp_path, capsys, predictor, weights, message):
         rng = np.random.default_rng(7)
@@ -607,9 +614,14 @@ class TestJacobianCommand:
         write_tensor(images, rng.normal(size=(8, 1, 4, 4)))
         path = tmp_path / "w.tnsr"
         if predictor == "linear":
-            w = rng.normal(size=(2, 17))
-            w[1, 5] = np.nan
+            w = rng.normal(size={"no-bias-column": (2, 16), "flat": (34,)}.get(weights, (2, 17)))
+            if weights == "nan-weight":
+                w[1, 5] = np.nan
             write_tensor(path, w)
+        elif weights in ("short", "one-value-short"):
+            self.write_mlp_weights(path)
+            packed, _ = read_tensor(path)
+            write_tensor(path, packed[:2] if weights == "short" else packed[:-1])
         else:
             self.write_mlp_weights(
                 path,
@@ -868,6 +880,48 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert f"{metrics_path} line 5: duplicate (path_id) {key}, first on line {first}" in err
         assert not report.exists()
+
+    def test_fit_section_has_one_row_per_fit_row(self, tmp_path):
+        tr_path = tmp_path / "traces.csv"
+        write_traces(tr_path, [PredictionTrace(np.full((20, 2), 0.5), path_id="p0")])
+        metrics_path = tmp_path / "metrics.csv"
+        assert main(["path-metrics", "--traces", str(tr_path), "--out", str(metrics_path)]) == 0
+        accs, mets = [], []
+        for group, oods, hffs in (("tied", (2, 3, 4), (0.1,) * 3),
+                                  ("spread", (80, 87, 94), (0.2, 0.3, 0.4))):
+            for i in range(3):
+                accs.append(AccuracyRecord(f"{group}{i}", group, "ood-set", oods[i], 200))
+                mets.append(MetricRecord(f"{group}{i}", "mean_hff", hffs[i]))
+        write_accuracies(tmp_path / "acc.csv", accs)
+        write_metrics(tmp_path / "met.csv", mets)
+        fit = tmp_path / "fit.csv"
+        with pytest.warns(UserWarning, match="^skipping group 'tied': constant predictor values$"):
+            rc = main(["regress", "--accuracies", str(tmp_path / "acc.csv"),
+                       "--metrics", str(tmp_path / "met.csv"), "--x", "mean_hff",
+                       "--ood", "ood-set", "--out", str(fit)])
+        assert rc == 0
+        with open(fit, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["group"], r["status"]) for r in rows] == [
+            ("spread", "fitted"),
+            ("tied", "skipped: constant predictor values"),
+            ("__average__", "fitted"),
+        ]
+        report = tmp_path / "report.md"
+        assert main(["report", "--metrics", str(metrics_path), "--fit", str(fit), "--out", str(report)]) == 0
+        text = report.read_text()
+        section = text[text.index("## Probit-domain regression"):].split("\n")
+        assert section == [
+            "## Probit-domain regression",
+            "",
+            "Predictor: mean_hff (raw); OOD dataset: ood-set",
+            "",
+            "| group | n | slope | intercept | R^2 | status |",
+            "|---|---|---|---|---|---|",
+            *(f"| {r['group']} | {r['n_models']} | {r['slope']} | {r['intercept']} | "
+              f"{r['r2']} | {r['status']} |" for r in rows),
+            "",
+        ]
 
     def test_unreadable_fit_fails_with_line(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

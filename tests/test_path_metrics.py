@@ -170,10 +170,17 @@ class TestConsistentDistance:
 
 
 class TestSummarizeGaussian:
-    def test_constant_values(self):
-        s = summarize_gaussian([3.0, 3.0, 3.0])
-        assert (s.mean, s.sample_std, s.n) == (3.0, 0.0, 3)
-        assert s.ci95_low == s.ci95_high == 3.0
+    @pytest.mark.parametrize(
+        "values", [[3.0] * 3, [0.1] * 3, np.full(4000, 0.1), [-2.5e-310] * 5, [1.7e308] * 2],
+        ids=["3.0", "0.1", "4000x0.1", "subnormal", "near-max"],
+    )
+    def test_constant_values(self, values):
+        # The rounded mean of three 0.1s is 0.10000000000000002, with a
+        # spread of 1.7e-17 about it; equal values are read off the values.
+        s = summarize_gaussian(values)
+        v = values[0]
+        assert (s.mean, s.sample_std, s.n) == (v, 0.0, len(values))
+        assert s.ci95_low == s.ci95_high == v
 
     def test_two_point_example(self):
         s = summarize_gaussian([0.0, 1.0])

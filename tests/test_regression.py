@@ -93,6 +93,19 @@ class TestMetricRecord:
     def test_real_values_are_kept(self, value):
         assert MetricRecord("m0", "acc", value, "accuracy").value is value
 
+    @pytest.mark.parametrize(
+        "kind, value, message",
+        [
+            ("probit", 0.5, "unknown value_kind 'probit'"),
+            ("accuracy", 1.5, "accuracy metric 'acc' must be in [0, 1], got 1.5"),
+            ("accuracy", -0.25, "accuracy metric 'acc' must be in [0, 1], got -0.25"),
+        ],
+    )
+    def test_unknown_kind_or_accuracy_out_of_range_rejected(self, kind, value, message):
+        with pytest.raises(InvalidInputError) as info:
+            MetricRecord("m0", "acc", value, kind)
+        assert str(info.value) == message
+
 
 class TestClopperPearson:
     def test_zero_successes_closed_form(self):
@@ -243,12 +256,60 @@ class TestFitLine:
         assert slope2 == pytest.approx(slope / 4.0, abs=1e-9)
         assert r2_2 == pytest.approx(r2, abs=1e-9)
 
-    def test_constant_ys_conventions(self):
-        assert fit_line([0, 1, 2], [3.0, 3.0, 3.0])[2] == 1.0
+    @pytest.mark.parametrize("y", [3.0, 0.1, probit(37 / 200)], ids=["3.0", "0.1", "probit-37/200"])
+    def test_constant_ys_conventions(self, y):
+        # The rounded mean of three 0.1s or probit(37/200)s is not the value,
+        # so their spread about it is not 0; the line is read off the values.
+        assert fit_line([0, 1, 2], [y] * 3) == (0.0, y, 1.0)
 
-    def test_degenerate_xs_rejected(self):
-        with pytest.raises(DegenerateFitError):
-            fit_line([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "xs", [[1.0] * 3, [0.1] * 3, [probit(5 / 200)] * 3, [0.0, -0.0]],
+        ids=["1.0", "0.1", "probit-5/200", "signed-zeros"],
+    )
+    def test_degenerate_xs_rejected(self, xs):
+        # Three equal 0.1s or probit(5/200)s have a rounding-error spread
+        # about their rounded mean; no line goes through them.
+        with pytest.raises(DegenerateFitError, match="^all x values are identical; line is undefined$"):
+            fit_line(xs, np.arange(len(xs), dtype=float))
+
+    @pytest.mark.parametrize(
+        "xs, ys, want_slope, want_intercept",
+        [
+            ([1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.0], 1e200, 0.0),
+            ([1.0, 2.0, 3.0], [1e-200, 2e-200, 3e-200], 1e-200, 0.0),
+            ([-1e300, 0.0, 1e300], [1.0, 2.0, 3.0], 1e-300, 2.0),
+            ([1.0, 2.0, 3.0], [-1e300, 0.0, 1e300], 1e300, -2e300),
+        ],
+        ids=["tiny-xs", "tiny-ys", "huge-xs", "huge-ys"],
+    )
+    def test_distinct_values_far_from_one_fit(self, xs, ys, want_slope, want_intercept):
+        # Unscaled, the squared deviations of the tiny values underflow to 0
+        # and those of the huge values overflow to inf.
+        slope, intercept, r2 = fit_line(xs, ys)
+        assert slope == pytest.approx(want_slope, rel=1e-12)
+        assert intercept == pytest.approx(want_intercept, rel=1e-12, abs=1e-12 * max(map(abs, ys)))
+        assert r2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_scaled_sums_equal_the_unscaled_formulas(self):
+        # Dividing by a power of two changes no bit wherever the unscaled
+        # sums neither underflow nor overflow.
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            n = int(rng.integers(2, 12))
+            if trial % 2:
+                xs = probit(rng.integers(0, 201, n) / 200)
+                ys = probit(rng.integers(0, 201, n) / 200)
+            else:
+                xs = rng.normal(size=n) * 10.0 ** rng.uniform(-100, 100)
+                ys = rng.normal(size=n) * 10.0 ** rng.uniform(-100, 100)
+            if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+                continue
+            x_mean, y_mean = xs.mean(), ys.mean()
+            slope = np.sum((xs - x_mean) * (ys - y_mean)) / np.sum((xs - x_mean) ** 2)
+            intercept = y_mean - slope * x_mean
+            r2 = 1.0 - np.sum((ys - (slope * xs + intercept)) ** 2) / np.sum((ys - y_mean) ** 2)
+            expected = (slope, intercept, min(max(r2, 0.0), 1.0))
+            assert np.array(fit_line(xs, ys)).tobytes() == np.array(expected).tobytes()
 
 
 class TestGroupedRegression:
@@ -339,6 +400,40 @@ class TestGroupedRegression:
         assert [f.group for f in result.per_group] == ["big"]
         assert result.skipped == [("tiny", "only 1 usable model(s)")]
 
+    @pytest.mark.parametrize(
+        "x_spec, spread_ood, averaged_slope",
+        [("ID accuracy", (80, 95, 110), 0.7224228433631026),
+         ("mean_hff", (80, 87, 94), 0.8903862051798489)],
+        ids=["id-accuracy", "mean-hff"],
+    )
+    def test_group_of_equal_predictor_values_skipped(
+        self, monkeypatch, x_spec, spread_ood, averaged_slope
+    ):
+        # A line through three models tied at ID accuracy 5/200 or at
+        # mean_hff 0.1 would be made of rounding error (slopes 0.667 and
+        # 10.7) and would move the average off the spread group's slope.
+        accs, mets = [], []
+        for group, ids, oods, hffs in (
+            ("tied", (5, 5, 5), (2, 3, 4), (0.1, 0.1, 0.1)),
+            ("spread", (100, 120, 140), spread_ood, (0.2, 0.3, 0.4)),
+        ):
+            for i in range(3):
+                accs.append(AccuracyRecord(f"{group}{i}", group, "id-set", ids[i], 200))
+                accs.append(AccuracyRecord(f"{group}{i}", group, "ood-set", oods[i], 200))
+                mets.append(MetricRecord(f"{group}{i}", "mean_hff", hffs[i]))
+        fitted = []
+        monkeypatch.setattr(
+            regression, "fit_line", lambda xs, ys: fitted.append(len(xs)) or fit_line(xs, ys)
+        )
+        with pytest.warns(UserWarning, match="^skipping group 'tied': constant predictor values$"):
+            result = grouped_regression(accs, mets, x_spec, "ood-set")
+        assert result.skipped == [("tied", "constant predictor values")]
+        assert [f.group for f in result.per_group] == ["spread"]
+        assert result.averaged_slope == averaged_slope
+        assert len(result.points) == 6
+        # The skip is read off the values; a tied group never reaches fit_line.
+        assert fitted == [3]
+
     def test_ambiguous_id_dataset_rejected(self):
         accs = [
             AccuracyRecord("m0", "g", "id-a", 6000, 10000),
@@ -376,6 +471,33 @@ class TestGroupedRegression:
             grouped_regression(accs, [], "ID accuracy", "ood-set", id_dataset="nope")
         assert str(info.value) == "no accuracy records for ID dataset 'nope'"
         assert fits == []
+
+    @pytest.mark.parametrize(
+        "ood, kinds, message",
+        [
+            ("nope", ("raw", "raw"), "no accuracy records for OOD dataset 'nope'"),
+            ("ood-set", ("raw", "accuracy"), "metric 'hff' mixes value kinds ['accuracy', 'raw']"),
+        ],
+        ids=["unknown-ood", "mixed-kinds"],
+    )
+    def test_unreadable_inputs_rejected(self, ood, kinds, message):
+        accs = [AccuracyRecord(f"m{i}", "g", "ood-set", 6000 + i, 10000) for i in range(2)]
+        mets = [MetricRecord(f"m{i}", "hff", 0.1 * (i + 1), kind) for i, kind in enumerate(kinds)]
+        with pytest.raises(InvalidInputError) as info:
+            grouped_regression(accs, mets, "hff", ood)
+        assert str(info.value) == message
+
+    def test_no_fittable_group_rejected(self):
+        accs = [AccuracyRecord("solo", "one", "ood-set", 6000, 10000)]
+        accs += [AccuracyRecord(f"m{i}", "tied", "ood-set", 6000 + i, 10000) for i in range(3)]
+        mets = [MetricRecord(m.model_id, "hff", 0.1) for m in accs]
+        with pytest.warns(UserWarning) as caught, pytest.raises(InvalidInputError) as info:
+            grouped_regression(accs, mets, "hff", "ood-set")
+        assert str(info.value) == "no group had enough usable models to fit"
+        assert [str(w.message) for w in caught] == [
+            "skipping group 'one': only 1 usable model(s)",
+            "skipping group 'tied': constant predictor values",
+        ]
 
     @pytest.mark.parametrize("dataset_id", ["ood-set", "id-set"])
     def test_repeated_accuracy_record_rejected(self, dataset_id):

@@ -156,6 +156,22 @@ class TestDecomposeRecompose:
         back = d.amplitude * np.exp(1j * d.phase)
         assert np.abs(back - spec).max() < 1e-6
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (np.zeros((8, 8), dtype=complex), "spectrum must have shape (C, H, W), got (8, 8)"),
+            (np.zeros((1, 1, 2, 2), dtype=complex),
+             "spectrum must have shape (C, H, W), got (1, 1, 2, 2)"),
+            (np.full((1, 2, 2), complex(1.0, np.nan)), "spectrum contains non-finite values"),
+            (np.full((1, 2, 2), np.inf + 0j), "spectrum contains non-finite values"),
+        ],
+        ids=["2d", "4d", "nan", "inf"],
+    )
+    def test_bad_spectrum_rejected(self, spec, message):
+        with pytest.raises(InvalidInputError) as info:
+            decompose(spec)
+        assert str(info.value) == message
+
 
 class TestRadialMask:
     def test_rho_zero_keeps_only_dc(self):
